@@ -19,6 +19,7 @@ import numpy as np
 from .qstate import (
     ClassicalQuantumState,
     DensityMatrix,
+    ParseError,
     PureState,
     Register,
     RegisterLayout,
@@ -178,47 +179,23 @@ def grid_graph(shape: Sequence[int]) -> tuple:
 # Operator application on labelled registers
 
 
-def _permuted_operator(op: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    d = int(np.prod(dims))
-    t = op.reshape(tuple(dims) + tuple(dims))
-    t = t.transpose(tuple(perm) + tuple(p + len(dims) for p in perm))
-    return t.reshape(d, d)
-
-
-def _act_axes(t: np.ndarray, positions: Sequence[int], op: np.ndarray, dims_each) -> np.ndarray:
-    w = len(positions)
-    kt = op.reshape(tuple(dims_each) + tuple(dims_each))
-    out = np.tensordot(kt, t, axes=(tuple(range(w, 2 * w)), tuple(positions)))
-    return np.moveaxis(out, range(w), positions)
-
-
-def apply_operator(mat: np.ndarray, dims: Sequence[int], positions: Sequence[int],
+def apply_operator(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int],
                    op: np.ndarray) -> np.ndarray:
-    """K rho K^dag with K acting on the tensor factors at ``positions``."""
+    """K v for a state vector (1-D), K rho K^dag for a density matrix (2-D).
+
+    K acts on the tensor factors at ``positions``, listed in K's own
+    factor order (any order, not necessarily sorted).
+    """
     positions = list(positions)
-    order = sorted(range(len(positions)), key=lambda i: positions[i])
-    sorted_pos = [positions[i] for i in order]
-    dims_each = [dims[p] for p in sorted_pos]
-    if order != list(range(len(positions))):
-        op = _permuted_operator(op, [dims[p] for p in positions], order)
+    w = len(positions)
     n = len(dims)
-    t = mat.reshape(tuple(dims) + tuple(dims))
-    t = _act_axes(t, sorted_pos, op, dims_each)
-    t = _act_axes(t, [p + n for p in sorted_pos], op.conj(), dims_each)
-    d = int(np.prod(dims))
-    return t.reshape(d, d)
-
-
-def apply_unitary_to_vector(vec: np.ndarray, dims: Sequence[int], positions: Sequence[int],
-                            op: np.ndarray) -> np.ndarray:
-    positions = list(positions)
-    order = sorted(range(len(positions)), key=lambda i: positions[i])
-    sorted_pos = [positions[i] for i in order]
-    if order != list(range(len(positions))):
-        op = _permuted_operator(op, [dims[p] for p in positions], order)
-    t = vec.reshape(tuple(dims))
-    t = _act_axes(t, sorted_pos, op, [dims[p] for p in sorted_pos])
-    return t.reshape(-1)
+    k = op.reshape(tuple(dims[p] for p in positions) * 2)
+    t = arr.reshape(tuple(dims) * arr.ndim)
+    # rows take K, columns take conj(K): (K rho K^dag)_ij = K_ia rho_ab conj(K_jb)
+    for side, kt in enumerate((k, k.conj())[:arr.ndim]):
+        axes = [p + side * n for p in positions]
+        t = np.moveaxis(np.tensordot(kt, t, axes=(range(w, 2 * w), axes)), range(w), axes)
+    return t.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +356,9 @@ class Circuit:
         return report
 
 
+_BASIS_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+
 def _write_outcome(label: str, key: str, value) -> str:
     return f"{label}{key}={value};"
 
@@ -400,25 +380,17 @@ def _branch_apply_gate(label, weight, mat, dims, layout, gate):
         return
     supp = _gate_support(gate)
     positions = layout.positions(supp)
-    if isinstance(gate, Unitary):
-        yield label, weight, apply_operator(mat, dims, positions, gate.matrix)
-        return
     if isinstance(gate, Conditional):
         u = np.asarray(gate.chooser(label), dtype=complex)
         dim = 2 ** len(supp)
         if u.shape != (dim, dim) or np.abs(u.conj().T @ u - np.eye(dim)).max() > TRACE_TOL:
             raise CircuitError(f"conditional gate returned a non-unitary for label {label!r}")
-        yield label, weight, apply_operator(mat, dims, positions, u)
+        gate = Unitary(supp, u)
+    if isinstance(gate, Unitary):
+        yield label, weight, apply_operator(mat, dims, positions, gate.matrix)
         return
     if isinstance(gate, Measure):
-        for outcome in (0, 1):
-            proj = np.zeros((2, 2), dtype=complex)
-            proj[outcome, outcome] = 1.0
-            new = apply_operator(mat, dims, positions, proj)
-            prob = new.trace().real
-            if prob > 1e-14:
-                yield _write_outcome(label, gate.key, outcome), weight * prob, new / prob
-        return
+        gate = KrausGate(supp, _BASIS_PROJECTORS, key=gate.key)
     if isinstance(gate, KrausGate):
         if gate.key is None:
             acc = np.zeros_like(mat)
@@ -505,57 +477,46 @@ class Erase:
         object.__setattr__(self, "qubits", qubits)
 
 
-_DEP_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
 def _depolarize_matrix(mat, dims, pos, p):
-    # N_p(rho) = (1 - 3p/4) rho + (p/4)(X rho X + Y rho Y + Z rho Z)
-    out = (1.0 - 0.75 * p) * mat
-    for sigma in _DEP_PAULIS[1:]:
-        out += 0.25 * p * apply_operator(mat, dims, [pos], sigma)
-    return out
+    """N_p(rho) = (1 - p) rho + p I/d (x) tr_q rho on the factor at ``pos``.
 
-
-def _erase_qubit_matrix(mat, dims, pos):
-    # replace-with-I/2: rho -> I/2 (x) tr_q rho, via four Kraus |i><j|/sqrt(2)
-    out = np.zeros_like(mat)
-    for i in (0, 1):
-        for j in (0, 1):
-            k = np.zeros((2, 2), dtype=complex)
-            k[i, j] = 1.0 / np.sqrt(2.0)
-            out += apply_operator(mat, dims, [pos], k)
-    return out
+    p = 1 is erasure: the factor is replaced by the maximally mixed state.
+    """
+    d = dims[pos]
+    left = int(np.prod(dims[:pos]))
+    right = int(np.prod(dims[pos + 1:]))
+    t = mat.reshape(left, d, right, left, d, right)
+    mixed = (p / d) * np.trace(t, axis1=1, axis2=4)
+    out = (1.0 - p) * t
+    for i in range(d):
+        out[:, i, :, :, i, :] += mixed
+    return out.reshape(mat.shape)
 
 
 def noise_apply(state, mode) -> ClassicalQuantumState:
-    """Apply a noise mode branch-by-branch with exact channel arithmetic."""
+    """Apply a noise mode branch-by-branch with exact channel arithmetic.
+
+    Each qubit gets its own single-qubit channel (p = 1 on an erased
+    region, ``mode.p`` elsewhere); they act on different factors, so the
+    order does not matter.
+    """
     if isinstance(state, DensityMatrix):
         state = ClassicalQuantumState.from_density(state)
-    layout = state.layout
-    dims = layout.dims
     if isinstance(mode, Depolarize):
-        erase_set: tuple = ()
-        dep_set = mode.qubits
-        p = mode.p
+        erased: frozenset = frozenset()
     elif isinstance(mode, Erase):
-        erase_set = mode.region
-        dep_set = tuple(q for q in mode.qubits if q not in set(mode.region))
-        p = mode.p
+        erased = frozenset(mode.region)
     else:
         raise CircuitError(f"unknown noise mode {type(mode).__name__}")
+    layout = state.layout
+    dims = layout.dims
+    rates = [(layout.position(q), 1.0 if q in erased else mode.p) for q in mode.qubits]
     branches = []
     for lab, w, dm in state.branches:
         mat = dm.matrix
-        for q in erase_set:
-            mat = _erase_qubit_matrix(mat, dims, layout.position(q))
-        if p > 0.0:
-            for q in dep_set:
-                mat = _depolarize_matrix(mat, dims, layout.position(q), p)
+        for pos, p in rates:
+            if p > 0.0:
+                mat = _depolarize_matrix(mat, dims, pos, p)
         mat = (mat + mat.conj().T) / 2
         tr = mat.trace().real
         branches.append((lab, w * tr, DensityMatrix(layout, mat / tr, validate=False)))
@@ -746,17 +707,11 @@ def choi_matrix(channel: Callable[[np.ndarray], np.ndarray], dim: int) -> np.nda
 # Circuit file format
 
 
-class CircuitFileError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 def _parse_complex(tok: str, line_no: int) -> complex:
     try:
         return complex(tok)
     except ValueError:
-        raise CircuitFileError(line_no, f"bad complex number {tok!r}") from None
+        raise ParseError(line_no, f"bad complex number {tok!r}") from None
 
 
 def parse_circuit_lines(lines: Iterable[str]) -> Circuit:
@@ -781,61 +736,61 @@ def parse_circuit_lines(lines: Iterable[str]) -> Circuit:
         head = toks[0]
         if head == "qubits":
             if m is not None:
-                raise CircuitFileError(line_no, "duplicate qubits line")
+                raise ParseError(line_no, "duplicate qubits line")
             if len(toks) != 2 or not toks[1].isdigit():
-                raise CircuitFileError(line_no, "expected: qubits <m>")
+                raise ParseError(line_no, "expected: qubits <m>")
             m = int(toks[1])
         elif head == "edge":
             if m is None:
-                raise CircuitFileError(line_no, "edge before qubits line")
+                raise ParseError(line_no, "edge before qubits line")
             if len(toks) != 3:
-                raise CircuitFileError(line_no, "expected: edge <u> <v>")
+                raise ParseError(line_no, "expected: edge <u> <v>")
             for tok in toks[1:3]:
                 if not tok.isdigit() or int(tok) >= m:
-                    raise CircuitFileError(
+                    raise ParseError(
                         line_no, f"edge vertex {tok!r} outside 0..{m - 1}"
                     )
             edges.append((toks[1], toks[2]))
         elif head == "layer":
             if m is None:
-                raise CircuitFileError(line_no, "layer before qubits line")
+                raise ParseError(line_no, "layer before qubits line")
             if current is not None:
                 layers.append(Layer(current))
             current = []
         elif head == "u2":
             if current is None:
-                raise CircuitFileError(line_no, "gate outside a layer block")
+                raise ParseError(line_no, "gate outside a layer block")
             if len(toks) != 1 + 16 + 3 or toks[17] != "on":
-                raise CircuitFileError(
+                raise ParseError(
                     line_no, "expected: u2 <16 entries> on <u> <v>"
                 )
             entries = [_parse_complex(t, line_no) for t in toks[1:17]]
             current.append(Unitary((toks[18], toks[19]), np.array(entries).reshape(4, 4)))
         elif head == "meas":
             if current is None:
-                raise CircuitFileError(line_no, "gate outside a layer block")
+                raise ParseError(line_no, "gate outside a layer block")
             if len(toks) != 4 or toks[2] != "->":
-                raise CircuitFileError(line_no, "expected: meas <q> -> <label>")
+                raise ParseError(line_no, "expected: meas <q> -> <label>")
             current.append(Measure(toks[1], toks[3]))
         elif head == "kraus":
             if current is None:
-                raise CircuitFileError(line_no, "gate outside a layer block")
+                raise ParseError(line_no, "gate outside a layer block")
             if len(toks) < 5 or toks[2] != "on" or ":" not in toks:
-                raise CircuitFileError(
+                raise ParseError(
                     line_no, "expected: kraus <count> on <q...> : <entries>"
                 )
             try:
                 count = int(toks[1])
             except ValueError:
-                raise CircuitFileError(line_no, "bad kraus count") from None
+                raise ParseError(line_no, "bad kraus count") from None
             sep = toks.index(":")
             qubits = toks[3:sep]
             if not qubits:
-                raise CircuitFileError(line_no, "kraus gate needs at least one qubit")
+                raise ParseError(line_no, "kraus gate needs at least one qubit")
             dim = 2 ** len(qubits)
             entries = [_parse_complex(t, line_no) for t in toks[sep + 1:]]
             if len(entries) != count * dim * dim:
-                raise CircuitFileError(
+                raise ParseError(
                     line_no,
                     f"expected {count * dim * dim} entries, found {len(entries)}",
                 )
@@ -845,16 +800,16 @@ def parse_circuit_lines(lines: Iterable[str]) -> Circuit:
             ]
             current.append(KrausGate(tuple(qubits), ops))
         else:
-            raise CircuitFileError(line_no, f"unknown directive {head!r}")
+            raise ParseError(line_no, f"unknown directive {head!r}")
     if m is None:
-        raise CircuitFileError(0, "missing qubits line")
+        raise ParseError(0, "missing qubits line")
     if current is not None:
         layers.append(Layer(current))
     graph = ConnectivityGraph([str(i) for i in range(m)], edges)
     circuit = Circuit(graph, layers)
     report = circuit.validate()
     if not report.ok:
-        raise CircuitFileError(0, "; ".join(report.violations))
+        raise ParseError(0, "; ".join(report.violations))
     return circuit
 
 

@@ -4,14 +4,14 @@ JSON reporting.
 Every subcommand emits a versioned JSON report (top-level "schema": 1) on
 stdout or to --output. Exit codes: 0 success/pass, 1 verification
 violation, 2 input error. Identical argv and files produce byte-identical
-output. The only environment variable consulted is LOCBOUND_THREADS
-(worker count for the separable-ensemble search restarts).
+output. No environment variable is consulted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -20,17 +20,17 @@ from . import bounds as bnd
 from . import partition as part
 from . import separability as sep
 from . import verify as ver
-from .circuit import CircuitFileError, read_circuit_file
+from .circuit import read_circuit_file
 from .entropy import coherent_info, g_continuity, vn_entropy
+from .qstate import ParseError
+from .rand import DEFAULT_SEED
 from .stabilizer import (
-    CodeFileError,
     correctable_region,
     encoding_isometry,
     min_distance,
     read_code_file,
 )
 
-DEFAULT_SEED = 0xC0DE
 SCHEMA = 1
 
 
@@ -45,6 +45,15 @@ def _parse_region(text: str) -> list:
         raise InputError(f"bad region {text!r}; expected comma-separated qubit indices")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN, so every
+    report stays strict JSON."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_blocks(text: str) -> list:
     return [_parse_region(part) for part in text.split(";") if part != ""]
 
@@ -52,7 +61,7 @@ def _parse_blocks(text: str) -> list:
 def _emit(report: dict, output: str | None) -> None:
     payload = {"schema": SCHEMA}
     payload.update(report)
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -191,6 +200,8 @@ def _cmd_partition(args):
 def _cmd_bound_encoding(args):
     if args.boundary_sizes is not None:
         sizes = [float(tok) for tok in args.boundary_sizes.split(",") if tok != ""]
+        if not all(math.isfinite(size) for size in sizes):
+            raise InputError("boundary sizes must be finite numbers")
         value = bnd.encoding_depth_floor(args.k, sizes)
         return 0, {
             "command": "bound encoding",
@@ -232,6 +243,8 @@ def _cmd_bound_overhead(args):
     out = {"command": "bound overhead", "floor": report.value,
            "active_branch": report.active_branch}
     out.update(report.intermediates)
+    if math.isinf(report.intermediates["term_partition"]):
+        out["term_partition"] = None  # depth 0: the partition branch never binds
     out["satisfiable"] = report.satisfiable
     return 0, out
 
@@ -320,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         "entropy",
         help="entropies of encoded states, or the continuity functions h and g",
     )
-    c.add_argument("--epsilon", type=float, default=None,
+    c.add_argument("--epsilon", type=_finite_float, default=None,
                    help="evaluate the binary entropy h and slack g at epsilon")
     c.add_argument("--code", help="code file; uses the encoded maximally mixed state")
     c.add_argument("--region", help="comma-separated qubit indices")
@@ -342,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="size-bounded partition of an embedded graph")
     c.add_argument("--graph", required=True, help="embedded-graph file")
     c.add_argument("--lam", type=int, required=True, help="block size bound")
-    c.add_argument("--kappa", type=float, default=None,
+    c.add_argument("--kappa", type=_finite_float, default=None,
                    help="override the boundary constant kappa(c, D)")
     c.add_argument("--dense", action="store_true",
                    help="assert the block-count bound (full grids)")
@@ -362,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--d", type=int, default=None)
     c.add_argument("--m", type=int, default=None)
     c.add_argument("--dim", type=int, default=2)
-    c.add_argument("--c1", type=float, default=1.0)
-    c.add_argument("--c2", type=float, default=1.0)
+    c.add_argument("--c1", type=_finite_float, default=1.0)
+    c.add_argument("--c2", type=_finite_float, default=1.0)
     c.set_defaults(handler=_cmd_bound_encoding)
 
     c = bound_sub.add_parser(
@@ -375,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--dim", type=int, default=2)
-    c.add_argument("--c1", type=float, default=1.0)
-    c.add_argument("--c2", type=float, default=1.0)
+    c.add_argument("--c1", type=_finite_float, default=1.0)
+    c.add_argument("--c2", type=_finite_float, default=1.0)
     c.set_defaults(handler=_cmd_bound_syndrome)
 
     c = bound_sub.add_parser(
@@ -386,12 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
-    c.add_argument("--p", type=float, required=True)
-    c.add_argument("--delta", type=float, required=True)
-    c.add_argument("--depth", type=float, required=True)
+    c.add_argument("--p", type=_finite_float, required=True)
+    c.add_argument("--delta", type=_finite_float, required=True)
+    c.add_argument("--depth", type=_finite_float, required=True)
     c.add_argument("--dim", type=int, default=2)
-    c.add_argument("--c1", type=float, default=1.0)
-    c.add_argument("--c2", type=float, default=1.0)
+    c.add_argument("--c1", type=_finite_float, default=1.0)
+    c.add_argument("--c2", type=_finite_float, default=1.0)
     c.set_defaults(handler=_cmd_bound_overhead)
 
     p_verify = sub.add_parser("verify", help="numerical verification harness")
@@ -453,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
              "m/k >= floor(m, k, depth, p, delta)",
     )
     c.add_argument("--dim", type=int, default=2)
-    c.add_argument("--c1", type=float, default=1.0)
-    c.add_argument("--c2", type=float, default=1.0)
+    c.add_argument("--c1", type=_finite_float, default=1.0)
+    c.add_argument("--c2", type=_finite_float, default=1.0)
     c.set_defaults(handler=_cmd_verify_overhead)
 
     return parser
@@ -470,8 +483,7 @@ def dispatch(argv: list) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, report = args.handler(args)
-    except (CodeFileError, CircuitFileError, part.EmbeddedGraphFileError,
-            InputError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, InputError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     _emit(report, args.output)

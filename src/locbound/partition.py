@@ -19,6 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .circuit import ConnectivityGraph, Embedding
+from .qstate import ParseError
 
 
 class PartitionInternalError(RuntimeError):
@@ -258,12 +259,6 @@ def check_guarantees(partition: Partition, embedding: Embedding, lam: int,
 # Embedded-graph file format: dim/c/point/edge lines
 
 
-class EmbeddedGraphFileError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 def parse_embedded_graph_lines(lines: Iterable[str]) -> tuple:
     """Parse ``dim D``, ``c <value>``, ``point label x y [z]`` and
     ``edge u v`` lines into (graph, embedding)."""
@@ -280,44 +275,44 @@ def parse_embedded_graph_lines(lines: Iterable[str]) -> tuple:
         head = toks[0]
         if head == "dim":
             if len(toks) != 2 or not toks[1].isdigit():
-                raise EmbeddedGraphFileError(line_no, "expected: dim <D>")
+                raise ParseError(line_no, "expected: dim <D>")
             dim = int(toks[1])
         elif head == "c":
             if len(toks) != 2:
-                raise EmbeddedGraphFileError(line_no, "expected: c <value>")
+                raise ParseError(line_no, "expected: c <value>")
             try:
                 c = float(toks[1])
             except ValueError:
-                raise EmbeddedGraphFileError(line_no, f"bad c value {toks[1]!r}") from None
+                raise ParseError(line_no, f"bad c value {toks[1]!r}") from None
         elif head == "point":
             if dim is None:
-                raise EmbeddedGraphFileError(line_no, "point before dim line")
+                raise ParseError(line_no, "point before dim line")
             if len(toks) != 2 + dim:
-                raise EmbeddedGraphFileError(
+                raise ParseError(
                     line_no, f"expected: point <label> and {dim} coordinates"
                 )
             label = toks[1]
             if label in coords:
-                raise EmbeddedGraphFileError(line_no, f"duplicate point {label!r}")
+                raise ParseError(line_no, f"duplicate point {label!r}")
             try:
                 coords[label] = np.array([float(t) for t in toks[2:]], dtype=float)
             except ValueError:
-                raise EmbeddedGraphFileError(line_no, "bad coordinate") from None
+                raise ParseError(line_no, "bad coordinate") from None
             point_order.append(label)
         elif head == "edge":
             if len(toks) != 3:
-                raise EmbeddedGraphFileError(line_no, "expected: edge <u> <v>")
+                raise ParseError(line_no, "expected: edge <u> <v>")
             if toks[1] not in coords or toks[2] not in coords:
-                raise EmbeddedGraphFileError(
+                raise ParseError(
                     line_no, f"edge references unknown point ({toks[1]}, {toks[2]})"
                 )
             edges.append((toks[1], toks[2]))
         else:
-            raise EmbeddedGraphFileError(line_no, f"unknown directive {head!r}")
+            raise ParseError(line_no, f"unknown directive {head!r}")
     if dim is None:
-        raise EmbeddedGraphFileError(0, "missing dim line")
+        raise ParseError(0, "missing dim line")
     if not point_order:
-        raise EmbeddedGraphFileError(0, "no points")
+        raise ParseError(0, "no points")
     graph = ConnectivityGraph(point_order, edges)
     return graph, Embedding(coords=coords, dimension=dim, c=c)
 

@@ -6,6 +6,8 @@ import numpy as np
 
 from .qstate import DensityMatrix, PureState, _as_layout
 
+DEFAULT_SEED = 0xC0DE
+
 
 def rng_from(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):

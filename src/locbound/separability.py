@@ -11,8 +11,6 @@ master seed, so results are deterministic for a given budget.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -21,9 +19,8 @@ from scipy.optimize import minimize
 
 from .entropy import coherent_info, relative_entropy
 from .qstate import ClassicalQuantumState, DensityMatrix
-from .rand import rng_from
+from .rand import DEFAULT_SEED, rng_from
 
-DEFAULT_SEED = 0xC0DE
 DEFAULT_RESTARTS = 20
 DEFAULT_ITERATIONS = 2000
 
@@ -233,13 +230,6 @@ def _run_restart(restart, seed, rho_mat, terms, da, db, tr_rho_log_rho, iteratio
     return ws, a, b, int(res.nit), bool(res.success)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LOCBOUND_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def ree_upper(
     rho: DensityMatrix,
     a: Iterable[str],
@@ -264,6 +254,8 @@ def _ree_upper_bracket(rho, a, b, restarts, iterations, seed, stop_at) -> ReeBra
     a_labels, b_labels = _split_cut(rho, a, b)
     if rho.dim > 64:
         raise ValueError("ree_upper supports total dimension <= 64")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     rho_p = rho.permuted(list(a_labels) + list(b_labels))
     da = rho_p.layout.subset(a_labels).dim
     db = rho_p.layout.subset(b_labels).dim
@@ -275,7 +267,7 @@ def _ree_upper_bracket(rho, a, b, restarts, iterations, seed, stop_at) -> ReeBra
     tr_rho_log_rho = float((pos * np.log2(pos)).sum())
 
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = root.spawn(max(1, restarts))
+    seeds = root.spawn(restarts)
     layout = rho_p.layout
 
     best_val = np.inf
@@ -284,33 +276,13 @@ def _ree_upper_bracket(rho, a, b, restarts, iterations, seed, stop_at) -> ReeBra
     restarts_run = 0
     any_success = False
 
-    def finish(restart_out):
-        ws, af, bf, nit, ok = restart_out
-        ens = SeparableEnsemble(a_labels, b_labels, ws, af, bf)
-        sig = ens.assemble(layout)
-        val = relative_entropy(rho_p, sig)
-        v = max(float(val), 0.0) if val.is_finite else np.inf
-        return v, ens, nit, ok
-
-    n_threads = _threads()
-    if n_threads > 1 and restarts > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futs = [
-                pool.submit(
-                    _run_restart, r, seeds[r], rho_mat, terms, da, db, tr_rho_log_rho, iterations
-                )
-                for r in range(restarts)
-            ]
-            outs = [f.result() for f in futs]
-    else:
-        outs = None
-    # identical accumulation for both paths (restart order, early stop), so
-    # the result does not depend on the worker count or schedule
     for r in range(restarts):
-        out = outs[r] if outs is not None else _run_restart(
+        ws, af, bf, nit, ok = _run_restart(
             r, seeds[r], rho_mat, terms, da, db, tr_rho_log_rho, iterations
         )
-        v, ens, nit, ok = finish(out)
+        ens = SeparableEnsemble(a_labels, b_labels, ws, af, bf)
+        val = relative_entropy(rho_p, ens.assemble(layout))
+        v = max(float(val), 0.0) if val.is_finite else np.inf
         total_iters += nit
         restarts_run += 1
         any_success = any_success or ok
@@ -325,7 +297,7 @@ def _ree_upper_bracket(rho, a, b, restarts, iterations, seed, stop_at) -> ReeBra
         ensemble=best_ens,
         restarts_run=restarts_run,
         iterations_run=total_iters,
-        converged=any_success and np.isfinite(best_val),
+        converged=bool(any_success and np.isfinite(best_val)),
         diagnostics={"terms": terms, "dim_a": da, "dim_b": db},
     )
 

@@ -16,7 +16,7 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .qstate import DensityMatrix, RegisterLayout
+from .qstate import DensityMatrix, ParseError, RegisterLayout
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -497,12 +497,6 @@ def correction_operator(code: StabilizerCode, syndrome: Sequence[int]) -> Pauli:
 # Code file format: one signed Pauli string per line, '#' comments
 
 
-class CodeFileError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 def parse_code_lines(lines: Iterable[str]) -> StabilizerCode:
     gens = []
     for line_no, raw in enumerate(lines, start=1):
@@ -512,13 +506,13 @@ def parse_code_lines(lines: Iterable[str]) -> StabilizerCode:
         try:
             gens.append(parse_pauli(text))
         except PauliError as exc:
-            raise CodeFileError(line_no, str(exc)) from exc
+            raise ParseError(line_no, str(exc)) from exc
     if not gens:
-        raise CodeFileError(0, "no generators found")
+        raise ParseError(0, "no generators found")
     try:
         return validate_code(gens)
     except CodeValidationError as exc:
-        raise CodeFileError(0, str(exc)) from exc
+        raise ParseError(0, str(exc)) from exc
 
 
 def read_code_file(path) -> StabilizerCode:

@@ -36,17 +36,24 @@ from .circuit import (
 )
 from .entropy import cond_mutual_info, g_slack, vn_entropy
 from .qstate import DensityMatrix, PureState, Register, RegisterLayout, fidelity
-from .rand import random_density, random_kraus_channel, random_pure, random_unitary, rng_from
+from .rand import (
+    DEFAULT_SEED,
+    random_density,
+    random_kraus_channel,
+    random_pure,
+    random_unitary,
+    rng_from,
+)
 from .separability import ree_lower, ree_upper
 from .stabilizer import (
+    _I2,
+    _X,
     StabilizerCode,
     encoding_isometry,
     four_two_two_code,
     min_distance,
     repetition_code,
 )
-
-DEFAULT_SEED = 0xC0DE
 
 SLACK_EXACT = 1e-9
 SLACK_ENTROPY = 1e-8
@@ -76,7 +83,10 @@ class VerificationReport:
 
 
 class _Checker:
-    """Accumulates margins = (value - bound); margin > slack is a violation."""
+    """Accumulates margins = (value - bound); margin > slack is a violation.
+
+    A report with no trials fails: it would otherwise pass vacuously.
+    """
 
     def __init__(self, slack: float):
         self.slack = slack
@@ -101,7 +111,7 @@ class _Checker:
             worst_margin=float(worst),
             parameters=parameters,
             seed=seed,
-            passed=self.violations == 0,
+            passed=self.violations == 0 and self.trials > 0,
         )
 
 
@@ -167,8 +177,10 @@ def verify_sie(
     """
     rng = rng_from(seed)
     if circuit is None:
-        if qubits > 8:
-            raise ValueError("verify_sie limited to 8 qubits")
+        if not 2 <= qubits <= 8:
+            raise ValueError("verify_sie needs 2..8 qubits")
+        if layers < 1:
+            raise ValueError("layers must be >= 1")
         shape = (2, qubits // 2) if qubits % 2 == 0 and qubits > 2 else (qubits,)
         graph, _ = grid_graph(shape)
         layer_list = [random_unitary_layer(graph, rng) for _ in range(layers)]
@@ -194,7 +206,7 @@ def verify_sie(
         if not rep.ok:
             raise ValueError("invalid layer: " + "; ".join(rep.violations))
         for gate in layer.gates:
-            vec = circ.apply_unitary_to_vector(
+            vec = circ.apply_operator(
                 vec, dims, [graph.vertices.index(q) for q in gate.qubits], gate.matrix
             )
         for cut in cuts:
@@ -278,6 +290,8 @@ def verify_corr_max_entangled(
     distance, over random code states (half pure, half mixed)."""
     if code.n > 8:
         raise ValueError("limited to n <= 8")
+    if n_states < 1:
+        raise ValueError("n_states must be >= 1")
     rng = rng_from(seed)
     dist = min_distance(code)
     d = dist.distance if dist.exact else dist.at_least
@@ -408,6 +422,8 @@ def verify_appendix(seed: int = DEFAULT_SEED, trials: int = 1000) -> Verificatio
     (b) approximately recoverable states have small conditional mutual
     information, (c) the coherent-information lower bound never exceeds
     the separable-ensemble upper bound."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = rng_from(seed)
     checker = _Checker(SLACK_EXACT)
 
@@ -504,8 +520,6 @@ def identity_code_module(code: StabilizerCode, p: float, name: str) -> EcModule:
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
 
 
 def repetition_module(p: float, rounds: int = 2) -> EcModule:

@@ -3,7 +3,6 @@ import pytest
 
 from locbound.circuit import (
     Circuit,
-    CircuitFileError,
     ConnectivityGraph,
     Depolarize,
     EcModule,
@@ -15,6 +14,7 @@ from locbound.circuit import (
     Relabel,
     Unitary,
     apply_layer,
+    apply_operator,
     boundary,
     choi_matrix,
     grid_graph,
@@ -26,14 +26,14 @@ from locbound.circuit import (
     validate_embedding,
     validate_layer,
     _depolarize_matrix,
-    _erase_qubit_matrix,
 )
 from locbound.qstate import (
     ClassicalQuantumState,
     DensityMatrix,
+    ParseError,
     RegisterLayout,
 )
-from locbound.rand import random_unitary
+from locbound.rand import random_density, random_unitary
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -151,8 +151,40 @@ def test_depolarizing_channel_formula():
         out = _depolarize_matrix(mat, (2,), 0, p)
         expect = (1 - p) * mat + p * np.trace(mat) * np.eye(2) / 2
         assert np.abs(out - expect).max() < 1e-12
-    out = _erase_qubit_matrix(mat, (2,), 0)
+    out = _depolarize_matrix(mat, (2,), 0, 1.0)
     assert np.abs(out - np.trace(mat) * np.eye(2) / 2).max() < 1e-12
+
+
+def test_depolarize_matches_pauli_sandwich():
+    # closed form against (1 - 3p/4) rho + (p/4) sum_s s rho s on each qubit
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    rho = random_density(np.random.default_rng(6), RegisterLayout.qubits("0", "1", "2")).matrix
+    for pos in range(3):
+        for p in (0.0, 0.3, 1.0):
+            oracle = (1 - 0.75 * p) * rho
+            for sigma in paulis:
+                full = np.kron(np.kron(np.eye(2 ** pos), sigma), np.eye(2 ** (2 - pos)))
+                oracle = oracle + 0.25 * p * full @ rho @ full.conj().T
+            out = _depolarize_matrix(rho, (2, 2, 2), pos, p)
+            assert np.abs(out - oracle).max() < 1e-12
+
+
+def test_apply_operator_unsorted_positions():
+    # K on factors [2, 0] of three qubits is P (K (x) I) P^T, where P maps
+    # the factor order (2, 0, 1) back to (0, 1, 2)
+    rng = np.random.default_rng(5)
+    k = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    perm = np.zeros((8, 8))
+    for b0, b1, b2 in np.ndindex(2, 2, 2):
+        perm[4 * b0 + 2 * b1 + b2, 4 * b2 + 2 * b0 + b1] = 1.0
+    dense = perm @ np.kron(k, np.eye(2)) @ perm.T
+    vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    rho = random_density(rng, RegisterLayout.qubits("0", "1", "2")).matrix
+    out_vec = apply_operator(vec, (2, 2, 2), [2, 0], k)
+    out_rho = apply_operator(rho, (2, 2, 2), [2, 0], k)
+    assert out_vec.shape == (8,) and out_rho.shape == (8, 8)
+    assert np.abs(out_vec - dense @ vec).max() < 1e-12
+    assert np.abs(out_rho - dense @ rho @ dense.conj().T).max() < 1e-12
 
 
 def trivial_module(p):
@@ -227,7 +259,7 @@ def test_mixture_identity_choi():
         def n_gamma(mat):
             out = mat
             for q in gamma:
-                out = _erase_qubit_matrix(out, dims, q)
+                out = _depolarize_matrix(out, dims, q, 1.0)
             for q in range(m):
                 if q not in gamma:
                     out = _depolarize_matrix(out, dims, q, p)
@@ -276,21 +308,21 @@ def test_circuit_file_round_trip(tmp_path):
 
 
 def test_circuit_file_errors():
-    with pytest.raises(CircuitFileError) as err:
+    with pytest.raises(ParseError) as err:
         parse_circuit_lines(["qubits 2", "edge 0 5"])
     assert "line" in str(err.value)
 
-    with pytest.raises(CircuitFileError) as err:
+    with pytest.raises(ParseError) as err:
         parse_circuit_lines(["qubits 2", "layer", "u2 1 0 0 1 on 0 1"])
     assert "line 3" in str(err.value)
 
-    with pytest.raises(CircuitFileError) as err:
+    with pytest.raises(ParseError) as err:
         parse_circuit_lines(["qubits 2", "layer", "kraus 2 on 0 : 1 0 0 0"])
     assert "line 3" in str(err.value)
 
-    with pytest.raises(CircuitFileError):
+    with pytest.raises(ParseError):
         parse_circuit_lines(["layer"])
 
-    with pytest.raises(CircuitFileError) as err:
+    with pytest.raises(ParseError) as err:
         parse_circuit_lines(["qubits 2", "warp 9"])
     assert "unknown directive" in str(err.value)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from locbound.cli import dispatch
 
 FIVE_QUBIT = "data/five_qubit.code"
@@ -222,3 +224,54 @@ def test_verify_sie_with_circuit_file(tmp_path, capsys):
     code, report, _ = run(capsys, "verify", "sie", "--circuit", str(path))
     assert code == 0
     assert report["pass"]
+
+
+def test_ree_converged_is_json(capsys):
+    code, report, _ = run(capsys, "ree", "--code", FOUR_TWO_TWO, "--region", "0",
+                          "--restarts", "2", "--iterations", "300")
+    assert code == 0
+    assert report["converged"] is True
+
+
+def test_bound_overhead_depth_zero_is_strict_json(capsys):
+    code = dispatch(["bound", "overhead", "--m", "100", "--k", "10", "--p", "0.25",
+                     "--delta", "0.00390625", "--depth", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    report = json.loads(out, parse_constant=reject)
+    assert report["term_partition"] is None
+    assert report["active_branch"] == "p^(f/8)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "appendix", "--trials", "-5"], ">= 1"),
+    (["verify", "corr-max", "--code", FIVE_QUBIT, "--states", "0"], ">= 1"),
+    (["verify", "sie", "--qubits", "4", "--layers", "0"], ">= 1"),
+    (["ree", "--code", FOUR_TWO_TWO, "--region", "0", "--restarts", "0"], ">= 1"),
+    (["verify", "sie", "--qubits", "1"], "2..8"),
+    (["verify", "sie", "--qubits", "9"], "2..8"),
+], ids=["trials", "states", "layers", "restarts", "qubits-1", "qubits-9"])
+def test_vacuous_requests_exit_two(capsys, argv, message):
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "overhead", "--m", "100", "--k", "10", "--p", "0.25",
+     "--delta", "0.01", "--depth", "nan"],
+    ["bound", "encoding", "--k", "1", "--boundary-sizes", "4,inf"],
+], ids=["depth-nan", "boundary-inf"])
+def test_non_finite_inputs_exit_two(capsys, argv):
+    # a non-finite input would otherwise reach the report as NaN or Infinity
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err

@@ -3,7 +3,6 @@ import pytest
 
 from locbound.circuit import ConnectivityGraph, Embedding, grid_graph, boundary
 from locbound.partition import (
-    EmbeddedGraphFileError,
     PartitionInternalError,
     check_guarantees,
     grid_partition,
@@ -12,6 +11,7 @@ from locbound.partition import (
     parse_embedded_graph_lines,
     read_embedded_graph_file,
 )
+from locbound.qstate import ParseError
 
 
 def test_four_by_four():
@@ -152,13 +152,13 @@ def test_embedded_graph_file(tmp_path):
     assert emb.dimension == 2
     assert emb.c == 1.5
 
-    with pytest.raises(EmbeddedGraphFileError) as err:
+    with pytest.raises(ParseError) as err:
         parse_embedded_graph_lines(["dim 2", "point a 0"])
     assert "line 2" in str(err.value)
 
-    with pytest.raises(EmbeddedGraphFileError) as err:
+    with pytest.raises(ParseError) as err:
         parse_embedded_graph_lines(["dim 2", "point a 0 0", "edge a zz"])
     assert "line 3" in str(err.value)
 
-    with pytest.raises(EmbeddedGraphFileError):
+    with pytest.raises(ParseError):
         parse_embedded_graph_lines(["point a 0 0"])

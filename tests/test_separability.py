@@ -185,15 +185,6 @@ def test_gradient_matches_finite_differences():
         assert abs(fd - grad[idx]) < 5e-5 * max(1.0, abs(fd))
 
 
-def test_thread_override_reproduces_serial(monkeypatch):
-    rng = np.random.default_rng(8)
-    rho = random_density(rng, Q2)
-    serial, _ = ree_upper(rho, ["a"], restarts=4, iterations=120, seed=3)
-    monkeypatch.setenv("LOCBOUND_THREADS", "3")
-    threaded, _ = ree_upper(rho, ["a"], restarts=4, iterations=120, seed=3)
-    assert serial == threaded
-
-
 def test_cq_ree_bounds():
     zero = DensityMatrix.computational(Q2, [0, 0])
     bell = bell_state()

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from locbound.entropy import vn_entropy
-from locbound.qstate import DensityMatrix, RegisterLayout, trace_distance
+from locbound.qstate import DensityMatrix, ParseError, RegisterLayout, trace_distance
 from locbound.stabilizer import (
-    CodeFileError,
     CodeValidationError,
     commutes,
     correctable_region,
@@ -215,9 +214,9 @@ def test_code_file_format(tmp_path):
     code = read_code_file(path)
     assert (code.n, code.k) == (5, 1)
 
-    with pytest.raises(CodeFileError) as err:
+    with pytest.raises(ParseError) as err:
         parse_code_lines(["XZZXI", "XQZZX"])
     assert "line 2" in str(err.value)
 
-    with pytest.raises(CodeFileError):
+    with pytest.raises(ParseError):
         parse_code_lines(["# nothing"])

@@ -88,9 +88,10 @@ def test_verify_corr_max_entangled():
     report = verify_corr_max_entangled(five_qubit_code(), n_states=6, seed=3)
     assert report.passed
     assert report.worst_margin <= 1e-8
-    # d = 1 code: no regions below distance, vacuous pass
+    # d = 1 code: no regions below distance, so nothing is checked and the
+    # report fails instead of passing vacuously
     vac = verify_corr_max_entangled(repetition_code(), n_states=3, seed=3)
-    assert vac.passed
+    assert not vac.passed
     assert vac.trials == 0
 
 
@@ -159,3 +160,10 @@ def test_report_pass_iff_no_violations():
     assert set(payload) == {
         "lemma", "trials", "violations", "worst_margin", "parameters", "seed", "pass",
     }
+
+
+def test_zero_trial_report_fails():
+    # a report that checked nothing must not pass vacuously
+    for report in (verify_depth_bound(scenarios=[]), verify_overhead_consistency(modules=[])):
+        assert report.trials == 0
+        assert not report.passed
