@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Stabilizer-code analysis: validation, distance, correctable regions,
-syndrome structure, and the encoding isometry of the five-qubit code."""
+and the encoding isometry of the five-qubit code."""
 
 from itertools import combinations
 
@@ -8,19 +8,18 @@ import numpy as np
 
 from locbound import (
     correctable_region,
-    correction_operator,
     encoding_isometry,
     five_qubit_code,
     four_two_two_code,
     min_distance,
     repetition_code,
-    syndrome_projectors,
     vn_entropy,
 )
 
-for code, label in ((five_qubit_code(), "five-qubit"),
-                    (four_two_two_code(), "[[4,2,2]]"),
-                    (repetition_code(), "3-qubit repetition")):
+codes = ((five_qubit_code(), "five-qubit"),
+         (four_two_two_code(), "[[4,2,2]]"),
+         (repetition_code(), "3-qubit repetition"))
+for code, label in codes:
     d = min_distance(code)
     print(f"{label}: n={code.n} k={code.k} d={d}")
 
@@ -31,13 +30,14 @@ for size in (1, 2, 3):
     good = sum(correctable_region(code, r) for r in regions)
     print(f"  size {size}: {good}/{len(regions)} correctable")
 
-print("\n=== syndrome structure of the repetition code ===")
-rep = repetition_code()
-ss = syndrome_projectors(rep)
-for s in ss.syndromes():
-    p = correction_operator(rep, s)
-    print(f"  syndrome {s}: rank {int(round(np.trace(ss.projector(s)).real))},"
-          f" correction {p}")
+print("\n=== the distance is the smallest uncorrectable region ===")
+for other, label in codes:
+    d = min_distance(other).distance
+    below = all(correctable_region(other, r) for r in combinations(range(other.n), d - 1))
+    bad = next(r for r in combinations(range(other.n), d)
+               if not correctable_region(other, r))
+    print(f"  {label}: all {d - 1}-qubit regions correctable: {below};"
+          f" first uncorrectable {d}-qubit region {bad}")
 
 print("\n=== encoding isometry and the perfect-code property ===")
 iso = encoding_isometry(code)

@@ -84,14 +84,11 @@ from .separability import (
     ree_upper,
 )
 from .stabilizer import (
-    CodeParams,
     DistanceResult,
     Pauli,
     StabilizerCode,
-    SyndromeStructure,
     commutes,
     correctable_region,
-    correction_operator,
     encoding_isometry,
     five_qubit_code,
     four_two_two_code,
@@ -99,7 +96,6 @@ from .stabilizer import (
     parse_pauli,
     read_code_file,
     repetition_code,
-    syndrome_projectors,
     validate_code,
 )
 from .verify import (

@@ -20,7 +20,7 @@ from . import bounds as bnd
 from . import partition as part
 from . import separability as sep
 from . import verify as ver
-from .circuit import read_circuit_file
+from .circuit import read_circuit_file, validate_embedding
 from .entropy import coherent_info, g_continuity, vn_entropy
 from .qstate import ParseError
 from .rand import DEFAULT_SEED
@@ -153,9 +153,9 @@ def _cmd_ree(args):
     code = read_code_file(args.code)
     region = _parse_region(args.region)
     labels = [f"q{q}" for q in region]
-    rho = code.encoded_maximally_mixed()
-    if rho.dim > 64:
+    if 2 ** code.n > 64:
         raise InputError("ree limited to total dimension <= 64 (n <= 6 qubits)")
+    rho = code.encoded_maximally_mixed()
     bracket = sep.ree_bracket(
         rho, labels, restarts=args.restarts, iterations=args.iterations, seed=args.seed
     )
@@ -173,6 +173,9 @@ def _cmd_ree(args):
 
 def _cmd_partition(args):
     graph, emb = part.read_embedded_graph_file(args.graph)
+    embedding = validate_embedding(emb, graph)
+    if not embedding.ok:
+        raise InputError(embedding.violations[0])
     partition = part.grid_partition(emb, graph, args.lam, kappa=args.kappa)
     guarantee = part.check_guarantees(
         partition, emb, args.lam, kappa=args.kappa, dense=args.dense,

@@ -1,18 +1,19 @@
-"""Pauli algebra, stabilizer codes, syndrome structure, Knill-Laflamme
-correctability checks, brute-force minimum distance, and numeric encoding
-isometries.
+"""Pauli algebra, stabilizer codes, correctability of regions, minimum
+distance, and numeric encoding isometries.
 
 Paulis are held in the symplectic representation P = i^e X(x) Z(z) with
 bit vectors x, z and phase exponent e; Y carries e = 1 per qubit so that
-Hermitian strings have e = x.z (mod 2). Distance search is exhaustive and
-weight-ordered: desk scale, correctness over speed.
+Hermitian strings have e = x.z (mod 2). Correctability is a GF(2) rank
+test on the generator matrix (a region is correctable iff it supports no
+logical operator), and the distance is the smallest region that fails it.
+The dense code projector serves the encoders and entropies, for n <= 12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterable, List, Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,9 +62,6 @@ class Pauli:
     def is_hermitian(self) -> bool:
         xz = sum(a & b for a, b in zip(self.x, self.z))
         return (self.phase_exp - xz) % 2 == 0
-
-    def commutes_with(self, other: "Pauli") -> bool:
-        return commutes(self, other)
 
     def multiply(self, other: "Pauli") -> "Pauli":
         """Group product self * other with exact phase tracking."""
@@ -160,34 +158,8 @@ def _gf2_rank(mat: np.ndarray) -> int:
     return len(pivots)
 
 
-def _reduce_against(vec: np.ndarray, rref: np.ndarray, pivots) -> np.ndarray:
-    v = vec.copy()
-    for row, c in enumerate(pivots):
-        if v[c]:
-            v ^= rref[row]
-    return v
-
-
-def _gf2_solve(rref: np.ndarray, pivots, target: np.ndarray):
-    """Coefficients expressing target as a combination of the rref rows."""
-    coeffs = np.zeros(rref.shape[0], dtype=np.uint8)
-    v = target.copy()
-    for row, c in enumerate(pivots):
-        if v[c]:
-            coeffs[row] = 1
-            v ^= rref[row]
-    return (coeffs, True) if not v.any() else (coeffs, False)
-
-
 class CodeValidationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CodeParams:
-    n: int
-    k: int
-    d: int
 
 
 class StabilizerCode:
@@ -204,51 +176,12 @@ class StabilizerCode:
         self.symplectic_matrix = np.array(
             [g.symplectic for g in self.generators], dtype=np.uint8
         )
-        self._rref, self._pivots = _gf2_rref(self.symplectic_matrix)
-        self._logicals: List[Pauli] | None = None
         self._projector: np.ndarray | None = None
-
-    @property
-    def logical_basis(self) -> List[Pauli]:
-        """2k independent centralizer representatives modulo the group."""
-        if self._logicals is None:
-            self._logicals = self._compute_logicals()
-        return list(self._logicals)
-
-    def _compute_logicals(self) -> List[Pauli]:
-        found: List[Pauli] = []
-        basis_rows = [g.symplectic for g in self.generators]
-        for weight in range(1, self.n + 1):
-            if len(found) == 2 * self.k:
-                break
-            for vec in _symplectic_by_weight(self.n, weight):
-                if not self._commutes_with_all(vec):
-                    continue
-                stacked = np.array(basis_rows + [vec], dtype=np.uint8)
-                if _gf2_rank(stacked) == len(basis_rows) + 1:
-                    basis_rows.append(vec)
-                    found.append(_pauli_from_symplectic(self.n, vec))
-                    if len(found) == 2 * self.k:
-                        break
-        return found
-
-    def _commutes_with_all(self, vec: np.ndarray) -> bool:
-        x, z = vec[: self.n], vec[self.n :]
-        gx = self.symplectic_matrix[:, : self.n]
-        gz = self.symplectic_matrix[:, self.n :]
-        form = (gx @ z + gz @ x) % 2
-        return not form.any()
-
-    def in_group_up_to_phase(self, p: Pauli) -> bool:
-        v = _reduce_against(p.symplectic, self._rref, self._pivots)
-        return not v.any()
-
-    def syndrome_of(self, p: Pauli) -> tuple:
-        """Anticommutation pattern against the generators, as +1/-1 signs."""
-        return tuple(1 if commutes(g, p) else -1 for g in self.generators)
 
     def code_projector(self) -> np.ndarray:
         """Dense projector onto the +1 joint eigenspace of the generators."""
+        if self.n > 12:
+            raise ValueError("dense code projector limited to n <= 12")
         if self._projector is None:
             dim = 2 ** self.n
             proj = np.eye(dim, dtype=complex)
@@ -266,20 +199,8 @@ class StabilizerCode:
             self.state_layout(), self.code_projector() / 2 ** self.k, validate=False
         )
 
-    def params(self, cap: int | None = None) -> CodeParams:
-        res = min_distance(self, cap)
-        d = res.distance if res.distance is not None else res.at_least
-        return CodeParams(self.n, self.k, d)
-
     def __repr__(self):
         return f"StabilizerCode(n={self.n}, k={self.k})"
-
-
-def _pauli_from_symplectic(n: int, vec: np.ndarray) -> Pauli:
-    x = tuple(int(b) for b in vec[:n])
-    z = tuple(int(b) for b in vec[n:])
-    ys = sum(a & b for a, b in zip(x, z))
-    return Pauli(n, x, z, ys % 4)  # Hermitian representative
 
 
 def validate_code(generators: Iterable) -> StabilizerCode:
@@ -303,48 +224,29 @@ def validate_code(generators: Iterable) -> StabilizerCode:
             raise CodeValidationError(
                 f"generators {gens[i]} and {gens[j]} do not commute"
             )
+    # Row-reducing [G | I] leaves the dependencies as the rows whose G part
+    # vanishes; their I parts name a basis of the generator subsets whose
+    # product is +-I. Products of commuting generators form a group, so -I
+    # lies in it iff some basis product is -I.
     mat = np.array([g.symplectic for g in gens], dtype=np.uint8)
-    rref, pivots = _gf2_rref(mat)
-    if len(pivots) < len(gens):
-        # find an explicit dependency and inspect its accumulated phase
-        for r in range(1, len(gens) + 1):
-            for subset in combinations(range(len(gens)), r):
-                acc = gens[subset[0]]
-                for idx in subset[1:]:
-                    acc = acc.multiply(gens[idx])
-                if acc.weight == 0:
-                    if acc.phase_exp == 2:
-                        raise CodeValidationError("-I is in the generated group")
-                    raise CodeValidationError(
-                        f"dependent generators: product of {subset} is the identity"
-                    )
-        raise CodeValidationError("dependent generators")
+    rref, pivots = _gf2_rref(np.hstack([mat, np.eye(len(gens), dtype=np.uint8)]))
+    rank = sum(c < 2 * n for c in pivots)
+    subsets = [tuple(np.flatnonzero(row[2 * n:]).tolist()) for row in rref[rank:]]
+    if subsets:
+        for subset in subsets:
+            acc = gens[subset[0]]
+            for idx in subset[1:]:
+                acc = acc.multiply(gens[idx])
+            if acc.phase_exp == 2:
+                raise CodeValidationError("-I is in the generated group")
+        raise CodeValidationError(
+            f"dependent generators: product of {subsets[0]} is the identity"
+        )
     return StabilizerCode(gens)
 
 
 # ---------------------------------------------------------------------------
 # Distance and correctability
-
-
-def _symplectic_by_weight(n: int, weight: int):
-    """All symplectic vectors of the given weight, in string-lexicographic
-    order of their I<X<Y<Z Pauli representation."""
-    entries = []
-    letter_order = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-    for positions in combinations(range(n), weight):
-        for letters in product("XYZ", repeat=weight):
-            s = ["I"] * n
-            for pos, letter in zip(positions, letters):
-                s[pos] = letter
-            entries.append(("".join(s), positions, letters))
-    entries.sort(key=lambda e: e[0])
-    for s, positions, letters in entries:
-        vec = np.zeros(2 * n, dtype=np.uint8)
-        for pos, letter in zip(positions, letters):
-            xb, zb = letter_order[letter]
-            vec[pos] = xb
-            vec[pos + n] = zb
-        yield vec
 
 
 @dataclass(frozen=True)
@@ -362,53 +264,50 @@ class DistanceResult:
         return str(self.distance) if self.exact else f">= {self.at_least}"
 
 
+def _correctable(code: StabilizerCode, region: Sequence[int]) -> bool:
+    """True iff no logical operator is supported in the region (distinct
+    in-range qubits).
+
+    The left side counts the Paulis on the region that commute with every
+    generator, the right side the stabilizers supported on the region; the
+    first set contains the second, so equal counts mean equal sets.
+    """
+    on = np.zeros(code.n, dtype=bool)
+    on[list(region)] = True
+    cols = np.concatenate([on, on])
+    g = code.symplectic_matrix
+    return 2 * len(region) - _gf2_rank(g[:, cols]) == len(g) - _gf2_rank(g[:, ~cols])
+
+
 def min_distance(code: StabilizerCode, cap: int | None = None) -> DistanceResult:
-    """Smallest weight of a Pauli commuting with all generators but outside
-    the stabilizer group (up to phase); exhaustive over weights <= cap.
+    """Smallest size of a region that is not correctable, which is the
+    smallest weight of a logical operator; exhaustive over sizes <= cap.
     """
     if code.n > 12:
         raise ValueError("exhaustive distance search limited to n <= 12")
     cap = code.n if cap is None else min(cap, code.n)
     for weight in range(1, cap + 1):
-        for vec in _symplectic_by_weight(code.n, weight):
-            if not code._commutes_with_all(vec):
-                continue
-            if not _reduce_against(vec, code._rref, code._pivots).any():
-                continue
+        if not all(_correctable(code, r) for r in combinations(range(code.n), weight)):
             return DistanceResult(weight, weight)
     return DistanceResult(None, cap + 1)
 
 
 def correctable_region(code: StabilizerCode, region: Iterable[int]) -> bool:
-    """Knill-Laflamme check on the region.
+    """Knill-Laflamme correctability of the region.
 
-    True iff Pi_C P Pi_C = c(P) Pi_C for every Pauli P supported in the
-    region; products E^dag F of region-supported Paulis reduce to such P
-    up to phase, so this is the full pairwise condition.
+    For a stabilizer code, Pi_C E Pi_C = c(E) Pi_C holds for every Pauli E
+    on the region iff the region supports no logical operator (the
+    cleaning argument), which is a GF(2) rank test.
     """
     region = sorted(set(region))
     for q in region:
         if not 0 <= q < code.n:
             raise ValueError(f"qubit index {q} out of range")
-    proj = code.code_projector()
-    dim = 2 ** code.n
-    norm = 2 ** code.k
-    for letters in product("IXYZ", repeat=len(region)):
-        if all(ch == "I" for ch in letters):
-            continue
-        s = ["I"] * code.n
-        for q, ch in zip(region, letters):
-            s[q] = ch
-        p = parse_pauli("".join(s))
-        mid = proj @ p.matrix() @ proj
-        c = mid.trace() / norm
-        if np.abs(mid - c * proj).max() > 1e-9:
-            return False
-    return True
+    return _correctable(code, region)
 
 
 # ---------------------------------------------------------------------------
-# Encoding isometry and syndrome structure
+# Encoding isometry
 
 
 def encoding_isometry(code: StabilizerCode) -> np.ndarray:
@@ -437,60 +336,6 @@ def encoding_isometry(code: StabilizerCode) -> np.ndarray:
     if len(cols) != want:
         raise RuntimeError("projector rank below 2^k; generators inconsistent")
     return np.column_stack(cols)
-
-
-class SyndromeStructure:
-    """Lazily enumerated syndrome projectors Pi_s = prod_i (I + s_i M_i)/2."""
-
-    def __init__(self, code: StabilizerCode):
-        if code.n > 10:
-            raise ValueError("syndrome enumeration limited to n <= 10")
-        self.code = code
-        self._cache: dict = {}
-
-    def projector(self, syndrome: Sequence[int]) -> np.ndarray:
-        s = tuple(int(v) for v in syndrome)
-        if len(s) != len(self.code.generators) or any(v not in (-1, 1) for v in s):
-            raise ValueError("syndrome must be a +1/-1 vector, one entry per generator")
-        if s not in self._cache:
-            dim = 2 ** self.code.n
-            proj = np.eye(dim, dtype=complex)
-            for sign, g in zip(s, self.code.generators):
-                proj = proj @ (np.eye(dim) + sign * g.matrix()) / 2
-            self._cache[s] = (proj + proj.conj().T) / 2
-        return self._cache[s]
-
-    @property
-    def code_projector(self) -> np.ndarray:
-        return self.projector((1,) * len(self.code.generators))
-
-    def syndromes(self):
-        for signs in product((1, -1), repeat=len(self.code.generators)):
-            yield signs
-
-
-def syndrome_projectors(code: StabilizerCode) -> SyndromeStructure:
-    return SyndromeStructure(code)
-
-
-def correction_operator(code: StabilizerCode, syndrome: Sequence[int]) -> Pauli:
-    """Minimum-weight Pauli with the given syndrome (lexicographic ties).
-
-    Maps the syndrome subspace C_s into the code space; existence is
-    guaranteed because independent generators make the syndrome map
-    surjective.
-    """
-    s = tuple(int(v) for v in syndrome)
-    if len(s) != len(code.generators) or any(v not in (-1, 1) for v in s):
-        raise ValueError("syndrome must be a +1/-1 vector, one entry per generator")
-    if all(v == 1 for v in s):
-        return Pauli(code.n, (0,) * code.n, (0,) * code.n, 0)
-    for weight in range(1, code.n + 1):
-        for vec in _symplectic_by_weight(code.n, weight):
-            p = _pauli_from_symplectic(code.n, vec)
-            if code.syndrome_of(p) == s:
-                return p
-    raise RuntimeError("unreachable: every syndrome has a correction operator")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,15 @@ from locbound.cli import dispatch
 
 FIVE_QUBIT = "data/five_qubit.code"
 FOUR_TWO_TWO = "data/four_two_two.code"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_cli(*argv, timeout):
+    """Run the CLI in a child process, so a runaway computation fails the
+    test by its timeout instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "locbound.cli", *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def run(capsys, *argv):
@@ -275,3 +288,66 @@ def test_non_finite_inputs_exit_two(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def test_dependent_generators_found_by_elimination(tmp_path):
+    # 24 single-qubit Z generators and their product: a subset search over
+    # the 25 generators does not finish
+    n = 24
+    lines = ["I" * i + "Z" + "I" * (n - 1 - i) for i in range(n)] + ["Z" * n]
+    path = tmp_path / "dependent.code"
+    path.write_text("\n".join(lines) + "\n")
+    proc = run_cli("code", "check", "--file", str(path), timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "dependent generators" in proc.stderr
+
+
+@pytest.fixture
+def repetition13(tmp_path):
+    path = tmp_path / "repetition13.code"
+    path.write_text("".join("I" * i + "ZZ" + "I" * (11 - i) + "\n" for i in range(12)))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ree", "--code", "{file}", "--region", "0"],
+    ["entropy", "--code", "{file}", "--region", "0"],
+    ["code", "encode", "--file", "{file}"],
+], ids=["ree", "entropy", "encode"])
+def test_oversized_dense_paths_exit_two(repetition13, argv):
+    proc = run_cli(*(a.format(file=repetition13) for a in argv), timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+def test_correctable_beyond_dense_limit(repetition13):
+    proc = run_cli("code", "correctable", "--file", repetition13, "--region", "0",
+                   timeout=30)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["correctable"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "encoding", "--k", "1", "--d", "3", "--m", "8", "--c1", "0"],
+    ["bound", "encoding", "--k", "1", "--d", "3", "--m", "8", "--c1", "-1"],
+    ["bound", "syndrome", "--k", "1", "--d", "3", "--m", "8", "--c2", "0"],
+], ids=["encoding-c1-0", "encoding-c1-neg", "syndrome-c2-0"])
+def test_non_positive_geometry_constants_exit_two(capsys, argv):
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "positive" in captured.err
+
+
+def test_partition_invalid_embedding_exits_two(tmp_path, capsys):
+    path = tmp_path / "coincident.graph"
+    path.write_text("dim 2\nc 1\npoint a 0 0\npoint b 0 0\nedge a b\n")
+    # at lam = 1 the two points share a cell, which the partitioner treats
+    # as a broken internal invariant
+    code = dispatch(["partition", "--graph", str(path), "--lam", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "spacing violation" in captured.err

@@ -1,13 +1,17 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locbound.entropy import vn_entropy
 from locbound.qstate import DensityMatrix, ParseError, RegisterLayout, trace_distance
 from locbound.stabilizer import (
     CodeValidationError,
+    StabilizerCode,
     commutes,
     correctable_region,
-    correction_operator,
     encoding_isometry,
     five_qubit_code,
     four_two_two_code,
@@ -16,9 +20,15 @@ from locbound.stabilizer import (
     parse_code_lines,
     read_code_file,
     repetition_code,
-    syndrome_projectors,
     validate_code,
 )
+
+STEANE = ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
+SHOR = ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI",
+        "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX")
+SURFACE_3 = ("XXIXXIIII", "IIIIXXIXX", "IXXIIIIII", "IIIIIIXXI",
+             "IZZIZZIII", "IIIZZIZZI", "ZIIZIIIII", "IIIIIZIIZ")
+NO_LOGICAL = ("XX", "ZZ")  # k = 0: every region is correctable
 
 
 def gf2_rank_oracle(rows):
@@ -37,6 +47,21 @@ def gf2_rank_oracle(rows):
         if rank == a.shape[0]:
             break
     return rank
+
+
+def knill_laflamme_oracle(code, region):
+    """Dense Knill-Laflamme check: Pi_C P Pi_C = c(P) Pi_C for every Pauli P
+    supported in the region."""
+    proj = code.code_projector()
+    for letters in product("IXYZ", repeat=len(region)):
+        s = ["I"] * code.n
+        for q, ch in zip(region, letters):
+            s[q] = ch
+        mid = proj @ parse_pauli("".join(s)).matrix() @ proj
+        c = mid.trace() / 2 ** code.k
+        if np.abs(mid - c * proj).max() > 1e-9:
+            return False
+    return True
 
 
 def test_parse_pauli_round_trip():
@@ -82,6 +107,8 @@ def test_validate_code_examples():
 
     with pytest.raises(CodeValidationError, match="-I"):
         validate_code(["Z", "-Z"])
+    with pytest.raises(CodeValidationError, match="-I"):
+        validate_code(["Z", "Z", "-Z"])  # -I is not the first dependency
     with pytest.raises(CodeValidationError, match="commute"):
         validate_code(["XX", "ZI"])
     with pytest.raises(CodeValidationError, match="dependent"):
@@ -94,6 +121,9 @@ def test_min_distance():
     assert min_distance(five_qubit_code()).distance == 3
     assert min_distance(four_two_two_code()).distance == 2
     assert min_distance(repetition_code()).distance == 1
+    for gens in (STEANE, SHOR, SURFACE_3):
+        assert min_distance(validate_code(gens)).distance == 3
+    assert str(min_distance(validate_code(NO_LOGICAL))) == ">= 3"
     capped = min_distance(five_qubit_code(), cap=2)
     assert not capped.exact
     assert capped.at_least == 3
@@ -107,9 +137,25 @@ def test_correctable_region_examples():
     assert correctable_region(code, [])
 
 
-def test_correctable_agrees_with_distance():
-    from itertools import combinations
+def test_correctable_matches_dense_oracle():
+    small = [five_qubit_code(), four_two_two_code(), repetition_code(),
+             validate_code(NO_LOGICAL)]
+    for code in small:
+        for size in range(code.n + 1):
+            for region in combinations(range(code.n), size):
+                assert correctable_region(code, region) == knill_laflamme_oracle(
+                    code, region), (code, region)
+    steane = validate_code(STEANE)
+    for size in range(3):
+        for region in combinations(range(steane.n), size):
+            assert correctable_region(steane, region)
+            assert knill_laflamme_oracle(steane, region), region
+    # XXX on qubits 0, 1, 2 is a logical operator
+    assert not correctable_region(steane, (0, 1, 2))
+    assert not knill_laflamme_oracle(steane, (0, 1, 2))
 
+
+def test_correctable_agrees_with_distance():
     for code in (five_qubit_code(), four_two_two_code(), repetition_code()):
         d = min_distance(code).distance
         for size in range(1, d):
@@ -131,8 +177,6 @@ def test_encoding_isometry():
         assert np.abs(g.matrix() @ iso - iso).max() < 1e-10
     # perfect-code check: the encoded maximally entangled state has
     # S(region) = 2 for every two-qubit region
-    from itertools import combinations
-
     phi = np.eye(2, dtype=complex).ravel() / np.sqrt(2)
     vec = (iso @ phi.reshape(2, 2).T).T.ravel()
     layout = RegisterLayout.of(("R", 2), *[(f"q{i}", 2) for i in range(5)])
@@ -142,53 +186,8 @@ def test_encoding_isometry():
         assert abs(vn_entropy(rho, labels) - 2.0) < 1e-8
 
 
-def test_syndrome_projectors():
-    rep = repetition_code()
-    ss = syndrome_projectors(rep)
-    dim = 2 ** rep.n
-    total = np.zeros((dim, dim), dtype=complex)
-    mats = []
-    for s in ss.syndromes():
-        proj = ss.projector(s)
-        mats.append(proj)
-        total += proj
-        assert abs(np.trace(proj).real - 2 ** rep.k) < 1e-10  # rank 2^k
-    assert np.abs(total - np.eye(dim)).max() < 1e-10
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            assert np.abs(mats[i] @ mats[j]).max() < 1e-10
-    with pytest.raises(ValueError):
-        ss.projector((1, 0))
-
-
-def test_correction_operator():
-    rep = repetition_code()
-    assert correction_operator(rep, (1, 1)).weight == 0
-    assert str(correction_operator(rep, (-1, 1))) == "XII"
-
-    code = five_qubit_code()
-    ss = syndrome_projectors(code)
-    pc = code.code_projector()
-    for s in ss.syndromes():
-        p_s = correction_operator(code, s)
-        assert code.syndrome_of(p_s) == s
-        mapped = p_s.matrix() @ ss.projector(s)
-        assert np.abs(pc @ mapped - mapped).max() < 1e-10
-
-
-def test_logical_basis():
-    code = five_qubit_code()
-    logicals = code.logical_basis
-    assert len(logicals) == 2
-    for ell in logicals:
-        assert all(commutes(ell, g) for g in code.generators)
-        assert not code.in_group_up_to_phase(ell)
-
-
 def test_approximate_indistinguishability_at_zero():
     # all code states look identical on a correctable region
-    from itertools import combinations
-
     from locbound.verify import random_code_state
 
     code = five_qubit_code()
@@ -200,11 +199,6 @@ def test_approximate_indistinguishability_at_zero():
         for i in range(len(reduced)):
             for j in range(i + 1, len(reduced)):
                 assert trace_distance(reduced[i], reduced[j]) < 1e-8
-
-
-def test_code_params():
-    params = five_qubit_code().params()
-    assert (params.n, params.k, params.d) == (5, 1, 3)
 
 
 def test_code_file_format(tmp_path):
@@ -220,3 +214,17 @@ def test_code_file_format(tmp_path):
 
     with pytest.raises(ParseError):
         parse_code_lines(["# nothing"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.text(alphabet="IXYZ+-# ", max_size=8),
+    st.text(max_size=8),
+), max_size=6))
+def test_parse_code_lines_accepts_or_reports(lines):
+    # any line list is a code or a ParseError, never another exception
+    try:
+        code = parse_code_lines(lines)
+    except ParseError:
+        return
+    assert isinstance(code, StabilizerCode)
