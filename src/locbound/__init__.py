@@ -59,7 +59,6 @@ from .partition import (
     PartitionGuarantee,
     check_guarantees,
     grid_partition,
-    induced_partition,
     kappa_default,
     read_embedded_graph_file,
 )

@@ -2,6 +2,10 @@
 depolarizing/erasure noise, and exact simulation of noisy error-correction
 modules.
 
+A ConnectivityGraph owns the vertex order (label -> row, edge endpoint
+rows); embeddings are point arrays in that order, so graph routines work
+on integer rows and string labels stay at files, gates and reports.
+
 The classical system X is kept structural: branch labels on a
 ClassicalQuantumState, updated by measurements and label maps. Every
 channel is evaluated by exact arithmetic on density matrices (never by
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .qstate import (
     ClassicalQuantumState,
@@ -34,60 +39,78 @@ TRACE_TOL = 1e-9
 
 
 class ConnectivityGraph:
-    """Undirected graph on the qubit set; no self-loops."""
+    """Undirected graph on the qubit set; no self-loops. ``index`` maps a
+    label to its row in ``vertices``; ``eu``/``ev`` are the endpoint rows
+    of ``edges`` (string-sorted normalized pairs)."""
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple]):
         self.vertices = tuple(str(v) for v in vertices)
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        if len(self.index) != len(self.vertices):
             raise ValueError("duplicate vertices")
-        adj: dict = {v: set() for v in self.vertices}
-        norm = set()
+        pairs = set()
         for u, v in edges:
             u, v = str(u), str(v)
-            if u not in vset or v not in vset:
+            if u not in self.index or v not in self.index:
                 raise ValueError(f"edge ({u}, {v}) references unknown vertex")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-            norm.add((u, v) if u <= v else (v, u))
-        self.edges = tuple(sorted(norm))
-        self.adjacency = {v: frozenset(s) for v, s in adj.items()}
+            pairs.add((u, v) if u <= v else (v, u))
+        self._pairs = frozenset(pairs)
+        self.edges = tuple(sorted(pairs))
+        self.eu = np.array([self.index[u] for u, _ in self.edges], dtype=np.int64)
+        self.ev = np.array([self.index[v] for _, v in self.edges], dtype=np.int64)
+        self.eu.flags.writeable = self.ev.flags.writeable = False
 
     @property
     def m(self) -> int:
         return len(self.vertices)
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self.adjacency.get(u, ())
+        return ((u, v) if u <= v else (v, u)) in self._pairs
 
     def __repr__(self):
         return f"ConnectivityGraph(m={self.m}, edges={len(self.edges)})"
 
 
 def boundary(graph: ConnectivityGraph, region: Iterable[str]) -> set:
-    """Vertex boundary: inner vertices with an outside neighbor plus
-    outside vertices with an inside neighbor."""
-    region = {str(v) for v in region}
-    for v in region:
-        if v not in graph.adjacency:
+    """Vertex boundary: the endpoints of the edges that cross the region
+    (inner vertices with an outside neighbor, outer ones with an inner)."""
+    inside = np.zeros(graph.m, dtype=bool)
+    for v in map(str, region):
+        if v not in graph.index:
             raise ValueError(f"unknown vertex {v!r}")
-    inner = {u for u in region if graph.adjacency[u] - region}
-    outer = {v for u in region for v in graph.adjacency[u] if v not in region}
-    return inner | outer
+        inside[graph.index[v]] = True
+    cross = inside[graph.eu] != inside[graph.ev]
+    return {graph.vertices[i] for i in np.union1d(graph.eu[cross], graph.ev[cross])}
 
 
 @dataclass(frozen=True)
 class Embedding:
-    """Coordinates eta: vertex -> R^D with locality constant c."""
+    """Positions eta: vertex -> R^D with locality constant c; row i of the
+    (m, D) array ``points`` is the position of ``graph.vertices[i]``."""
 
-    coords: dict
-    dimension: int
+    points: np.ndarray
     c: float = 1.0
 
-    def coord_array(self, order: Sequence[str]) -> np.ndarray:
-        return np.array([self.coords[v] for v in order], dtype=float)
+    def __post_init__(self):
+        points = np.ascontiguousarray(self.points, dtype=float)
+        if points.ndim != 2:
+            raise ValueError("points must be an (m, D) array")
+        object.__setattr__(self, "points", points)
+
+    @property
+    def dimension(self) -> int:
+        return self.points.shape[1]
+
+
+def _graph_points(embedding: Embedding, graph: ConnectivityGraph) -> np.ndarray:
+    """The embedding's points, after checking there is one per vertex."""
+    if len(embedding.points) != graph.m:
+        raise ValueError(
+            f"embedding has {len(embedding.points)} points for {graph.m} vertices"
+        )
+    return embedding.points
 
 
 @dataclass
@@ -101,52 +124,35 @@ class EmbeddingReport:
 def validate_embedding(embedding: Embedding, graph: ConnectivityGraph) -> EmbeddingReport:
     """Check unit minimum spacing and edge lengths <= c.
 
-    The spacing check hashes points into unit cells so large instances
-    stay linear-time.
+    The closest pair comes from one k-d tree query and the longest edge
+    from one vectorized norm over the edge arrays. Ties go to the first
+    row, then to its first partner.
     """
-    order = graph.vertices
-    pts = embedding.coord_array(order)
-    if pts.shape[1] != embedding.dimension:
-        raise ValueError("coordinate width does not match embedding dimension")
+    pts = _graph_points(embedding, graph)
     report = EmbeddingReport(ok=True, worst_pair=None, worst_edge=None)
 
-    cells: dict = {}
-    for i, p in enumerate(pts):
-        cells.setdefault(tuple(np.floor(p).astype(int)), []).append(i)
-    best = (None, None, np.inf)
-    for cell, members in cells.items():
-        neigh = []
-        for delta in np.ndindex(*(3,) * embedding.dimension):
-            key = tuple(c + d - 1 for c, d in zip(cell, delta))
-            neigh.extend(cells.get(key, []))
-        for i in members:
-            for j in neigh:
-                if j <= i:
-                    continue
-                dist = float(np.linalg.norm(pts[i] - pts[j]))
-                if dist < best[2]:
-                    best = (order[i], order[j], dist)
-    if best[0] is not None:
-        report.worst_pair = best
-        if best[2] < 1.0 - 1e-12:
+    if graph.m > 1:
+        tree = cKDTree(pts)
+        near, nbr = tree.query(pts, k=2)  # a row may list a coincident point before itself
+        i = int(np.argmin(near[:, 1]))
+        j = min({*nbr[i].tolist(), *tree.query_ball_point(pts[i], near[i, 1])} - {i})
+        u, v = graph.vertices[min(i, j)], graph.vertices[max(i, j)]
+        dist = float(np.linalg.norm(pts[i] - pts[j]))
+        report.worst_pair = (u, v, dist)
+        if dist < 1.0 - 1e-12:
             report.ok = False
-            report.violations.append(
-                f"spacing violation: |eta({best[0]}) - eta({best[1]})| = {best[2]:.6g} < 1"
-            )
+            report.violations.append(f"spacing violation: |eta({u}) - eta({v})| = {dist:.6g} < 1")
 
-    worst_edge = (None, None, 0.0)
-    idx = {v: i for i, v in enumerate(order)}
-    for u, v in graph.edges:
-        length = float(np.linalg.norm(pts[idx[u]] - pts[idx[v]]))
-        if length > worst_edge[2]:
-            worst_edge = (u, v, length)
-    if worst_edge[0] is not None:
-        report.worst_edge = worst_edge
-        if worst_edge[2] > embedding.c + 1e-12:
+    lengths = np.linalg.norm(pts[graph.eu] - pts[graph.ev], axis=1)
+    if lengths.size and lengths.max() > 0.0:
+        e = int(np.argmax(lengths))
+        u, v = graph.edges[e]
+        length = float(lengths[e])
+        report.worst_edge = (u, v, length)
+        if length > embedding.c + 1e-12:
             report.ok = False
             report.violations.append(
-                f"edge violation: |eta({worst_edge[0]}) - eta({worst_edge[1]})| = "
-                f"{worst_edge[2]:.6g} > c = {embedding.c}"
+                f"edge violation: |eta({u}) - eta({v})| = {length:.6g} > c = {embedding.c}"
             )
     return report
 
@@ -157,22 +163,15 @@ def grid_graph(shape: Sequence[int]) -> tuple:
     shape = tuple(int(s) for s in shape)
     dim = len(shape)
     m = int(np.prod(shape))
-    coords = [np.unravel_index(i, shape) for i in range(m)]
-    vertices = [str(i) for i in range(m)]
+    ids = np.arange(m).reshape(shape)
+    labels = [str(i) for i in range(m)]
     edges = []
-    for i, cc in enumerate(coords):
-        for ax in range(dim):
-            if cc[ax] + 1 < shape[ax]:
-                nb = list(cc)
-                nb[ax] += 1
-                edges.append((str(i), str(np.ravel_multi_index(nb, shape))))
-    graph = ConnectivityGraph(vertices, edges)
-    emb = Embedding(
-        coords={str(i): np.array(cc, dtype=float) for i, cc in enumerate(coords)},
-        dimension=dim,
-        c=1.0,
-    )
-    return graph, emb
+    for ax in range(dim):
+        rows = np.moveaxis(ids, ax, 0)  # unit steps along ax are steps along axis 0
+        edges.extend(zip(rows[:-1].ravel().tolist(), rows[1:].ravel().tolist()))
+    graph = ConnectivityGraph(labels, [(labels[u], labels[v]) for u, v in edges])
+    points = np.indices(shape, dtype=float).reshape(dim, m).T
+    return graph, Embedding(points, c=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +302,7 @@ def validate_layer(graph: ConnectivityGraph, layer: Layer) -> LayerReport:
     for gate in layer.gates:
         supp = _gate_support(gate)
         for q in supp:
-            if q not in graph.adjacency:
+            if q not in graph.index:
                 report.violations.append(f"gate references unknown qubit {q!r}")
             if q in seen:
                 report.violations.append(f"qubit {q!r} used by two gates in one layer")
@@ -318,14 +317,14 @@ def validate_layer(graph: ConnectivityGraph, layer: Layer) -> LayerReport:
         if isinstance(gate, Unitary):
             if gate.matrix.shape != (dim, dim):
                 report.violations.append(f"unitary shape {gate.matrix.shape} != {(dim, dim)}")
-            elif np.abs(gate.matrix.conj().T @ gate.matrix - np.eye(dim)).max() > TRACE_TOL:
+            elif not np.abs(gate.matrix.conj().T @ gate.matrix - np.eye(dim)).max() <= TRACE_TOL:
                 report.violations.append("unitary completeness violation: U^dag U != I")
         elif isinstance(gate, KrausGate):
             if any(k.shape != (dim, dim) for k in gate.operators):
                 report.violations.append("Kraus operator shape mismatch")
             else:
                 total = sum(k.conj().T @ k for k in gate.operators)
-                if np.abs(total - np.eye(dim)).max() > TRACE_TOL:
+                if not np.abs(total - np.eye(dim)).max() <= TRACE_TOL:
                     report.violations.append("Kraus completeness violation: sum K^dag K != I")
         # Measure is complete by construction; Conditional checked at application
     report.ok = not report.violations
@@ -709,9 +708,17 @@ def choi_matrix(channel: Callable[[np.ndarray], np.ndarray], dim: int) -> np.nda
 
 def _parse_complex(tok: str, line_no: int) -> complex:
     try:
-        return complex(tok)
+        value = complex(tok)
     except ValueError:
         raise ParseError(line_no, f"bad complex number {tok!r}") from None
+    if not np.isfinite(value):
+        raise ParseError(line_no, f"non-finite complex number {tok!r}")
+    return value
+
+
+def _parse_uint(tok: str) -> int | None:
+    """A non-negative decimal integer token, or None."""
+    return int(tok) if tok.isascii() and tok.isdigit() else None
 
 
 def parse_circuit_lines(lines: Iterable[str]) -> Circuit:
@@ -737,19 +744,22 @@ def parse_circuit_lines(lines: Iterable[str]) -> Circuit:
         if head == "qubits":
             if m is not None:
                 raise ParseError(line_no, "duplicate qubits line")
-            if len(toks) != 2 or not toks[1].isdigit():
+            m = _parse_uint(toks[1]) if len(toks) == 2 else None
+            if m is None:
                 raise ParseError(line_no, "expected: qubits <m>")
-            m = int(toks[1])
         elif head == "edge":
             if m is None:
                 raise ParseError(line_no, "edge before qubits line")
             if len(toks) != 3:
                 raise ParseError(line_no, "expected: edge <u> <v>")
             for tok in toks[1:3]:
-                if not tok.isdigit() or int(tok) >= m:
+                q = _parse_uint(tok)
+                if q is None or q >= m:
                     raise ParseError(
                         line_no, f"edge vertex {tok!r} outside 0..{m - 1}"
                     )
+            if toks[1] == toks[2]:
+                raise ParseError(line_no, f"self-loop at {toks[1]}")
             edges.append((toks[1], toks[2]))
         elif head == "layer":
             if m is None:

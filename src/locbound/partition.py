@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuit import ConnectivityGraph, Embedding
+from .circuit import ConnectivityGraph, Embedding, _graph_points, _parse_uint
 from .qstate import ParseError
 
 
@@ -67,13 +67,6 @@ class Partition:
     def sizes(self) -> tuple:
         return tuple(len(b) for b in self.blocks)
 
-    def block_of(self) -> dict:
-        out = {}
-        for i, block in enumerate(self.blocks):
-            for v in block:
-                out[v] = i
-        return out
-
 
 @dataclass
 class PartitionGuarantee:
@@ -100,18 +93,9 @@ def _boundary_sizes(graph: ConnectivityGraph, block_id: np.ndarray,
                     n_blocks: int) -> np.ndarray:
     """|dGamma_i| per block: inner vertices with an outside neighbor plus
     outside vertices adjacent to the block (vectorized over edges)."""
-    m = len(graph.vertices)
-    idx = {v: i for i, v in enumerate(graph.vertices)}
-    if not graph.edges:
-        return np.zeros(n_blocks, dtype=np.int64)
-    eu = np.array([idx[u] for u, _ in graph.edges], dtype=np.int64)
-    ev = np.array([idx[v] for _, v in graph.edges], dtype=np.int64)
-    bu = block_id[eu]
-    bv = block_id[ev]
+    m, bu, bv = graph.m, block_id[graph.eu], block_id[graph.ev]
     cross = bu != bv
-    if not cross.any():
-        return np.zeros(n_blocks, dtype=np.int64)
-    eu, ev, bu, bv = eu[cross], ev[cross], bu[cross], bv[cross]
+    eu, ev, bu, bv = graph.eu[cross], graph.ev[cross], bu[cross], bv[cross]
     # (block, vertex) membership pairs: u and v are inner for their own
     # blocks and outer for each other's.
     pairs = np.concatenate([
@@ -135,22 +119,19 @@ def grid_partition(embedding: Embedding, graph: ConnectivityGraph, lam: int,
     if lam < 1:
         raise ValueError("lam must be >= 1")
     dim = embedding.dimension
-    pts = embedding.coord_array(graph.vertices)
-    m = len(graph.vertices)
+    pts = _graph_points(embedding, graph)
+    m = graph.m
     side = cell_side(lam, dim)
 
     shifted = pts - pts.min(axis=0, keepdims=True)
     cells = np.floor(shifted / side).astype(np.int64)
     extents = cells.max(axis=0) + 1
-    keys = np.zeros(m, dtype=np.int64)
-    for ax in range(dim):
-        keys = keys * extents[ax] + cells[:, ax]
     # row-major over cells with the first axis fastest
     rm_keys = np.zeros(m, dtype=np.int64)
     for ax in range(dim - 1, -1, -1):
         rm_keys = rm_keys * extents[ax] + cells[:, ax]
 
-    order = np.lexsort((np.arange(m), rm_keys))
+    order = np.argsort(rm_keys, kind="stable")
     sorted_keys = rm_keys[order]
     cell_starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
     cell_ends = np.r_[cell_starts[1:], m]
@@ -195,17 +176,6 @@ def grid_partition(embedding: Embedding, graph: ConnectivityGraph, lam: int,
             note="merging disabled: merged blocks would break the boundary bound",
         )
     return Partition(blocks, tuple(int(b) for b in bsizes), lam, merged=True)
-
-
-def induced_partition(partition: Partition, subset: Iterable[str]) -> tuple:
-    """Blocks intersected with the subset; empty intersections dropped."""
-    keep = set(str(v) for v in subset)
-    out = []
-    for block in partition.blocks:
-        inter = tuple(v for v in block if v in keep)
-        if inter:
-            out.append(inter)
-    return tuple(out)
 
 
 def check_guarantees(partition: Partition, embedding: Embedding, lam: int,
@@ -259,13 +229,24 @@ def check_guarantees(partition: Partition, embedding: Embedding, lam: int,
 # Embedded-graph file format: dim/c/point/edge lines
 
 
+def _parse_finite(tok: str, line_no: int, what: str) -> float:
+    try:
+        value = float(tok)
+    except ValueError:
+        raise ParseError(line_no, f"bad {what} {tok!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(line_no, f"non-finite {what} {tok!r}")
+    return value
+
+
 def parse_embedded_graph_lines(lines: Iterable[str]) -> tuple:
     """Parse ``dim D``, ``c <value>``, ``point label x y [z]`` and
-    ``edge u v`` lines into (graph, embedding)."""
+    ``edge u v`` lines into (graph, embedding); points keep file order."""
     dim = None
     c = 1.0
-    coords: dict = {}
-    point_order: list = []
+    labels: list = []
+    seen: set = set()
+    rows: list = []
     edges: list = []
     for line_no, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
@@ -274,16 +255,15 @@ def parse_embedded_graph_lines(lines: Iterable[str]) -> tuple:
         toks = text.split()
         head = toks[0]
         if head == "dim":
-            if len(toks) != 2 or not toks[1].isdigit():
-                raise ParseError(line_no, "expected: dim <D>")
-            dim = int(toks[1])
+            if dim is not None:
+                raise ParseError(line_no, "duplicate dim line")
+            dim = _parse_uint(toks[1]) if len(toks) == 2 else None
+            if not dim:
+                raise ParseError(line_no, "expected: dim <D> with D >= 1")
         elif head == "c":
             if len(toks) != 2:
                 raise ParseError(line_no, "expected: c <value>")
-            try:
-                c = float(toks[1])
-            except ValueError:
-                raise ParseError(line_no, f"bad c value {toks[1]!r}") from None
+            c = _parse_finite(toks[1], line_no, "c value")
         elif head == "point":
             if dim is None:
                 raise ParseError(line_no, "point before dim line")
@@ -291,30 +271,28 @@ def parse_embedded_graph_lines(lines: Iterable[str]) -> tuple:
                 raise ParseError(
                     line_no, f"expected: point <label> and {dim} coordinates"
                 )
-            label = toks[1]
-            if label in coords:
-                raise ParseError(line_no, f"duplicate point {label!r}")
-            try:
-                coords[label] = np.array([float(t) for t in toks[2:]], dtype=float)
-            except ValueError:
-                raise ParseError(line_no, "bad coordinate") from None
-            point_order.append(label)
+            if toks[1] in seen:
+                raise ParseError(line_no, f"duplicate point {toks[1]!r}")
+            rows.append([_parse_finite(t, line_no, "coordinate") for t in toks[2:]])
+            labels.append(toks[1])
+            seen.add(toks[1])
         elif head == "edge":
             if len(toks) != 3:
                 raise ParseError(line_no, "expected: edge <u> <v>")
-            if toks[1] not in coords or toks[2] not in coords:
+            if toks[1] not in seen or toks[2] not in seen:
                 raise ParseError(
                     line_no, f"edge references unknown point ({toks[1]}, {toks[2]})"
                 )
+            if toks[1] == toks[2]:
+                raise ParseError(line_no, f"self-loop at {toks[1]}")
             edges.append((toks[1], toks[2]))
         else:
             raise ParseError(line_no, f"unknown directive {head!r}")
     if dim is None:
         raise ParseError(0, "missing dim line")
-    if not point_order:
+    if not labels:
         raise ParseError(0, "no points")
-    graph = ConnectivityGraph(point_order, edges)
-    return graph, Embedding(coords=coords, dimension=dim, c=c)
+    return ConnectivityGraph(labels, edges), Embedding(np.array(rows, dtype=float), c=c)
 
 
 def read_embedded_graph_file(path) -> tuple:

@@ -191,7 +191,7 @@ def verify_sie(
         layer_list = list(circuit.layers)
     cuts = tuple(cut_family) if cut_family is not None else default_cut_family(graph, rng)
     bounds3 = {cut: 3 * len(boundary(graph, cut)) for cut in cuts}
-    positions = {cut: [graph.vertices.index(v) for v in cut] for cut in cuts}
+    positions = {cut: [graph.index[v] for v in cut] for cut in cuts}
 
     dims = (2,) * graph.m
     vec = np.ones(1, dtype=complex)
@@ -207,7 +207,7 @@ def verify_sie(
             raise ValueError("invalid layer: " + "; ".join(rep.violations))
         for gate in layer.gates:
             vec = circ.apply_operator(
-                vec, dims, [graph.vertices.index(q) for q in gate.qubits], gate.matrix
+                vec, dims, [graph.index[q] for q in gate.qubits], gate.matrix
             )
         for cut in cuts:
             after = _cut_entropy(vec, dims, positions[cut])

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locbound.circuit import (
     Circuit,
@@ -59,17 +63,117 @@ def test_validate_embedding():
     grid, emb = grid_graph((3, 3))
     assert validate_embedding(emb, grid).ok
 
-    close = Embedding({"0": np.array([0.0, 0.0]), "1": np.array([0.5, 0.0])}, 2, 1.0)
+    close = Embedding(np.array([[0.0, 0.0], [0.5, 0.0]]), 1.0)
     g = ConnectivityGraph(["0", "1"], [("0", "1")])
     rep = validate_embedding(close, g)
     assert not rep.ok
     assert any("spacing" in v for v in rep.violations)
 
-    stretched = Embedding({"0": np.array([0.0, 0.0]), "1": np.array([2.0, 0.0])}, 2, 1.0)
+    stretched = Embedding(np.array([[0.0, 0.0], [2.0, 0.0]]), 1.0)
     rep = validate_embedding(stretched, g)
     assert not rep.ok
     assert any("edge" in v for v in rep.violations)
     assert rep.worst_edge == ("0", "1", 2.0)
+
+
+def _grid_graph_oracle(shape):
+    """The per-point loop construction of a full grid: vertex labels, the
+    normalized string-sorted edge tuple and the row-major points."""
+    m = int(np.prod(shape))
+    coords = [np.unravel_index(i, shape) for i in range(m)]
+    edges = []
+    for i, cc in enumerate(coords):
+        for ax in range(len(shape)):
+            if cc[ax] + 1 < shape[ax]:
+                nb = list(cc)
+                nb[ax] += 1
+                edges.append((str(i), str(np.ravel_multi_index(nb, shape))))
+    edges = tuple(sorted((u, v) if u <= v else (v, u) for u, v in edges))
+    points = np.array(coords, dtype=float).reshape(m, len(shape))
+    return tuple(str(i) for i in range(m)), edges, points
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (1, 5), (3, 4), (2, 3, 4)])
+def test_grid_graph_matches_loop_oracle(shape):
+    graph, emb = grid_graph(shape)
+    vertices, edges, points = _grid_graph_oracle(shape)
+    assert graph.vertices == vertices
+    assert graph.edges == edges
+    assert emb.dimension == len(shape) and emb.c == 1.0
+    assert np.array_equal(emb.points, points)
+    # the edge arrays are the rows of the labelled edges, in the same order
+    assert [(graph.vertices[u], graph.vertices[v]) for u, v in zip(graph.eu, graph.ev)] \
+        == list(graph.edges)
+    assert all(graph.index[v] == i for i, v in enumerate(graph.vertices))
+
+
+def _boundary_oracle(vertices, edges, region):
+    """Vertex boundary from adjacency sets."""
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    region = set(region)
+    inner = {u for u in region if adj[u] - region}
+    outer = {v for u in region for v in adj[u] if v not in region}
+    return inner | outer
+
+
+def test_boundary_matches_adjacency_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        m = int(rng.integers(1, 9))
+        vertices = [f"v{i}" for i in rng.permutation(m)]
+        edges = [(vertices[i], vertices[j]) for i, j in itertools.combinations(range(m), 2)
+                 if rng.random() < 0.4]
+        graph = ConnectivityGraph(vertices, edges)
+        for _ in range(4):
+            region = [vertices[i] for i in np.flatnonzero(rng.random(m) < 0.5)]
+            assert boundary(graph, region) == _boundary_oracle(vertices, edges, region)
+
+
+def _embedding_oracle(points, edge_rows, c):
+    """Closest pair and longest edge over all pairs, by brute force."""
+    pairs = {(i, j): float(np.linalg.norm(points[i] - points[j]))
+             for i, j in itertools.combinations(range(len(points)), 2)}
+    spacing = min(pairs.values(), default=None)
+    closest = min((p for p, d in pairs.items() if d == spacing), default=None)
+    longest = max((float(np.linalg.norm(points[u] - points[v])) for u, v in edge_rows),
+                  default=0.0)
+    kinds = set()
+    if spacing is not None and spacing < 1.0 - 1e-12:
+        kinds.add("spacing")
+    if longest > c + 1e-12:
+        kinds.add("edge")
+    return closest, spacing, longest, kinds
+
+
+def test_validate_embedding_matches_brute_force():
+    rng = np.random.default_rng(5)
+    for _ in range(80):
+        m = int(rng.integers(1, 10))
+        dim = int(rng.integers(1, 4))
+        # a coarse lattice makes ties and coincident points common
+        points = rng.integers(0, 3, size=(m, dim)) * float(rng.choice([0.5, 1.0, 1.5]))
+        labels = [str(i) for i in range(m)]
+        edge_rows = [(i, j) for i, j in itertools.combinations(range(m), 2)
+                     if rng.random() < 0.3]
+        c = float(rng.choice([1.0, 1.5, 2.0]))
+        graph = ConnectivityGraph(labels, [(labels[i], labels[j]) for i, j in edge_rows])
+        rep = validate_embedding(Embedding(points, c), graph)
+        closest, spacing, longest, kinds = _embedding_oracle(points, edge_rows, c)
+        assert rep.ok == (not kinds)
+        assert {v.split()[0] for v in rep.violations} == kinds
+        if closest is None:
+            assert rep.worst_pair is None
+        else:
+            u, v, dist = rep.worst_pair
+            assert (graph.index[u], graph.index[v]) == closest  # first closest pair
+            assert dist == pytest.approx(spacing, rel=1e-12, abs=1e-15)
+        if longest == 0.0:
+            assert rep.worst_edge is None
+        else:
+            assert rep.worst_edge[2] == pytest.approx(longest, rel=1e-12)
 
 
 def test_validate_layer():
@@ -85,6 +189,11 @@ def test_validate_layer():
     assert any("completeness" in v for v in rep.violations)
     bad_kraus = KrausGate(("0",), [np.eye(2) * 0.5])
     assert any("completeness" in v for v in validate_layer(g, Layer([bad_kraus])).violations)
+    # NaN entries fail the completeness checks instead of slipping past them
+    nan_gate = Unitary(("0",), np.array([[np.nan, 0], [0, 1]]))
+    assert any("completeness" in v for v in validate_layer(g, Layer([nan_gate])).violations)
+    nan_kraus = KrausGate(("0",), [np.array([[np.nan, 0], [0, 1]])])
+    assert any("completeness" in v for v in validate_layer(g, Layer([nan_kraus])).violations)
     # qubit reuse inside one layer
     rep = validate_layer(g, Layer([Measure("0", "a"), Measure("0", "b")]))
     assert any("two gates" in v for v in rep.violations)
@@ -326,3 +435,53 @@ def test_circuit_file_errors():
     with pytest.raises(ParseError) as err:
         parse_circuit_lines(["qubits 2", "warp 9"])
     assert "unknown directive" in str(err.value)
+
+
+_IDENTITY4 = "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1"
+
+
+@pytest.mark.parametrize("lines, line_no", [
+    (["qubits 2", "edge 0 1", "layer", "u2 nan" + _IDENTITY4[1:] + " on 0 1"], 4),
+    (["qubits 2", "edge 0 1", "layer", "u2 " + _IDENTITY4[:-1] + "inf on 0 1"], 4),
+    (["qubits 2", "edge 0 1", "layer", "u2 " + _IDENTITY4[:-1] + "nanj on 0 1"], 4),
+    (["qubits 1", "layer", "kraus 1 on 0 : 1 0 0 nan"], 3),
+    (["qubits 1", "layer", "kraus 1 on 0 : 1 -infj 0 1"], 3),
+    (["qubits 2", "edge 0 1", "edge 0 0"], 3),
+], ids=["u2-nan", "u2-inf", "u2-nanj", "kraus-nan", "kraus-infj", "self-loop"])
+def test_circuit_parser_names_bad_line(lines, line_no):
+    with pytest.raises(ParseError) as err:
+        parse_circuit_lines(lines)
+    assert err.value.line_no == line_no
+
+
+def _words(*parts):
+    return st.tuples(*parts).map(
+        lambda ws: " ".join(w if isinstance(w, str) else " ".join(w) for w in ws))
+
+
+_QUBIT = st.sampled_from(["0", "1", "2"])
+_ENTRY = st.sampled_from(["0", "1", "1j", "0.5", "nan", "inf", "nanj", "x"])
+_CIRCUIT_LINE = st.one_of(
+    _words(st.just("qubits"), st.sampled_from(["1", "2", "\u00b2"])),
+    _words(st.just("edge"), _QUBIT, _QUBIT),
+    st.just("layer"),
+    _words(st.just("meas"), _QUBIT, st.just("->"), st.sampled_from(["k", "s"])),
+    _words(st.just("kraus"), st.sampled_from(["1", "2", "0", "-1"]), st.just("on"),
+           st.lists(_QUBIT, max_size=2), st.just(":"), st.lists(_ENTRY, max_size=8)),
+    _words(st.just("u2"), st.lists(_ENTRY, min_size=16, max_size=16), st.just("on"),
+           _QUBIT, _QUBIT),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["qubits 2", "qubits 3", "qubits \u00b2", ""]),
+       st.lists(_CIRCUIT_LINE, max_size=6))
+def test_parse_circuit_lines_accepts_or_reports(head, lines):
+    # any line list is a circuit or a ParseError, never another exception;
+    # the head line makes well-formed files common
+    try:
+        circuit = parse_circuit_lines([head, *lines])
+    except ParseError:
+        return
+    assert isinstance(circuit, Circuit)

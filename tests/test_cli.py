@@ -351,3 +351,32 @@ def test_partition_invalid_embedding_exits_two(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "spacing violation" in captured.err
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("dim 2\npoint a 0 0\ndim 3\npoint b 0 0 0\n", 3),
+    ("dim 0\npoint a\n", 1),
+    ("dim 2\nc nan\npoint a 0 0\n", 2),
+    ("dim 2\nc inf\npoint a 0 0\n", 2),
+    ("dim 2\npoint a nan 0\n", 2),
+    ("dim 2\npoint a 0 0\npoint b 1 0\nedge a a\n", 4),
+], ids=["second-dim", "dim-zero", "c-nan", "c-inf", "point-nan", "self-loop"])
+def test_embedded_graph_errors_exit_two(tmp_path, capsys, text, line_no):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    code = dispatch(["partition", "--graph", str(path), "--lam", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"line {line_no}:" in captured.err
+
+
+def test_verify_sie_nan_circuit_exits_two(tmp_path, capsys):
+    path = tmp_path / "nan.circuit"
+    path.write_text("qubits 2\nedge 0 1\nlayer\n"
+                    "u2 nan 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1 on 0 1\n")
+    code = dispatch(["verify", "sie", "--circuit", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "line 4:" in captured.err

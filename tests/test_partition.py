@@ -1,12 +1,21 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from locbound.circuit import ConnectivityGraph, Embedding, grid_graph, boundary
+from locbound.circuit import (
+    ConnectivityGraph,
+    Embedding,
+    boundary,
+    grid_graph,
+    validate_embedding,
+)
 from locbound.partition import (
     PartitionInternalError,
     check_guarantees,
     grid_partition,
-    induced_partition,
     kappa_default,
     parse_embedded_graph_lines,
     read_embedded_graph_file,
@@ -57,33 +66,12 @@ def test_lam_one_singletons():
     g, e = grid_graph((3, 3))
     p = grid_partition(e, g, 1)
     assert all(len(b) == 1 for b in p.blocks)
-    deg = {v: len(g.adjacency[v]) for v in g.vertices}
+    deg = Counter(v for edge in g.edges for v in edge)
     budget = kappa_default(1.0, 2) * 1.0
     for block, size in zip(p.blocks, p.boundary_sizes):
         v = block[0]
         assert size == (1 + deg[v] if deg[v] else 0)
         assert size <= budget
-
-
-def test_induced_partition():
-    g, e = grid_graph((4, 4))
-    p = grid_partition(e, g, 4)
-    same = induced_partition(p, g.vertices)
-    assert tuple(same) == p.blocks
-
-    dropped = induced_partition(p, p.blocks[1] + p.blocks[2])
-    assert len(dropped) == 2
-
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        size = int(rng.integers(1, 16))
-        subset = [g.vertices[i] for i in rng.choice(16, size=size, replace=False)]
-        induced = induced_partition(p, subset)
-        assert sum(len(b) for b in induced) == len(set(subset))
-        for block in induced:
-            owner = next(ob for ob in p.blocks if block[0] in ob)
-            assert set(block) <= set(owner)
-            assert len(block) <= len(owner)
 
 
 def test_check_guarantees_dense_grid():
@@ -99,7 +87,6 @@ def test_check_guarantees_sparse():
     # enforce unit spacing by rounding onto a coarse lattice and dropping dups
     pts = np.unique(np.round(pts / 1.5) * 1.5, axis=0)
     labels = [str(i) for i in range(len(pts))]
-    coords = {lab: pts[i] for i, lab in enumerate(labels)}
     edges = [
         (labels[i], labels[j])
         for i in range(len(pts))
@@ -107,7 +94,7 @@ def test_check_guarantees_sparse():
         if np.linalg.norm(pts[i] - pts[j]) <= 1.6
     ]
     g = ConnectivityGraph(labels, edges)
-    emb = Embedding(coords, 2, c=1.6)
+    emb = Embedding(pts, c=1.6)
     p = grid_partition(emb, g, 16)
     gu = check_guarantees(p, emb, 16, dense=False, total_vertices=g.m)
     assert gu.size_ok and gu.boundary_ok
@@ -128,9 +115,8 @@ def test_grid_sweep_small():
 
 def test_overfull_cell_raises():
     # two points closer than unit spacing sneak past lam = 1 cells
-    coords = {"0": np.array([0.1, 0.1]), "1": np.array([0.6, 0.1])}
     g = ConnectivityGraph(["0", "1"], [])
-    emb = Embedding(coords, 2, c=1.0)
+    emb = Embedding(np.array([[0.1, 0.1], [0.6, 0.1]]), c=1.0)
     with pytest.raises(PartitionInternalError):
         grid_partition(emb, g, 1)
 
@@ -151,6 +137,9 @@ def test_embedded_graph_file(tmp_path):
     assert graph.m == 3
     assert emb.dimension == 2
     assert emb.c == 1.5
+    # row i of the points is the i-th point line
+    assert graph.vertices == ("a", "b", "c")
+    assert emb.points.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
     with pytest.raises(ParseError) as err:
         parse_embedded_graph_lines(["dim 2", "point a 0"])
@@ -162,3 +151,43 @@ def test_embedded_graph_file(tmp_path):
 
     with pytest.raises(ParseError):
         parse_embedded_graph_lines(["point a 0 0"])
+
+
+def test_point_count_must_match_graph():
+    g, e = grid_graph((2, 2))
+    short = Embedding(e.points[:3], e.c)
+    with pytest.raises(ValueError, match="3 points for 4 vertices"):
+        grid_partition(short, g, 2)
+    with pytest.raises(ValueError, match="3 points for 4 vertices"):
+        validate_embedding(short, g)
+    with pytest.raises(ValueError):
+        Embedding(np.zeros(4))  # a flat array is not (m, D)
+
+
+def _words(*parts):
+    return st.tuples(*parts).map(
+        lambda ws: " ".join(w if isinstance(w, str) else " ".join(w) for w in ws))
+
+
+_LABEL = st.sampled_from(["a", "b", "c"])
+_GRAPH_LINE = st.one_of(
+    _words(st.just("dim"), st.sampled_from(["1", "2", "0", "-1", "\u00b2"])),
+    _words(st.just("c"), st.sampled_from(["1", "1.5", "-1", "nan", "inf", "x"])),
+    _words(st.just("point"), _LABEL,
+           st.lists(st.sampled_from(["0", "1", "2", "0.5", "nan", "1e999"]), max_size=3)),
+    _words(st.just("edge"), _LABEL, _LABEL),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["dim 1", "dim 2", "dim \u00b2", ""]), st.lists(_GRAPH_LINE, max_size=6))
+def test_parse_embedded_graph_lines_accepts_or_reports(head, lines):
+    # any line list is a (graph, embedding) pair or a ParseError, never
+    # another exception; the head line makes well-formed files common
+    try:
+        graph, emb = parse_embedded_graph_lines([head, *lines])
+    except ParseError:
+        return
+    assert emb.points.shape == (graph.m, emb.dimension)
+    assert np.isfinite(emb.points).all() and np.isfinite(emb.c)
