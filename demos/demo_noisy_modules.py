@@ -21,10 +21,11 @@ for p in (0.02, 0.05, 0.1):
               f"delta={delta:.6f}")
 
 print("\n=== classical record branches of one noisy round ===")
+# a record is the tuple of (key, outcome) pairs written so far
 mod = repetition_module(0.1, rounds=1)
 out = simulate_module(mod)
-for label, weight, _ in sorted(out.branches, key=lambda b: -b[1])[:4]:
-    print(f"  weight {weight:.4f}  label {label!r}")
+for record, weight, _ in sorted(out.branches, key=lambda b: -b[1])[:4]:
+    print(f"  weight {weight:.4f}  record {record}  syndrome {dict(record)}")
 
 print("\n=== erased-round variant: the region really is forgotten ===")
 erased = simulate_module(mod, erased=(("d0", "d1"), 0))

@@ -29,12 +29,10 @@ from .circuit import (
     KrausGate,
     Layer,
     Measure,
-    Relabel,
     Unitary,
     apply_circuit,
     apply_layer,
     boundary,
-    choi_matrix,
     grid_graph,
     logical_error_rate,
     noise_apply,

@@ -95,6 +95,8 @@ def encoding_depth_floor_geometric(k: int, d: int, m: int, dim: int,
         raise ValueError("geometric encoding floor requires d >= 2")
     if m < 1 or k < 0:
         raise ValueError("require m >= 1 and k >= 0")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1, c2 must be positive")
     lam = d - 1

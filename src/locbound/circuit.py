@@ -6,17 +6,20 @@ A ConnectivityGraph owns the vertex order (label -> row, edge endpoint
 rows); embeddings are point arrays in that order, so graph routines work
 on integer rows and string labels stay at files, gates and reports.
 
-The classical system X is kept structural: branch labels on a
-ClassicalQuantumState, updated by measurements and label maps. Every
-channel is evaluated by exact arithmetic on density matrices (never by
-sampling); matrices are re-symmetrized and the trace renormalized after
-each application to control float drift.
+The classical system X is kept structural: each branch of a
+ClassicalQuantumState carries a record, the tuple of (key, outcome) pairs
+written so far. A keyed KrausGate (Measure included) appends (key, i) for
+its i-th operator; a Conditional reads the last outcome of each of its
+keys (None if unwritten) and applies the unitary its table gives for that
+outcome tuple, or nothing. Every channel is evaluated by exact arithmetic
+on density matrices (never by sampling); matrices are re-symmetrized and
+the trace renormalized after each application to control float drift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -217,14 +220,20 @@ class Unitary:
 
 @dataclass(frozen=True)
 class Conditional:
-    """Unitary on fixed support selected by the classical label."""
+    """Unitary on fixed support chosen by recorded outcomes: ``table`` maps
+    the tuple of the last outcomes of ``keys`` to a unitary; an outcome
+    tuple with no entry leaves the branch unchanged."""
 
     qubits: tuple
-    chooser: Callable[[str], np.ndarray]
+    keys: tuple
+    table: dict
 
-    def __init__(self, qubits, chooser):
+    def __init__(self, qubits, keys, table: Mapping):
         object.__setattr__(self, "qubits", tuple(str(q) for q in qubits))
-        object.__setattr__(self, "chooser", chooser)
+        object.__setattr__(self, "keys", tuple(keys))
+        object.__setattr__(self, "table", {
+            tuple(outcomes): np.asarray(u, dtype=complex) for outcomes, u in table.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -245,13 +254,6 @@ class KrausGate:
         object.__setattr__(self, "key", key)
 
 
-@dataclass(frozen=True)
-class Relabel:
-    """Free classical computation: an arbitrary map on branch labels."""
-
-    func: Callable[[str], str]
-
-
 Gate = object  # union of the dataclasses above
 
 
@@ -267,8 +269,6 @@ def _gate_support(gate) -> tuple:
         return gate.qubits
     if isinstance(gate, Measure):
         return (gate.qubit,)
-    if isinstance(gate, Relabel):
-        return ()
     raise CircuitError(f"unknown gate type {type(gate).__name__}")
 
 
@@ -315,10 +315,16 @@ def validate_layer(graph: ConnectivityGraph, layer: Layer) -> LayerReport:
                     )
         dim = 2 ** len(supp)
         if isinstance(gate, Unitary):
-            if gate.matrix.shape != (dim, dim):
-                report.violations.append(f"unitary shape {gate.matrix.shape} != {(dim, dim)}")
-            elif not np.abs(gate.matrix.conj().T @ gate.matrix - np.eye(dim)).max() <= TRACE_TOL:
-                report.violations.append("unitary completeness violation: U^dag U != I")
+            report.violations.extend(_unitary_violations(gate.matrix, dim))
+        elif isinstance(gate, Conditional):
+            for outcomes, u in gate.table.items():
+                if len(outcomes) != len(gate.keys):
+                    report.violations.append(
+                        f"conditional entry {outcomes}: {len(gate.keys)} outcomes expected"
+                    )
+                report.violations.extend(
+                    f"conditional entry {outcomes}: {v}" for v in _unitary_violations(u, dim)
+                )
         elif isinstance(gate, KrausGate):
             if any(k.shape != (dim, dim) for k in gate.operators):
                 report.violations.append("Kraus operator shape mismatch")
@@ -326,9 +332,17 @@ def validate_layer(graph: ConnectivityGraph, layer: Layer) -> LayerReport:
                 total = sum(k.conj().T @ k for k in gate.operators)
                 if not np.abs(total - np.eye(dim)).max() <= TRACE_TOL:
                     report.violations.append("Kraus completeness violation: sum K^dag K != I")
-        # Measure is complete by construction; Conditional checked at application
+        # Measure is complete by construction
     report.ok = not report.violations
     return report
+
+
+def _unitary_violations(u: np.ndarray, dim: int) -> list:
+    if u.shape != (dim, dim):
+        return [f"unitary shape {u.shape} != {(dim, dim)}"]
+    if not np.abs(u.conj().T @ u - np.eye(dim)).max() <= TRACE_TOL:  # NaN fails too
+        return ["unitary completeness violation: U^dag U != I"]
+    return []
 
 
 @dataclass
@@ -358,35 +372,17 @@ class Circuit:
 _BASIS_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
 
-def _write_outcome(label: str, key: str, value) -> str:
-    return f"{label}{key}={value};"
-
-
-def read_outcome(label: str, key: str) -> str | None:
-    """Last recorded value for the key in a branch label, if any."""
-    needle = f"{key}="
-    best = None
-    for part in label.split(";"):
-        if part.startswith(needle):
-            best = part[len(needle):]
-    return best
-
-
-def _branch_apply_gate(label, weight, mat, dims, layout, gate):
-    """Apply one gate to one branch; yields (label, weight, matrix)."""
-    if isinstance(gate, Relabel):
-        yield gate.func(label), weight, mat
-        return
+def _branch_apply_gate(record, weight, mat, dims, layout, gate):
+    """Apply one gate to one branch; yields (record, weight, matrix)."""
     supp = _gate_support(gate)
     positions = layout.positions(supp)
     if isinstance(gate, Conditional):
-        u = np.asarray(gate.chooser(label), dtype=complex)
-        dim = 2 ** len(supp)
-        if u.shape != (dim, dim) or np.abs(u.conj().T @ u - np.eye(dim)).max() > TRACE_TOL:
-            raise CircuitError(f"conditional gate returned a non-unitary for label {label!r}")
-        gate = Unitary(supp, u)
+        last = dict(record)
+        u = gate.table.get(tuple(last.get(k) for k in gate.keys))
+        yield record, weight, mat if u is None else apply_operator(mat, dims, positions, u)
+        return
     if isinstance(gate, Unitary):
-        yield label, weight, apply_operator(mat, dims, positions, gate.matrix)
+        yield record, weight, apply_operator(mat, dims, positions, gate.matrix)
         return
     if isinstance(gate, Measure):
         gate = KrausGate(supp, _BASIS_PROJECTORS, key=gate.key)
@@ -395,13 +391,13 @@ def _branch_apply_gate(label, weight, mat, dims, layout, gate):
             acc = np.zeros_like(mat)
             for k in gate.operators:
                 acc += apply_operator(mat, dims, positions, k)
-            yield label, weight, acc
+            yield record, weight, acc
         else:
             for i, k in enumerate(gate.operators):
                 new = apply_operator(mat, dims, positions, k)
                 prob = new.trace().real
                 if prob > 1e-14:
-                    yield _write_outcome(label, gate.key, i), weight * prob, new / prob
+                    yield record + ((gate.key, i),), weight * prob, new / prob
         return
     raise CircuitError(f"unknown gate type {type(gate).__name__}")
 
@@ -411,19 +407,19 @@ def apply_layer(state: ClassicalQuantumState, layer: Layer) -> ClassicalQuantumS
     layout = state.layout
     dims = layout.dims
     before = state.total_weight
-    items = [(lab, w, dm.matrix) for lab, w, dm in state.branches]
+    items = [(rec, w, dm.matrix) for rec, w, dm in state.branches]
     for gate in layer.gates:
         next_items = []
-        for lab, w, mat in items:
-            next_items.extend(_branch_apply_gate(lab, w, mat, dims, layout, gate))
+        for rec, w, mat in items:
+            next_items.extend(_branch_apply_gate(rec, w, mat, dims, layout, gate))
         items = next_items
     branches = []
-    for lab, w, mat in items:
+    for rec, w, mat in items:
         mat = (mat + mat.conj().T) / 2
         tr = mat.trace().real
         if w * tr <= 1e-16:
             continue
-        branches.append((lab, w * tr, DensityMatrix(layout, mat / tr, validate=False)))
+        branches.append((rec, w * tr, DensityMatrix(layout, mat / tr, validate=False)))
     out = ClassicalQuantumState(layout, branches, validate=False).merged()
     if abs(out.total_weight - before) > TRACE_TOL:
         raise CircuitError(
@@ -511,14 +507,14 @@ def noise_apply(state, mode) -> ClassicalQuantumState:
     dims = layout.dims
     rates = [(layout.position(q), 1.0 if q in erased else mode.p) for q in mode.qubits]
     branches = []
-    for lab, w, dm in state.branches:
+    for rec, w, dm in state.branches:
         mat = dm.matrix
         for pos, p in rates:
             if p > 0.0:
                 mat = _depolarize_matrix(mat, dims, pos, p)
         mat = (mat + mat.conj().T) / 2
         tr = mat.trace().real
-        branches.append((lab, w * tr, DensityMatrix(layout, mat / tr, validate=False)))
+        branches.append((rec, w * tr, DensityMatrix(layout, mat / tr, validate=False)))
     out = ClassicalQuantumState(layout, branches, validate=False)
     if abs(out.total_weight - state.total_weight) > TRACE_TOL:
         raise CircuitError("trace not preserved by noise application")
@@ -645,7 +641,7 @@ def simulate_module(
     ``erased=(region, round_index)`` substitutes the erase-then-depolarize
     channel N_Gamma for the product depolarizing noise at that round; the
     branch is computed exactly, never sampled. Output lives on R + A with
-    classical branch labels.
+    classical branch records.
     """
     report = module.validate()
     if not report.ok:
@@ -685,21 +681,6 @@ def logical_error_rate(module: EcModule, decoder=None) -> float:
     t = target.vector
     fid = float(np.real(t.conj() @ rho_out.matrix @ t))
     return min(max(1.0 - fid, 0.0), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Choi matrices (used by the mixture-identity checks)
-
-
-def choi_matrix(channel: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Unnormalized Choi matrix sum_ij channel(E_ij) (x) E_ij."""
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0
-            out += np.kron(channel(e), e)
-    return out
 
 
 # ---------------------------------------------------------------------------

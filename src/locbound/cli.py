@@ -54,14 +54,31 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int(text: str) -> int:
+    """argparse type: an integer of magnitude at most 2^53, so that float
+    arithmetic on it stays exact and cannot overflow."""
+    value = int(text)
+    if abs(value) > 2 ** 53:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of magnitude at most 2^53, got {text!r}"
+        )
+    return value
+
+
 def _parse_blocks(text: str) -> list:
     return [_parse_region(part) for part in text.split(";") if part != ""]
 
 
-def _emit(report: dict, output: str | None) -> None:
+def _render(report: dict) -> str:
     payload = {"schema": SCHEMA}
     payload.update(report)
-    text = json.dumps(payload, indent=2, allow_nan=False)
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise InputError("a report value overflows float64; the inputs are out of range") from None
+
+
+def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -317,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = code_sub.add_parser("distance", help="exhaustive minimum distance")
     c.add_argument("--file", required=True)
-    c.add_argument("--cap", type=int, default=None,
+    c.add_argument("--cap", type=_int, default=None,
                    help="stop after this weight; reports an open-ended result")
     c.set_defaults(handler=_cmd_code_distance)
 
@@ -349,15 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--code", required=True)
     c.add_argument("--region", required=True)
-    c.add_argument("--restarts", type=int, default=sep.DEFAULT_RESTARTS)
-    c.add_argument("--iterations", type=int, default=sep.DEFAULT_ITERATIONS)
+    c.add_argument("--restarts", type=_int, default=sep.DEFAULT_RESTARTS)
+    c.add_argument("--iterations", type=_int, default=sep.DEFAULT_ITERATIONS)
     c.add_argument("--seed", type=int, default=DEFAULT_SEED)
     c.set_defaults(handler=_cmd_ree)
 
     c = sub.add_parser("partition",
                        help="size-bounded partition of an embedded graph")
     c.add_argument("--graph", required=True, help="embedded-graph file")
-    c.add_argument("--lam", type=int, required=True, help="block size bound")
+    c.add_argument("--lam", type=_int, required=True, help="block size bound")
     c.add_argument("--kappa", type=_finite_float, default=None,
                    help="override the boundary constant kappa(c, D)")
     c.add_argument("--dense", action="store_true",
@@ -372,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="encoding depth floor k/(3 sum |boundaries|), or its geometric "
              "form k (d-1)^(1/D) / (3 c1 c2 m)",
     )
-    c.add_argument("--k", type=int, required=True)
+    c.add_argument("--k", type=_int, required=True)
     c.add_argument("--boundary-sizes", default=None,
                    help="comma-separated |dGamma_i| values")
-    c.add_argument("--d", type=int, default=None)
-    c.add_argument("--m", type=int, default=None)
-    c.add_argument("--dim", type=int, default=2)
+    c.add_argument("--d", type=_int, default=None)
+    c.add_argument("--m", type=_int, default=None)
+    c.add_argument("--dim", type=_int, default=2)
     c.add_argument("--c1", type=_finite_float, default=1.0)
     c.add_argument("--c2", type=_finite_float, default=1.0)
     c.set_defaults(handler=_cmd_bound_encoding)
@@ -387,10 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="syndrome-extraction depth floor (one recovery layer below the "
              "encoding floor)",
     )
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--d", type=int, required=True)
-    c.add_argument("--m", type=int, required=True)
-    c.add_argument("--dim", type=int, default=2)
+    c.add_argument("--k", type=_int, required=True)
+    c.add_argument("--d", type=_int, required=True)
+    c.add_argument("--m", type=_int, required=True)
+    c.add_argument("--dim", type=_int, default=2)
     c.add_argument("--c1", type=_finite_float, default=1.0)
     c.add_argument("--c2", type=_finite_float, default=1.0)
     c.set_defaults(handler=_cmd_bound_syndrome)
@@ -400,12 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="memory overhead floor m/k >= (1/2) min(f^(1/D)/(3 c1 c2 depth), "
              "p^(f/8)/(7 c2)) with f = log_p(delta)",
     )
-    c.add_argument("--m", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
+    c.add_argument("--m", type=_int, required=True)
+    c.add_argument("--k", type=_int, required=True)
     c.add_argument("--p", type=_finite_float, required=True)
     c.add_argument("--delta", type=_finite_float, required=True)
     c.add_argument("--depth", type=_finite_float, required=True)
-    c.add_argument("--dim", type=int, default=2)
+    c.add_argument("--dim", type=_int, default=2)
     c.add_argument("--c1", type=_finite_float, default=1.0)
     c.add_argument("--c2", type=_finite_float, default=1.0)
     c.set_defaults(handler=_cmd_bound_overhead)
@@ -418,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="small incremental entangling: one circuit layer raises the "
              "entanglement across any cut U by at most 3 |boundary(U)|",
     )
-    c.add_argument("--qubits", type=int, default=8)
-    c.add_argument("--layers", type=int, default=100)
+    c.add_argument("--qubits", type=_int, default=8)
+    c.add_argument("--layers", type=_int, default=100)
     c.add_argument("--seed", type=int, default=DEFAULT_SEED)
     c.add_argument("--circuit", default=None,
                    help="a circuit file to check instead of random layers")
@@ -441,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
              "with the rest: I(region > complement) = S(region)",
     )
     c.add_argument("--code", required=True)
-    c.add_argument("--states", type=int, default=20)
+    c.add_argument("--states", type=_int, default=20)
     c.add_argument("--seed", type=int, default=DEFAULT_SEED)
     c.set_defaults(handler=_cmd_verify_corr_max)
 
@@ -459,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
              "small conditional mutual information under approximate recovery, "
              "and the coherent-information/separable-ensemble sandwich",
     )
-    c.add_argument("--trials", type=int, default=1000)
+    c.add_argument("--trials", type=_int, default=1000)
     c.add_argument("--seed", type=int, default=DEFAULT_SEED)
     c.set_defaults(handler=_cmd_verify_appendix)
 
@@ -468,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="overhead-floor consistency: every simulated module satisfies "
              "m/k >= floor(m, k, depth, p, delta)",
     )
-    c.add_argument("--dim", type=int, default=2)
+    c.add_argument("--dim", type=_int, default=2)
     c.add_argument("--c1", type=_finite_float, default=1.0)
     c.add_argument("--c2", type=_finite_float, default=1.0)
     c.set_defaults(handler=_cmd_verify_overhead)
@@ -486,10 +503,14 @@ def dispatch(argv: list) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, report = args.handler(args)
-    except (ParseError, InputError, FileNotFoundError, ValueError) as exc:
+        text = _render(report)
+    except (ParseError, InputError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(report, args.output)
+    except ArithmeticError as exc:  # finite inputs whose arithmetic leaves float64
+        sys.stderr.write(f"error: inputs out of float64 range: {exc}\n")
+        return 2
+    _emit(text, args.output)
     return code
 
 

@@ -51,7 +51,8 @@ def cell_side(lam: int, dimension: int) -> int:
 
 @dataclass
 class Partition:
-    """Disjoint blocks covering the vertex set, with boundary sizes."""
+    """Disjoint blocks covering the vertex set, with boundary sizes. Each
+    block is an ascending int64 array of rows into ``graph.vertices``."""
 
     blocks: tuple
     boundary_sizes: tuple
@@ -104,7 +105,8 @@ def _boundary_sizes(graph: ConnectivityGraph, block_id: np.ndarray,
         bu * m + ev,  # v outer for block bu
         bv * m + eu,  # u outer for block bv
     ])
-    uniq = np.unique(pairs)
+    pairs.sort()  # sort-based unique: np.unique's hashing is far slower here
+    uniq = pairs[np.diff(pairs, prepend=-1) != 0]  # pairs are >= 0
     return np.bincount(uniq // m, minlength=n_blocks).astype(np.int64)
 
 
@@ -125,51 +127,42 @@ def grid_partition(embedding: Embedding, graph: ConnectivityGraph, lam: int,
 
     shifted = pts - pts.min(axis=0, keepdims=True)
     cells = np.floor(shifted / side).astype(np.int64)
-    extents = cells.max(axis=0) + 1
-    # row-major over cells with the first axis fastest
-    rm_keys = np.zeros(m, dtype=np.int64)
-    for ax in range(dim - 1, -1, -1):
-        rm_keys = rm_keys * extents[ax] + cells[:, ax]
-
-    order = np.argsort(rm_keys, kind="stable")
-    sorted_keys = rm_keys[order]
-    cell_starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    cell_ends = np.r_[cell_starts[1:], m]
-    cell_counts = cell_ends - cell_starts
+    # row-major over cells with the first axis fastest: the last axis is
+    # the primary key (per-axis keys, so no combined key can overflow)
+    order = np.lexsort(cells.T)
+    sorted_cells = cells[order]
+    new_cell = np.r_[True, (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)]
+    cell_starts = np.flatnonzero(new_cell)
+    cell_counts = np.diff(np.r_[cell_starts, m])
     if cell_counts.max(initial=0) > lam:
         raise PartitionInternalError(
             f"cell with {cell_counts.max()} > lam = {lam} points; "
             "embedding violates unit spacing or lam is below the packing regime"
         )
 
-    def blocks_from_groups(groups):
+    def blocks_from_starts(starts):
+        """Blocks are the runs of ``order`` that begin at ``starts``."""
+        ends = np.r_[starts[1:], m]
         block_id = np.empty(m, dtype=np.int64)
-        blocks = []
-        for i, members in enumerate(groups):
-            block_id[members] = i
-            blocks.append(tuple(graph.vertices[j] for j in np.sort(members)))
-        return tuple(blocks), block_id
+        block_id[order] = np.repeat(np.arange(len(starts)), ends - starts)
+        rows = np.argsort(block_id, kind="stable")  # ascending rows within each block
+        return tuple(rows[s:e] for s, e in zip(starts.tolist(), ends.tolist())), block_id
 
-    # raw cells as groups, in row-major order
-    raw_groups = [order[s:e] for s, e in zip(cell_starts, cell_ends)]
-
-    merged_groups = []
-    acc: list = []
+    # greedy merge of consecutive cells while the block stays within lam
+    merged_starts = []
     acc_size = 0
-    for grp in raw_groups:
-        if acc and acc_size + len(grp) > lam:
-            merged_groups.append(np.concatenate(acc))
-            acc, acc_size = [], 0
-        acc.append(grp)
-        acc_size += len(grp)
-    if acc:
-        merged_groups.append(np.concatenate(acc))
+    for start, count in zip(cell_starts.tolist(), cell_counts.tolist()):
+        if acc_size and acc_size + count > lam:
+            acc_size = 0
+        if not acc_size:
+            merged_starts.append(start)
+        acc_size += count
 
-    blocks, block_id = blocks_from_groups(merged_groups)
+    blocks, block_id = blocks_from_starts(np.array(merged_starts, dtype=np.int64))
     bsizes = _boundary_sizes(graph, block_id, len(blocks))
     budget = boundary_budget(lam, embedding.c, dim, kappa)
-    if len(merged_groups) < len(raw_groups) and bsizes.max(initial=0) > budget:
-        blocks, block_id = blocks_from_groups(raw_groups)
+    if len(merged_starts) < len(cell_starts) and bsizes.max(initial=0) > budget:
+        blocks, block_id = blocks_from_starts(cell_starts)
         bsizes = _boundary_sizes(graph, block_id, len(blocks))
         return Partition(
             blocks, tuple(int(b) for b in bsizes), lam, merged=False,
@@ -239,6 +232,17 @@ def _parse_finite(tok: str, line_no: int, what: str) -> float:
     return value
 
 
+# Above 2^52 in magnitude, float64 cannot hold points one unit apart.
+MAX_COORDINATE = 2.0 ** 52
+
+
+def _parse_coordinate(tok: str, line_no: int) -> float:
+    value = _parse_finite(tok, line_no, "coordinate")
+    if abs(value) > MAX_COORDINATE:
+        raise ParseError(line_no, f"coordinate {tok!r} exceeds 2^52 in magnitude")
+    return value
+
+
 def parse_embedded_graph_lines(lines: Iterable[str]) -> tuple:
     """Parse ``dim D``, ``c <value>``, ``point label x y [z]`` and
     ``edge u v`` lines into (graph, embedding); points keep file order."""
@@ -273,7 +277,7 @@ def parse_embedded_graph_lines(lines: Iterable[str]) -> tuple:
                 )
             if toks[1] in seen:
                 raise ParseError(line_no, f"duplicate point {toks[1]!r}")
-            rows.append([_parse_finite(t, line_no, "coordinate") for t in toks[2:]])
+            rows.append([_parse_coordinate(t, line_no) for t in toks[2:]])
             labels.append(toks[1])
             seen.add(toks[1])
         elif head == "edge":

@@ -3,6 +3,8 @@
 States carry an ordered register layout; the register order fixes the
 Kronecker order of the underlying array, and every label-addressed
 operation permutes internally, so callers never juggle indices.
+A ClassicalQuantumState keeps the classical system as branch records,
+tuples of (key, outcome) pairs, instead of a dense register.
 All logarithms elsewhere in the package are base 2 (registers count
 qubits), and every value here is immutable after construction.
 """
@@ -17,9 +19,6 @@ import numpy as np
 HERM_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
-
-QUANTUM = "quantum"
-CLASSICAL = "classical"
 
 
 class ParseError(ValueError):
@@ -36,18 +35,15 @@ def _is_power_of_two(d: int) -> bool:
 
 @dataclass(frozen=True)
 class Register:
-    """One named subsystem: a label, a kind and a dimension."""
+    """One named quantum subsystem: a label and a power-of-two dimension."""
 
     label: str
     dim: int
-    kind: str = QUANTUM
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"register {self.label!r}: dimension must be >= 1")
-        if self.kind not in (QUANTUM, CLASSICAL):
-            raise ValueError(f"register {self.label!r}: unknown kind {self.kind!r}")
-        if self.kind == QUANTUM and not _is_power_of_two(self.dim):
+        if not _is_power_of_two(self.dim):
             raise ValueError(
                 f"register {self.label!r}: quantum dimension {self.dim} is not a power of 2"
             )
@@ -75,7 +71,7 @@ class RegisterLayout:
 
     @classmethod
     def of(cls, *specs) -> "RegisterLayout":
-        """Layout from (label, dim) or (label, dim, kind) tuples."""
+        """Layout from (label, dim) tuples."""
         return cls(Register(*spec) for spec in specs)
 
     @property
@@ -264,22 +260,25 @@ class PureState:
 
 
 class ClassicalQuantumState:
-    """Mixture of quantum states tagged by classical branch labels.
+    """Mixture of quantum states tagged by classical records.
 
     Represents states of the form sum_s q_s rho_s (x) |s><s|_X without a
     dense classical register: the classical side stays structural, which
-    keeps dimensions small and makes A:X separability automatic.
+    keeps dimensions small and makes A:X separability automatic. A branch
+    is (record, weight, DensityMatrix); a record is the tuple of
+    (key, outcome) pairs written so far, oldest first, so ``dict(record)``
+    gives the last outcome of each key.
     """
 
     def __init__(self, layout, branches, validate: bool = True):
         self.layout = _as_layout(layout)
         items = []
-        for label, weight, dm in branches:
+        for record, weight, dm in branches:
             if not isinstance(dm, DensityMatrix):
                 dm = DensityMatrix(self.layout, dm, validate=validate)
             if dm.layout != self.layout:
                 raise ValueError("branch layout mismatch")
-            items.append((str(label), float(weight), dm))
+            items.append((tuple(record), float(weight), dm))
         if not items:
             raise ValueError("at least one branch required")
         if validate:
@@ -291,8 +290,9 @@ class ClassicalQuantumState:
         self.branches = tuple(items)
 
     @classmethod
-    def from_density(cls, dm: DensityMatrix, label: str = "") -> "ClassicalQuantumState":
-        return cls(dm.layout, [(label, 1.0, dm)])
+    def from_density(cls, dm: DensityMatrix) -> "ClassicalQuantumState":
+        """One branch with the empty record."""
+        return cls(dm.layout, [((), 1.0, dm)])
 
     @property
     def total_weight(self) -> float:
@@ -307,37 +307,21 @@ class ClassicalQuantumState:
         acc /= acc.trace().real
         return DensityMatrix(self.layout, acc, validate=False)
 
-    def with_classical_register(self, label: str = "X") -> DensityMatrix:
-        """Diagonal embedding sum_s q_s rho_s (x) |s><s| as a dense state.
-
-        The classical register has one dimension per branch, in branch
-        order; intended for entropic evaluations on cuts involving X.
-        """
-        b = len(self.branches)
-        x_reg = Register(label, b, CLASSICAL)
-        new_layout = RegisterLayout(self.layout.registers + (x_reg,))
-        d = self.layout.dim
-        out = np.zeros((d * b, d * b), dtype=complex)
-        for i, (_, w, dm) in enumerate(self.branches):
-            block = w * dm.matrix
-            out[i::b, i::b] = block  # X is the last (fastest) axis
-        return DensityMatrix(new_layout, out, validate=False)
-
     def merged(self, drop_below: float = 1e-14) -> "ClassicalQuantumState":
-        """Combine branches with identical labels; drop negligible weights."""
+        """Combine branches with identical records; drop negligible weights."""
         acc: dict = {}
-        for label, w, dm in self.branches:
-            if label in acc:
-                lab_w, mat = acc[label]
-                acc[label] = (lab_w + w, mat + w * dm.matrix)
+        for record, w, dm in self.branches:
+            if record in acc:
+                rec_w, mat = acc[record]
+                acc[record] = (rec_w + w, mat + w * dm.matrix)
             else:
-                acc[label] = (w, w * dm.matrix)
+                acc[record] = (w, w * dm.matrix)
         items = []
-        for label in acc:
-            w, mat = acc[label]
+        for record in acc:
+            w, mat = acc[record]
             if w <= drop_below:
                 continue
-            items.append((label, w, DensityMatrix(self.layout, mat / w, validate=False)))
+            items.append((record, w, DensityMatrix(self.layout, mat / w, validate=False)))
         return ClassicalQuantumState(self.layout, items, validate=False)
 
     def __repr__(self):

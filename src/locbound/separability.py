@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .entropy import coherent_info, relative_entropy
-from .qstate import ClassicalQuantumState, DensityMatrix
+from .qstate import DensityMatrix
 from .rand import DEFAULT_SEED, rng_from
 
 DEFAULT_RESTARTS = 20
@@ -320,42 +320,3 @@ def ree_bracket(
     bracket.lower = lower
     return bracket
 
-
-# ---------------------------------------------------------------------------
-# Cuts with the classical register on the large side
-
-
-def ree_upper_cq(
-    state: ClassicalQuantumState,
-    gamma: Iterable[str],
-    restarts: int = DEFAULT_RESTARTS,
-    iterations: int = DEFAULT_ITERATIONS,
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """Upper bound on E_R(Gamma : rest+X) of a cq state.
-
-    Evaluates per classical branch and averages; exact for cq states
-    whose branches carry distinct labels, sound in general by joint
-    convexity of the relative entropy.
-    """
-    gamma = tuple(gamma)
-    total = 0.0
-    seeds = np.random.SeedSequence(seed).spawn(len(state.branches))
-    for (label, weight, dm), s in zip(state.branches, seeds):
-        if weight <= 1e-14:
-            continue
-        val, _ = ree_upper(dm, gamma, restarts=restarts, iterations=iterations, seed=s)
-        total += weight * val
-    return total
-
-
-def ree_lower_cq(state: ClassicalQuantumState, gamma: Iterable[str]) -> float:
-    """Coherent-information lower bound on E_R(Gamma : rest+X).
-
-    The classical label is embedded as a diagonal register on the
-    complement side of the cut.
-    """
-    gamma = tuple(gamma)
-    dense = state.with_classical_register("__X__")
-    b_side = dense.layout.complement(gamma)
-    return ree_lower(dense, gamma, b_side)

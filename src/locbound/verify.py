@@ -30,7 +30,6 @@ from .circuit import (
     boundary,
     grid_graph,
     logical_error_rate,
-    read_outcome,
     reset_gate,
     simulate_module,
 )
@@ -46,7 +45,6 @@ from .rand import (
 )
 from .separability import ree_lower, ree_upper
 from .stabilizer import (
-    _I2,
     _X,
     StabilizerCode,
     encoding_isometry,
@@ -186,6 +184,10 @@ def verify_sie(
         layer_list = [random_unitary_layer(graph, rng) for _ in range(layers)]
     else:
         graph = circuit.graph
+        if graph.m > 12:
+            raise ValueError(
+                f"verify_sie limited to 12 qubits (dense state vector); circuit has {graph.m}"
+            )
         if any(not isinstance(g, Unitary) for layer in circuit.layers for g in layer.gates):
             raise ValueError("verify_sie requires unitary-only layers")
         layer_list = list(circuit.layers)
@@ -529,15 +531,6 @@ def repetition_module(p: float, rounds: int = 2) -> EcModule:
     edges = [("d0", "a0"), ("a0", "d1"), ("d1", "a1"), ("a1", "d2")]
     graph = ConnectivityGraph(verts, edges)
 
-    def correction(key0: str, key1: str, pattern: tuple):
-        def chooser(label: str) -> np.ndarray:
-            s0 = read_outcome(label, key0)
-            s1 = read_outcome(label, key1)
-            if (s0, s1) == pattern:
-                return _X
-            return _I2
-        return chooser
-
     round_circuits = []
     for j in range(rounds):
         k0, k1 = f"r{j}s0", f"r{j}s1"
@@ -547,9 +540,9 @@ def repetition_module(p: float, rounds: int = 2) -> EcModule:
             Layer([Unitary(("d1", "a1"), _CNOT)]),
             Layer([Measure("a0", k0), Measure("a1", k1)]),
             Layer([
-                Conditional(("d0",), correction(k0, k1, ("1", "0"))),
-                Conditional(("d1",), correction(k0, k1, ("1", "1"))),
-                Conditional(("d2",), correction(k0, k1, ("0", "1"))),
+                Conditional(("d0",), (k0, k1), {(1, 0): _X}),
+                Conditional(("d1",), (k0, k1), {(1, 1): _X}),
+                Conditional(("d2",), (k0, k1), {(0, 1): _X}),
                 reset_gate("a0"),
                 reset_gate("a1"),
             ]),

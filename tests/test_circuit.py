@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from locbound.circuit import (
     Circuit,
+    CircuitError,
+    Conditional,
     ConnectivityGraph,
     Depolarize,
     EcModule,
@@ -15,17 +17,14 @@ from locbound.circuit import (
     KrausGate,
     Layer,
     Measure,
-    Relabel,
     Unitary,
     apply_layer,
     apply_operator,
     boundary,
-    choi_matrix,
     grid_graph,
     logical_error_rate,
     noise_apply,
     parse_circuit_lines,
-    read_outcome,
     simulate_module,
     validate_embedding,
     validate_layer,
@@ -47,6 +46,17 @@ def cq_pure(layout, vec):
     return ClassicalQuantumState.from_density(
         DensityMatrix.from_vector(layout, vec)
     )
+
+
+def choi_matrix(channel, dim):
+    """Unnormalized Choi matrix sum_ij channel(E_ij) (x) E_ij."""
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[i, j] = 1.0
+            out += np.kron(channel(e), e)
+    return out
 
 
 def test_boundary_examples():
@@ -199,6 +209,35 @@ def test_validate_layer():
     assert any("two gates" in v for v in rep.violations)
 
 
+def test_validate_layer_conditional_table():
+    g = ConnectivityGraph(["0", "1"], [("0", "1")])
+    good = Conditional(("0",), ("s",), {(1,): np.array([[0, 1], [1, 0]])})
+    assert validate_layer(g, Layer([good])).ok
+    bad_entries = {
+        "completeness": np.array([[1, 0], [0, 0.5]]),
+        "shape": np.eye(4),
+    }
+    for word, u in bad_entries.items():
+        rep = validate_layer(g, Layer([Conditional(("0",), ("s",), {(0,): np.eye(2), (1,): u})]))
+        assert len(rep.violations) == 1
+        assert word in rep.violations[0] and "(1,)" in rep.violations[0]
+    nan_entry = Conditional(("0",), ("s",), {(1,): np.array([[np.nan, 0], [0, 1]])})
+    assert any("completeness" in v for v in validate_layer(g, Layer([nan_entry])).violations)
+    wrong_arity = Conditional(("0",), ("s", "t"), {(1,): np.eye(2)})
+    assert any("2 outcomes expected" in v
+               for v in validate_layer(g, Layer([wrong_arity])).violations)
+
+
+def test_simulate_module_refuses_bad_conditional():
+    g = ConnectivityGraph(["0", "1"], [("0", "1")])
+    layers = [Layer([Measure("1", "s")]),
+              Layer([Conditional(("0",), ("s",), {(1,): np.eye(2) * 2})])]
+    mod = EcModule(g, rounds=[Circuit(g, layers)], data_qubits=("0",),
+                   encoder=np.eye(2, dtype=complex), p=0.1)
+    with pytest.raises(CircuitError, match=r"round 0: layer 1: conditional entry \(1,\)"):
+        simulate_module(mod)
+
+
 def test_apply_layer_identity_and_cnot():
     g = ConnectivityGraph(["0", "1"], [("0", "1")])
     lay = RegisterLayout.qubits("0", "1")
@@ -220,18 +259,36 @@ def test_apply_layer_measurement_branches():
     assert len(out.branches) == 2
     weights = sorted(round(w, 10) for _, w, _ in out.branches)
     assert weights == [0.5, 0.5]
-    labels = sorted(lab for lab, _, _ in out.branches)
-    assert labels == ["s=0;", "s=1;"]
-    assert read_outcome("s=0;", "s") == "0"
-    assert read_outcome("a=1;s=0;s=1;", "s") == "1"
+    records = sorted(rec for rec, _, _ in out.branches)
+    assert records == [(("s", 0),), (("s", 1),)]
+    # a second write of the same key appends; dict() keeps the last value
+    again = apply_layer(out, Layer([Measure("0", "s")]))
+    assert sorted(rec for rec, _, _ in again.branches) == [
+        (("s", 0), ("s", 0)), (("s", 1), ("s", 1))]
+    assert {dict(rec)["s"] for rec, _, _ in again.branches} == {0, 1}
 
 
-def test_apply_layer_relabel_and_trace():
-    lay = RegisterLayout.qubits("0")
-    st = cq_pure(lay, [1, 0])
-    out = apply_layer(st, Layer([Relabel(lambda lab: lab + "done;")]))
-    assert out.branches[0][0] == "done;"
-    assert abs(out.total_weight - 1.0) < 1e-12
+def test_apply_layer_conditional_and_trace():
+    # measure both qubits of |+>|1>, then flip qubit 1 only on outcomes
+    # (s=1, t=1); (s=0, t=1) has no table entry and stays unchanged
+    g = ConnectivityGraph(["0", "1", "2"], [("0", "1")])
+    lay = RegisterLayout.qubits("0", "1", "2")
+    st = cq_pure(lay, np.kron(np.kron(H @ [1, 0], [0, 1]), [1, 0]))
+    x = np.array([[0, 1], [1, 0]])
+    layers = [
+        Layer([Measure("0", "s"), Measure("1", "t")]),
+        Layer([Conditional(("1",), ("s", "t"), {(1, 1): x}),
+               Conditional(("2",), ("s", "missing"), {(1, None): x})]),
+    ]
+    for layer in layers:
+        assert validate_layer(g, layer).ok
+        st = apply_layer(st, layer)
+    assert abs(st.total_weight - 1.0) < 1e-12
+    by_record = {rec: dm for rec, _, dm in st.branches}
+    assert set(by_record) == {(("s", 0), ("t", 1)), (("s", 1), ("t", 1))}
+    q1 = {rec: by_record[rec].reduced(["1", "2"]).matrix for rec in by_record}
+    assert np.abs(q1[(("s", 0), ("t", 1))] - np.diag([0, 0, 1, 0])).max() < 1e-12
+    assert np.abs(q1[(("s", 1), ("t", 1))] - np.diag([0, 1, 0, 0])).max() < 1e-12
 
 
 def test_noise_modes():

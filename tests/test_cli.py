@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locbound.cli import dispatch
 
@@ -380,3 +384,145 @@ def test_verify_sie_nan_circuit_exits_two(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "line 4:" in captured.err
+
+
+def test_partition_large_coordinates(tmp_path, capsys):
+    # cells at 2^32 on both axes: a combined row-major cell key overflows
+    # int64 and merged two cells into one
+    path = tmp_path / "far.graph"
+    path.write_text("dim 2\npoint a 0 0\npoint b 4294967296 0\npoint c 0 4294967296\n"
+                    "point d 4294967296 4294967296\npoint e 2147483648 2147483648\n")
+    code = dispatch(["partition", "--graph", str(path), "--lam", "1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    report = json.loads(captured.out)
+    assert report["blocks"] == 5 and report["sizes"] == [1] * 5
+
+
+def test_partition_huge_coordinate_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.graph"
+    path.write_text("dim 1\npoint a 0\npoint b 1e300\npoint c 2e300\n")
+    code = dispatch(["partition", "--graph", str(path), "--lam", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "line 3:" in captured.err and "2^52" in captured.err
+
+
+def test_verify_sie_circuit_qubit_limit(tmp_path):
+    # a 30-qubit file would start a 2^30-entry state vector
+    path = tmp_path / "wide.circuit"
+    path.write_text("qubits 30\n")
+    proc = run_cli("verify", "sie", "--circuit", str(path), timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "limited to 12 qubits" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# CLI contract over argv: exit 0 or 1 with strict JSON on stdout, or exit 2
+# with a message on stderr; dispatch never raises.
+
+_INT = st.one_of(st.integers(-3, 40), st.sampled_from([10 ** 6, 2 ** 63, 10 ** 400])).map(str)
+_FLOAT = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "1", "0.5", "1e-300", "1e308", "nan", "inf", "-inf", "x"]),
+)
+_CODE_FILE = st.sampled_from(
+    sorted(str(p) for p in (ROOT / "data").glob("*.code"))
+    + [str(ROOT / "data"), str(ROOT / "data" / "missing.code")]  # a directory, no file
+)
+_REGION = st.one_of(
+    st.lists(st.integers(-2, 9), max_size=5).map(lambda qs: ",".join(map(str, qs))),
+    st.sampled_from(["", ",", "a", "0,,1"]),
+)
+_COORD = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.sampled_from(["0.5", "4294967296", str(2 ** 52), str(2 ** 53), "1e300", "-1e300",
+                     "nan", "inf"]),
+)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _cat(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+_BOUND_ARGV = st.one_of(
+    _cat(st.just(["bound", "encoding"]), _flag("--k", _INT), _flag("--d", _INT),
+         _flag("--m", _INT), _flag("--dim", _INT), _flag("--c1", _FLOAT), _flag("--c2", _FLOAT),
+         _flag("--boundary-sizes", st.lists(_FLOAT, max_size=3).map(",".join))),
+    _cat(st.just(["bound", "syndrome"]), _flag("--k", _INT), _flag("--d", _INT),
+         _flag("--m", _INT), _flag("--dim", _INT), _flag("--c1", _FLOAT), _flag("--c2", _FLOAT)),
+    _cat(st.just(["bound", "overhead"]), _flag("--m", _INT), _flag("--k", _INT),
+         _flag("--p", _FLOAT), _flag("--delta", _FLOAT), _flag("--depth", _FLOAT),
+         _flag("--dim", _INT), _flag("--c1", _FLOAT), _flag("--c2", _FLOAT)),
+    _cat(st.just(["entropy"]), _flag("--epsilon", _FLOAT)),
+)
+_CODE_ARGV = st.one_of(
+    _cat(st.just(["code", "check"]), _flag("--file", _CODE_FILE)),
+    _cat(st.just(["code", "distance"]), _flag("--file", _CODE_FILE), _flag("--cap", _INT)),
+    _cat(st.just(["code", "correctable"]), _flag("--file", _CODE_FILE),
+         _flag("--region", _REGION)),
+)
+
+
+@st.composite
+def _graph_text(draw):
+    dim = draw(st.integers(1, 3))
+    lines = [f"dim {dim}", f"c {draw(st.sampled_from(['1', '2', '1e300']))}"]
+    count = draw(st.integers(1, 6))
+    for i in range(count):
+        # mostly a unit-spaced line along the first axis, so that many
+        # files get past validation and reach the partitioner
+        coords = [draw(st.one_of(st.just(str(i)), _COORD))]
+        coords += [draw(st.one_of(st.just("0"), _COORD)) for _ in range(dim - 1)]
+        lines.append(f"point p{i} " + " ".join(coords))
+    for _ in range(draw(st.integers(0, 4))):
+        u = draw(st.integers(0, count - 1))
+        v = draw(st.one_of(st.just(min(u + 1, count - 1)), st.integers(0, count - 1)))
+        lines.append(f"edge p{u} p{v}")
+    return "\n".join(lines) + "\n"
+
+
+_PARTITION = st.tuples(
+    _graph_text(),
+    _cat(_flag("--lam", _INT), _flag("--kappa", _FLOAT),
+         st.sampled_from([[], ["--dense"]])),
+)
+
+
+def _check_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    if code in (0, 1):
+        report = json.loads(out.getvalue(), parse_constant=reject)
+        assert report["schema"] == 1
+    else:
+        assert code == 2, (argv, code)
+        assert out.getvalue() == ""
+        assert err.getvalue().strip(), argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_BOUND_ARGV, _CODE_ARGV))
+def test_cli_argv_contract(argv):
+    _check_contract(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PARTITION)
+def test_cli_partition_argv_contract(tmp_path_factory, drawn):
+    text, flags = drawn
+    path = tmp_path_factory.mktemp("graphs") / "g.graph"
+    path.write_text(text)
+    _check_contract(["partition", "--graph", str(path), *flags])

@@ -14,6 +14,7 @@ from locbound.circuit import (
 )
 from locbound.partition import (
     PartitionInternalError,
+    cell_side,
     check_guarantees,
     grid_partition,
     kappa_default,
@@ -28,7 +29,9 @@ def test_four_by_four():
     p = grid_partition(e, g, 4)
     assert p.count == 4
     assert p.sizes == (4, 4, 4, 4)
-    assert sorted(v for b in p.blocks for v in b) == sorted(g.vertices)
+    assert sorted(int(r) for b in p.blocks for r in b) == list(range(g.m))
+    # rows map back to labels through the graph's vertex order
+    assert [g.vertices[r] for r in p.blocks[0]] == ["0", "4", "8", "12"]
 
 
 def test_lam_at_least_m_single_block():
@@ -41,7 +44,8 @@ def test_lam_at_least_m_single_block():
 def test_single_vertex():
     g, e = grid_graph((1,))
     p = grid_partition(e, g, 3)
-    assert p.blocks == (("0",),)
+    assert [b.tolist() for b in p.blocks] == [[0]]
+    assert p.blocks[0].dtype == np.int64
 
 
 def test_disjoint_cover_and_size_bound():
@@ -49,8 +53,9 @@ def test_disjoint_cover_and_size_bound():
     g, e = grid_graph((7, 5))
     for lam in (1, 2, 3, 5, 8, 20, 35):
         p = grid_partition(e, g, lam)
-        flat = [v for b in p.blocks for v in b]
-        assert sorted(flat) == sorted(g.vertices)
+        flat = [int(r) for b in p.blocks for r in b]
+        assert sorted(flat) == list(range(g.m))
+        assert all((np.diff(b) > 0).all() for b in p.blocks)  # ascending rows
         assert len(set(flat)) == len(flat)
         assert max(p.sizes) <= lam
 
@@ -59,7 +64,7 @@ def test_boundary_sizes_consistent_with_graph():
     g, e = grid_graph((5, 5))
     p = grid_partition(e, g, 4)
     for block, size in zip(p.blocks, p.boundary_sizes):
-        assert size == len(boundary(g, block))
+        assert size == len(boundary(g, [g.vertices[r] for r in block]))
 
 
 def test_lam_one_singletons():
@@ -69,7 +74,7 @@ def test_lam_one_singletons():
     deg = Counter(v for edge in g.edges for v in edge)
     budget = kappa_default(1.0, 2) * 1.0
     for block, size in zip(p.blocks, p.boundary_sizes):
-        v = block[0]
+        v = g.vertices[block[0]]
         assert size == (1 + deg[v] if deg[v] else 0)
         assert size <= budget
 
@@ -111,6 +116,47 @@ def test_grid_sweep_small():
             gu = check_guarantees(p, e, lam, dense=True, total_vertices=g.m)
             assert gu.ok, (shape, lam, gu)
             lam *= 2
+
+
+def _reference_blocks(points, lam):
+    """Cells in row-major order (first axis fastest) by a Python sort on
+    per-axis cell tuples, greedily merged while a block stays within lam;
+    each block as its sorted rows."""
+    side = cell_side(lam, points.shape[1])
+    cells = np.floor((points - points.min(axis=0)) / side).astype(np.int64)
+    groups: dict = {}
+    for row in sorted(range(len(points)), key=lambda r: (tuple(cells[r][::-1]), r)):
+        groups.setdefault(tuple(cells[row][::-1]), []).append(row)
+    blocks, acc = [], []
+    for grp in groups.values():
+        if acc and len(acc) + len(grp) > lam:
+            blocks.append(sorted(acc))
+            acc = []
+        acc += grp
+    return blocks + [sorted(acc)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_partition_matches_reference(dim):
+    rng = np.random.default_rng(dim)
+    for trial in range(20):
+        # distinct lattice points at spacing >= 1, with a huge offset on one
+        # axis so a combined cell key would not fit in int64 at lam = 1
+        pts = np.unique(rng.integers(0, 12, size=(40, dim)), axis=0).astype(float)
+        pts[:, -1] *= 2.0 ** 40 if trial % 4 == 0 else 1.0
+        rng.shuffle(pts)
+        g = ConnectivityGraph([str(i) for i in range(len(pts))], [])
+        emb = Embedding(pts)
+        for lam in (1, 2, 5, 16, 64):
+            p = grid_partition(emb, g, lam)
+            assert [b.tolist() for b in p.blocks] == _reference_blocks(pts, lam)
+
+
+def test_coordinate_magnitude_bound():
+    ok = parse_embedded_graph_lines(["dim 1", f"point a {2 ** 52}", f"point b -{2 ** 52}"])
+    assert ok[1].points[:, 0].tolist() == [2.0 ** 52, -(2.0 ** 52)]
+    with pytest.raises(ParseError, match="line 3: coordinate .* exceeds 2\\^52"):
+        parse_embedded_graph_lines(["dim 2", "point a 0 0", f"point b 0 {2 ** 52 + 2}"])
 
 
 def test_overfull_cell_raises():

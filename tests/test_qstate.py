@@ -30,7 +30,6 @@ def test_layout_invariants():
         RegisterLayout([Register("a", 2), Register("a", 2)])
     with pytest.raises(ValueError):
         Register("a", 3)  # quantum dims must be powers of two
-    Register("x", 3, "classical")  # classical registers may have any dim
     lay = RegisterLayout.of(("R", 4), ("q", 2))
     assert lay.dim == 8
     assert lay.labels == ("R", "q")
@@ -208,20 +207,18 @@ def test_permuted_round_trip():
 def test_classical_quantum_state():
     zero = DensityMatrix.computational(Q1, [0])
     one = DensityMatrix.computational(Q1, [1])
-    cq = ClassicalQuantumState(Q1, [("s=0;", 0.5, zero), ("s=1;", 0.5, one)])
+    cq = ClassicalQuantumState(Q1, [((("s", 0),), 0.5, zero), ((("s", 1),), 0.5, one)])
     avg = cq.average_state()
     assert np.allclose(avg.matrix, np.eye(2) / 2)
-    dense = cq.with_classical_register("X")
-    assert dense.layout.labels == ("a", "X")
-    assert abs(dense.matrix.trace().real - 1.0) < 1e-12
-    # diagonal embedding keeps branch blocks: S(aX) = 1 bit of classical data
-    assert abs(vn_entropy(dense) - 1.0) < 1e-10
+    assert abs(cq.total_weight - 1.0) < 1e-12
+    assert ClassicalQuantumState.from_density(zero).branches[0][0] == ()
 
     with pytest.raises(ValueError):
-        ClassicalQuantumState(Q1, [("s", 0.7, zero)])  # weights must sum to 1
+        ClassicalQuantumState(Q1, [((("s", 0),), 0.7, zero)])  # weights must sum to 1
 
     merged = ClassicalQuantumState(
-        Q1, [("s", 0.5, zero), ("s", 0.5, one)]
+        Q1, [((("s", 0),), 0.5, zero), ((("s", 0),), 0.5, one)]
     ).merged()
     assert len(merged.branches) == 1
+    assert merged.branches[0][0] == (("s", 0),)
     assert np.allclose(merged.branches[0][2].matrix, np.eye(2) / 2)

@@ -5,7 +5,6 @@ import pytest
 
 from locbound.entropy import relative_entropy, vn_entropy
 from locbound.qstate import (
-    ClassicalQuantumState,
     DensityMatrix,
     RegisterLayout,
     max_entangled_state,
@@ -15,9 +14,7 @@ from locbound.separability import (
     _objective_and_grad,
     ree_bracket,
     ree_lower,
-    ree_lower_cq,
     ree_upper,
-    ree_upper_cq,
 )
 
 Q2 = RegisterLayout.qubits("a", "b")
@@ -184,13 +181,3 @@ def test_gradient_matches_finite_differences():
         fd = (f1 - f0) / h
         assert abs(fd - grad[idx]) < 5e-5 * max(1.0, abs(fd))
 
-
-def test_cq_ree_bounds():
-    zero = DensityMatrix.computational(Q2, [0, 0])
-    bell = bell_state()
-    cq = ClassicalQuantumState(Q2, [("s=0;", 0.5, zero), ("s=1;", 0.5, bell)])
-    up = ree_upper_cq(cq, ["a"], restarts=2, iterations=200, seed=0)
-    low = ree_lower_cq(cq, ["a"])
-    assert low <= up + 1e-6
-    # upper bound averages the branch values: 0.5 * 0 + 0.5 * 1
-    assert abs(up - 0.5) <= 2e-3
