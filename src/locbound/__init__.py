@@ -15,30 +15,28 @@ from .bounds import (
     encoding_depth_floor,
     encoding_depth_floor_geometric,
     overhead_floor,
-    structure_unitary_floor,
     syndrome_depth_floor,
 )
 from .circuit import (
     Circuit,
     Conditional,
     ConnectivityGraph,
-    Depolarize,
     EcModule,
     Embedding,
-    Erase,
+    InvariantError,
     KrausGate,
     Layer,
-    Measure,
     Unitary,
-    apply_circuit,
     apply_layer,
     boundary,
     grid_graph,
     logical_error_rate,
+    measure_gate,
     noise_apply,
     read_circuit_file,
     reset_gate,
     simulate_module,
+    target_fidelity,
     validate_embedding,
     validate_layer,
 )
@@ -70,7 +68,6 @@ from .qstate import (
     max_entangled_state,
     partial_trace,
     purify,
-    tensor_product,
     trace_distance,
 )
 from .separability import (

@@ -110,45 +110,6 @@ def syndrome_depth_floor(k: int, d: int, m: int, dim: int,
     return max(0.0, encoding_depth_floor_geometric(k, d, m, dim, c1, c2) - 1.0)
 
 
-def structure_unitary_terms(k: int, p: float, delta: float,
-                            block_sizes: Sequence[int]) -> dict:
-    """Per-block penalty terms 2 sqrt(delta/p^|L|) |L| + g(sqrt(delta/p^|L|)).
-
-    Blocks with delta / p^|L| > 1 are flagged saturated: the continuity
-    step behind the bound is vacuous there.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
-    terms = []
-    saturated = []
-    for size in block_sizes:
-        size = int(size)
-        if size < 1:
-            raise ValueError("block sizes must be >= 1")
-        eps = delta / p ** size
-        if eps > 1.0:
-            saturated.append(size)
-            terms.append(None)
-        else:
-            root = math.sqrt(eps)
-            terms.append(2.0 * root * size + g_slack(root))
-    return {"k": k, "terms": terms, "saturated": saturated}
-
-
-def structure_unitary_floor(k: int, p: float, delta: float,
-                            block_sizes: Sequence[int]) -> float:
-    """Entanglement floor sum_i E_R >= k - sum_i penalty_i, clamped at 0.
-
-    A saturated block makes the bound vacuous, so the floor is 0.
-    """
-    info = structure_unitary_terms(k, p, delta, block_sizes)
-    if info["saturated"]:
-        return 0.0
-    return max(0.0, k - sum(info["terms"]))
-
-
 def depth_bound_rhs(ree_lower_xi: float, delta: float, p: float,
                     gamma_size: int, lam_size: int) -> float:
     """Right side of 3 Delta |dGamma| >= E_R - sqrt(delta/p^|Gamma|)|Lambda|

@@ -8,12 +8,14 @@ on integer rows and string labels stay at files, gates and reports.
 
 The classical system X is kept structural: each branch of a
 ClassicalQuantumState carries a record, the tuple of (key, outcome) pairs
-written so far. A keyed KrausGate (Measure included) appends (key, i) for
-its i-th operator; a Conditional reads the last outcome of each of its
-keys (None if unwritten) and applies the unitary its table gives for that
-outcome tuple, or nothing. Every channel is evaluated by exact arithmetic
-on density matrices (never by sampling); matrices are re-symmetrized and
-the trace renormalized after each application to control float drift.
+written so far. A keyed KrausGate (a measurement is one, see measure_gate)
+appends (key, i) for its i-th operator; a Conditional reads the last
+outcome of each of its keys (None if unwritten) and applies the unitary
+its table gives for that outcome tuple, or nothing. Noise is a rate p on
+a list of qubits plus an erased region at rate 1. Every channel is
+evaluated by exact arithmetic on density matrices (never by sampling);
+one finish step re-symmetrizes each branch, renormalizes its trace and
+checks that the total weight is kept.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .qstate import (
 )
 
 TRACE_TOL = 1e-9
+MAX_QUBITS = 12  # dense simulation: circuit files, verify_sie, simulate_module
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +211,11 @@ class CircuitError(ValueError):
     pass
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a fault in this package, not
+    in its input."""
+
+
 @dataclass(frozen=True)
 class Unitary:
     qubits: tuple
@@ -237,12 +245,6 @@ class Conditional:
 
 
 @dataclass(frozen=True)
-class Measure:
-    qubit: str
-    key: str
-
-
-@dataclass(frozen=True)
 class KrausGate:
     qubits: tuple
     operators: tuple
@@ -254,9 +256,6 @@ class KrausGate:
         object.__setattr__(self, "key", key)
 
 
-Gate = object  # union of the dataclasses above
-
-
 def reset_gate(qubit: str) -> KrausGate:
     """Reset to |0>: Kraus {|0><0|, |0><1|}; separable and single-qubit."""
     k0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -264,12 +263,13 @@ def reset_gate(qubit: str) -> KrausGate:
     return KrausGate((qubit,), (k0, k1))
 
 
-def _gate_support(gate) -> tuple:
-    if isinstance(gate, (Unitary, Conditional, KrausGate)):
-        return gate.qubits
-    if isinstance(gate, Measure):
-        return (gate.qubit,)
-    raise CircuitError(f"unknown gate type {type(gate).__name__}")
+_BASIS_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+
+def measure_gate(qubit: str, key: str) -> KrausGate:
+    """Computational-basis measurement: projectors {|0><0|, |1><1|}, the
+    outcome i recorded under ``key``."""
+    return KrausGate((qubit,), _BASIS_PROJECTORS, key=key)
 
 
 @dataclass(frozen=True)
@@ -283,10 +283,7 @@ class Layer:
 
     @property
     def support(self) -> tuple:
-        out = []
-        for g in self.gates:
-            out.extend(_gate_support(g))
-        return tuple(out)
+        return tuple(q for g in self.gates for q in g.qubits)
 
 
 @dataclass
@@ -300,7 +297,10 @@ def validate_layer(graph: ConnectivityGraph, layer: Layer) -> LayerReport:
     report = LayerReport(ok=True)
     seen: set = set()
     for gate in layer.gates:
-        supp = _gate_support(gate)
+        if not isinstance(gate, (Unitary, Conditional, KrausGate)):
+            report.violations.append(f"unknown gate type {type(gate).__name__}")
+            continue
+        supp = gate.qubits
         for q in supp:
             if q not in graph.index:
                 report.violations.append(f"gate references unknown qubit {q!r}")
@@ -325,14 +325,12 @@ def validate_layer(graph: ConnectivityGraph, layer: Layer) -> LayerReport:
                 report.violations.extend(
                     f"conditional entry {outcomes}: {v}" for v in _unitary_violations(u, dim)
                 )
-        elif isinstance(gate, KrausGate):
-            if any(k.shape != (dim, dim) for k in gate.operators):
-                report.violations.append("Kraus operator shape mismatch")
-            else:
-                total = sum(k.conj().T @ k for k in gate.operators)
-                if not np.abs(total - np.eye(dim)).max() <= TRACE_TOL:
-                    report.violations.append("Kraus completeness violation: sum K^dag K != I")
-        # Measure is complete by construction
+        elif any(k.shape != (dim, dim) for k in gate.operators):
+            report.violations.append("Kraus operator shape mismatch")
+        else:
+            total = sum(k.conj().T @ k for k in gate.operators)
+            if not np.abs(total - np.eye(dim)).max() <= TRACE_TOL:
+                report.violations.append("Kraus completeness violation: sum K^dag K != I")
     report.ok = not report.violations
     return report
 
@@ -369,13 +367,9 @@ class Circuit:
         return report
 
 
-_BASIS_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-
-
 def _branch_apply_gate(record, weight, mat, dims, layout, gate):
     """Apply one gate to one branch; yields (record, weight, matrix)."""
-    supp = _gate_support(gate)
-    positions = layout.positions(supp)
+    positions = layout.positions(gate.qubits)
     if isinstance(gate, Conditional):
         last = dict(record)
         u = gate.table.get(tuple(last.get(k) for k in gate.keys))
@@ -384,8 +378,6 @@ def _branch_apply_gate(record, weight, mat, dims, layout, gate):
     if isinstance(gate, Unitary):
         yield record, weight, apply_operator(mat, dims, positions, gate.matrix)
         return
-    if isinstance(gate, Measure):
-        gate = KrausGate(supp, _BASIS_PROJECTORS, key=gate.key)
     if isinstance(gate, KrausGate):
         if gate.key is None:
             acc = np.zeros_like(mat)
@@ -402,17 +394,10 @@ def _branch_apply_gate(record, weight, mat, dims, layout, gate):
     raise CircuitError(f"unknown gate type {type(gate).__name__}")
 
 
-def apply_layer(state: ClassicalQuantumState, layer: Layer) -> ClassicalQuantumState:
-    """One separable channel step; trace preserved within 1e-9."""
-    layout = state.layout
-    dims = layout.dims
-    before = state.total_weight
-    items = [(rec, w, dm.matrix) for rec, w, dm in state.branches]
-    for gate in layer.gates:
-        next_items = []
-        for rec, w, mat in items:
-            next_items.extend(_branch_apply_gate(rec, w, mat, dims, layout, gate))
-        items = next_items
+def _finish(layout, items, before: float) -> ClassicalQuantumState:
+    """Wrap channel output (record, weight, matrix) as branches: each matrix
+    is re-symmetrized and renormalized into its weight, branches of weight
+    <= 1e-16 are dropped, and the total weight must stay ``before``."""
     branches = []
     for rec, w, mat in items:
         mat = (mat + mat.conj().T) / 2
@@ -420,56 +405,25 @@ def apply_layer(state: ClassicalQuantumState, layer: Layer) -> ClassicalQuantumS
         if w * tr <= 1e-16:
             continue
         branches.append((rec, w * tr, DensityMatrix(layout, mat / tr, validate=False)))
-    out = ClassicalQuantumState(layout, branches, validate=False).merged()
-    if abs(out.total_weight - before) > TRACE_TOL:
-        raise CircuitError(
-            f"trace not preserved by layer: {before} -> {out.total_weight}"
-        )
-    return out
+    total = sum(w for _, w, _ in branches)
+    if not abs(total - before) <= TRACE_TOL:
+        raise InvariantError(f"trace not preserved: total weight {before!r} -> {total!r}")
+    return ClassicalQuantumState(layout, branches, validate=False)
 
 
-def apply_circuit(state: ClassicalQuantumState, circuit: Circuit) -> ClassicalQuantumState:
-    for layer in circuit.layers:
-        state = apply_layer(state, layer)
-    return state
+def apply_layer(state: ClassicalQuantumState, layer: Layer) -> ClassicalQuantumState:
+    """One separable channel step; branches with equal records are merged."""
+    layout = state.layout
+    dims = layout.dims
+    items = [(rec, w, dm.matrix) for rec, w, dm in state.branches]
+    for gate in layer.gates:
+        items = [out for rec, w, mat in items
+                 for out in _branch_apply_gate(rec, w, mat, dims, layout, gate)]
+    return _finish(layout, items, state.total_weight).merged()
 
 
 # ---------------------------------------------------------------------------
 # Noise
-
-
-@dataclass(frozen=True)
-class Depolarize:
-    """Single-qubit depolarizing on every listed qubit (X untouched)."""
-
-    p: float
-    qubits: tuple
-
-    def __init__(self, p, qubits):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        object.__setattr__(self, "p", float(p))
-        object.__setattr__(self, "qubits", tuple(str(q) for q in qubits))
-
-
-@dataclass(frozen=True)
-class Erase:
-    """Replace the region by the maximally mixed state; depolarize the rest."""
-
-    region: tuple
-    p: float
-    qubits: tuple
-
-    def __init__(self, region, p, qubits):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        region = tuple(str(q) for q in region)
-        qubits = tuple(str(q) for q in qubits)
-        if not set(region) <= set(qubits):
-            raise ValueError("erase region must be a subset of the noise qubits")
-        object.__setattr__(self, "region", region)
-        object.__setattr__(self, "p", float(p))
-        object.__setattr__(self, "qubits", qubits)
 
 
 def _depolarize_matrix(mat, dims, pos, p):
@@ -488,37 +442,32 @@ def _depolarize_matrix(mat, dims, pos, p):
     return out.reshape(mat.shape)
 
 
-def noise_apply(state, mode) -> ClassicalQuantumState:
-    """Apply a noise mode branch-by-branch with exact channel arithmetic.
-
-    Each qubit gets its own single-qubit channel (p = 1 on an erased
-    region, ``mode.p`` elsewhere); they act on different factors, so the
-    order does not matter.
+def noise_apply(state: ClassicalQuantumState, p: float, qubits: Sequence[str],
+                erased: Iterable[str] = ()) -> ClassicalQuantumState:
+    """Depolarizing noise at rate p on each of ``qubits``, branch by
+    branch, with exact channel arithmetic; the ``erased`` qubits (a subset)
+    get rate 1 and so are replaced by the maximally mixed state. The
+    channels act on different factors, so their order does not matter, and
+    the X record is untouched.
     """
-    if isinstance(state, DensityMatrix):
-        state = ClassicalQuantumState.from_density(state)
-    if isinstance(mode, Depolarize):
-        erased: frozenset = frozenset()
-    elif isinstance(mode, Erase):
-        erased = frozenset(mode.region)
-    else:
-        raise CircuitError(f"unknown noise mode {type(mode).__name__}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    qubits = tuple(str(q) for q in qubits)
+    erased = {str(q) for q in erased}
+    if not erased <= set(qubits):
+        raise ValueError("erase region must be a subset of the noise qubits")
     layout = state.layout
     dims = layout.dims
-    rates = [(layout.position(q), 1.0 if q in erased else mode.p) for q in mode.qubits]
-    branches = []
-    for rec, w, dm in state.branches:
-        mat = dm.matrix
-        for pos, p in rates:
-            if p > 0.0:
-                mat = _depolarize_matrix(mat, dims, pos, p)
-        mat = (mat + mat.conj().T) / 2
-        tr = mat.trace().real
-        branches.append((rec, w * tr, DensityMatrix(layout, mat / tr, validate=False)))
-    out = ClassicalQuantumState(layout, branches, validate=False)
-    if abs(out.total_weight - state.total_weight) > TRACE_TOL:
-        raise CircuitError("trace not preserved by noise application")
-    return out
+    rates = [(layout.position(q), 1.0 if q in erased else p) for q in qubits]
+
+    def noisy(mat):
+        for pos, rate in rates:
+            if rate > 0.0:
+                mat = _depolarize_matrix(mat, dims, pos, rate)
+        return mat
+
+    items = ((rec, w, noisy(dm.matrix)) for rec, w, dm in state.branches)
+    return _finish(layout, items, state.total_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +517,6 @@ class EcModule:
         return int(round(np.log2(self.encoder.shape[1])))
 
     @property
-    def rounds_count(self) -> int:
-        return len(self.rounds)
-
-    @property
     def depth(self) -> int:
         return max((c.depth for c in self.rounds), default=0)
 
@@ -583,11 +528,6 @@ class EcModule:
         report.ok = not report.violations
         return report
 
-    def state_layout(self) -> RegisterLayout:
-        regs = [Register("R", self.encoder.shape[1])]
-        regs.extend(Register(v, 2) for v in self.graph.vertices)
-        return RegisterLayout(regs)
-
     def target_state(self) -> PureState:
         """(I_R (x) U)(Phi_RL) on registers R + data qubits (data order)."""
         dk = self.encoder.shape[1]
@@ -597,37 +537,47 @@ class EcModule:
         return PureState(RegisterLayout(regs), enc.ravel(), validate=False)
 
 
+def with_reference(state: PureState) -> PureState:
+    """``state`` with a trivial reference register R (dimension 1) in
+    front, unless it already has an R."""
+    if "R" in state.layout:
+        return state
+    regs = (Register("R", 1),) + state.layout.registers
+    return PureState(RegisterLayout(regs), state.vector, validate=False)
+
+
 def _initial_cq_state(module: EcModule, input_state) -> ClassicalQuantumState:
-    layout = module.state_layout()
-    others = [v for v in module.graph.vertices if v not in set(module.data_qubits)]
+    """The input on R + data qubits, every other vertex in |0>, as one
+    branch on R + the graph vertices in vertex order."""
     if input_state is None:
         prepared = module.target_state()
     elif isinstance(input_state, PureState):
-        prepared = input_state
+        prepared = with_reference(input_state)
     else:
         raise CircuitError("input_state must be a PureState on R + data qubits")
-    if "R" not in prepared.layout:
-        # trivial reference register; only sensible when the code has k = 0
-        regs = (Register("R", module.encoder.shape[1] if module.k == 0 else 1),)
-        prepared = PureState(
-            RegisterLayout(regs + prepared.layout.registers), prepared.vector,
-            validate=False,
-        )
     want = ("R",) + module.data_qubits
-    if prepared.layout.labels != want:
-        prepared = prepared.permuted([lab for lab in want if lab in prepared.layout.labels])
-        if prepared.layout.labels != want:
-            raise CircuitError(f"input state registers {prepared.layout.labels} != {want}")
+    have = dict(zip(prepared.layout.labels, prepared.layout.dims))
+    if set(have) != set(want):
+        raise CircuitError(
+            f"input state registers {prepared.layout.labels} must be exactly "
+            f"R + data qubits {want}"
+        )
+    need = {"R": module.encoder.shape[1], **{q: 2 for q in module.data_qubits}}
+    for label, dim in have.items():
+        if dim != need[label]:
+            raise CircuitError(
+                f"input register {label!r} has dimension {dim}; the module needs {need[label]}"
+            )
+    prepared = prepared.permuted(want)
+    others = [v for v in module.graph.vertices if v not in set(module.data_qubits)]
     vec = prepared.vector
     if others:
         zeros = np.zeros(2 ** len(others), dtype=complex)
         zeros[0] = 1.0
         vec = np.kron(vec, zeros)
-    pre_regs = list(prepared.layout.registers) + [Register(v, 2) for v in others]
-    full = PureState(RegisterLayout(pre_regs), vec, validate=False)
+    regs = prepared.layout.registers + tuple(Register(v, 2) for v in others)
+    full = PureState(RegisterLayout(regs), vec, validate=False)
     full = full.permuted(("R",) + module.graph.vertices)
-    if full.layout != layout:
-        raise CircuitError("internal layout mismatch")
     return ClassicalQuantumState.from_density(full.to_density())
 
 
@@ -646,40 +596,33 @@ def simulate_module(
     report = module.validate()
     if not report.ok:
         raise CircuitError("module failed validation: " + "; ".join(report.violations))
-    total_qubits = module.m + module.k
-    if total_qubits > 12:
-        raise CircuitError("simulation limited to about 12 total qubits")
+    if module.m + module.k > MAX_QUBITS:
+        raise CircuitError(f"simulation limited to about {MAX_QUBITS} total qubits")
     state = _initial_cq_state(module, input_state)
-    qubits = module.graph.vertices
     for j, circ in enumerate(module.rounds):
-        if erased is not None and erased[1] == j:
-            state = noise_apply(state, Erase(tuple(erased[0]), module.p, qubits))
-        else:
-            state = noise_apply(state, Depolarize(module.p, qubits))
-        state = apply_circuit(state, circ)
+        region = erased[0] if erased is not None and erased[1] == j else ()
+        state = noise_apply(state, module.p, module.graph.vertices, region)
+        for layer in circ.layers:
+            state = apply_layer(state, layer)
     return state
 
 
-def logical_error_rate(module: EcModule, decoder=None) -> float:
-    """delta = 1 - F(recovered state on R+A', encoded target).
+def target_fidelity(module: EcModule, state: ClassicalQuantumState,
+                    target: PureState) -> float:
+    """<t|rho|t>, where rho is the branch average of ``state`` reduced to
+    R + data qubits and t is ``target`` on those registers, both in data
+    order: the ancillas and the classical record are traced out."""
+    data = set(module.data_qubits)
+    keep = ("R",) + tuple(v for v in module.graph.vertices if v in data)
+    want = ("R",) + module.data_qubits
+    rho = state.average_state().reduced(keep).permuted(want)
+    t = target.permuted(want).vector
+    return float(np.real(t.conj() @ rho.matrix @ t))
 
-    The default decoder traces out the ancilla and the classical record
-    and compares against the pure encoded target directly.
-    """
-    final = simulate_module(module)
-    target = module.target_state()
-    if decoder is None:
-        avg = final.average_state()
-        rho_out = avg.reduced(("R",) + tuple(
-            v for v in module.graph.vertices if v in set(module.data_qubits)
-        ))
-        rho_out = rho_out.permuted(("R",) + module.data_qubits)
-    else:
-        rho_out = decoder(final)
-        if rho_out.layout.labels != ("R",) + module.data_qubits:
-            rho_out = rho_out.permuted(("R",) + module.data_qubits)
-    t = target.vector
-    fid = float(np.real(t.conj() @ rho_out.matrix @ t))
+
+def logical_error_rate(module: EcModule) -> float:
+    """delta = 1 - F(recovered state on R + data qubits, encoded target)."""
+    fid = target_fidelity(module, simulate_module(module), module.target_state())
     return min(max(1.0 - fid, 0.0), 1.0)
 
 
@@ -728,6 +671,11 @@ def parse_circuit_lines(lines: Iterable[str]) -> Circuit:
             m = _parse_uint(toks[1]) if len(toks) == 2 else None
             if m is None:
                 raise ParseError(line_no, "expected: qubits <m>")
+            if m > MAX_QUBITS:
+                raise ParseError(
+                    line_no,
+                    f"circuit files limited to {MAX_QUBITS} qubits (dense state vector); got {m}",
+                )
         elif head == "edge":
             if m is None:
                 raise ParseError(line_no, "edge before qubits line")
@@ -762,7 +710,7 @@ def parse_circuit_lines(lines: Iterable[str]) -> Circuit:
                 raise ParseError(line_no, "gate outside a layer block")
             if len(toks) != 4 or toks[2] != "->":
                 raise ParseError(line_no, "expected: meas <q> -> <label>")
-            current.append(Measure(toks[1], toks[3]))
+            current.append(measure_gate(toks[1], toks[3]))
         elif head == "kraus":
             if current is None:
                 raise ParseError(line_no, "gate outside a layer block")

@@ -3,8 +3,10 @@ JSON reporting.
 
 Every subcommand emits a versioned JSON report (top-level "schema": 1) on
 stdout or to --output. Exit codes: 0 success/pass, 1 verification
-violation, 2 input error. Identical argv and files produce byte-identical
-output. No environment variable is consulted.
+violation, 2 input error, 3 internal error (a failed internal
+consistency check; a message on stderr, never a traceback). Identical
+argv and files produce byte-identical output. No environment variable is
+consulted.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import bounds as bnd
 from . import partition as part
 from . import separability as sep
 from . import verify as ver
-from .circuit import read_circuit_file, validate_embedding
+from .circuit import InvariantError, read_circuit_file, validate_embedding
 from .entropy import coherent_info, g_continuity, vn_entropy
 from .qstate import ParseError
 from .rand import DEFAULT_SEED
@@ -495,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list) -> int:
     """Parse argv, run the subcommand, emit the JSON report; returns the
-    exit code (0 ok, 1 verification violation, 2 input error)."""
+    exit code (0 ok, 1 verification violation, 2 input error, 3 internal
+    error)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -510,6 +513,9 @@ def dispatch(argv: list) -> int:
     except ArithmeticError as exc:  # finite inputs whose arithmetic leaves float64
         sys.stderr.write(f"error: inputs out of float64 range: {exc}\n")
         return 2
+    except InvariantError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
     _emit(text, args.output)
     return code
 

@@ -182,7 +182,7 @@ def check_guarantees(partition: Partition, embedding: Embedding, lam: int,
     """
     dim = embedding.dimension
     k = kappa_default(embedding.c, dim) if kappa is None else kappa
-    budget = k * lam ** ((dim - 1) / dim)
+    budget = boundary_budget(lam, embedding.c, dim, k)
     m = total_vertices if total_vertices is not None else sum(partition.sizes)
 
     sizes = partition.sizes

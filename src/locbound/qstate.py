@@ -123,12 +123,6 @@ class RegisterLayout:
             self.position(lab)
         return tuple(lab for lab in self.labels if lab not in drop)
 
-    def concat(self, other: "RegisterLayout") -> "RegisterLayout":
-        overlap = set(self.labels) & set(other.labels)
-        if overlap:
-            raise ValueError(f"register label collision: {sorted(overlap)}")
-        return RegisterLayout(self.registers + other.registers)
-
 
 def _as_layout(layout) -> RegisterLayout:
     if isinstance(layout, RegisterLayout):
@@ -228,20 +222,6 @@ class PureState:
         vec.setflags(write=False)
         self.vector = vec
 
-    @classmethod
-    def computational(cls, layout, bits: Sequence[int]) -> "PureState":
-        layout = _as_layout(layout)
-        if len(bits) != len(layout):
-            raise ValueError("one basis index per register required")
-        idx = 0
-        for b, d in zip(bits, layout.dims):
-            if not 0 <= b < d:
-                raise ValueError(f"basis index {b} out of range for dimension {d}")
-            idx = idx * d + b
-        v = np.zeros(layout.dim, dtype=complex)
-        v[idx] = 1.0
-        return cls(layout, v, validate=False)
-
     def to_density(self) -> DensityMatrix:
         return DensityMatrix.from_vector(self.layout, self.vector)
 
@@ -330,12 +310,6 @@ class ClassicalQuantumState:
 
 # ---------------------------------------------------------------------------
 # Operations
-
-
-def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product in layout order; labels must be disjoint."""
-    layout = a.layout.concat(b.layout)
-    return DensityMatrix(layout, np.kron(a.matrix, b.matrix), validate=False)
 
 
 def partial_trace(rho: DensityMatrix, drop: Iterable[str]) -> DensityMatrix:

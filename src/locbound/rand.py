@@ -56,9 +56,3 @@ def random_kraus_channel(rng, dim_in: int, dim_out: int | None = None, n_kraus: 
     q, _ = np.linalg.qr(g)  # isometry: q^dag q = I_{dim_in}
     return [q[i * dim_out : (i + 1) * dim_out, :] for i in range(n_kraus)]
 
-
-def apply_kraus(mat: np.ndarray, kraus) -> np.ndarray:
-    out = np.zeros((kraus[0].shape[0], kraus[0].shape[0]), dtype=complex)
-    for k in kraus:
-        out += k @ mat @ k.conj().T
-    return (out + out.conj().T) / 2

@@ -20,21 +20,24 @@ import numpy as np
 from . import circuit as circ
 from .bounds import BoundInputs, depth_bound_rhs, overhead_floor
 from .circuit import (
+    MAX_QUBITS,
     Circuit,
     Conditional,
     ConnectivityGraph,
     EcModule,
     Layer,
-    Measure,
     Unitary,
     boundary,
     grid_graph,
     logical_error_rate,
+    measure_gate,
     reset_gate,
     simulate_module,
+    target_fidelity,
+    with_reference,
 )
 from .entropy import cond_mutual_info, g_slack, vn_entropy
-from .qstate import DensityMatrix, PureState, Register, RegisterLayout, fidelity
+from .qstate import DensityMatrix, PureState, RegisterLayout, fidelity
 from .rand import (
     DEFAULT_SEED,
     random_density,
@@ -184,9 +187,10 @@ def verify_sie(
         layer_list = [random_unitary_layer(graph, rng) for _ in range(layers)]
     else:
         graph = circuit.graph
-        if graph.m > 12:
+        if graph.m > MAX_QUBITS:
             raise ValueError(
-                f"verify_sie limited to 12 qubits (dense state vector); circuit has {graph.m}"
+                f"verify_sie limited to {MAX_QUBITS} qubits (dense state vector); "
+                f"circuit has {graph.m}"
             )
         if any(not isinstance(g, Unitary) for layer in circuit.layers for g in layer.gates):
             raise ValueError("verify_sie requires unitary-only layers")
@@ -340,17 +344,9 @@ class DepthBoundScenario:
     target: PureState | None = None
 
 
-def _prepend_trivial_reference(state: PureState) -> PureState:
-    regs = (Register("R", 1),) + state.layout.registers
-    return PureState(RegisterLayout(regs), state.vector, validate=False)
-
-
 def _scenario_target(scenario: DepthBoundScenario) -> PureState:
     if scenario.target is not None:
-        t = scenario.target
-        if "R" not in t.layout:
-            t = _prepend_trivial_reference(t)
-        return t
+        return with_reference(scenario.target)
     return scenario.module.target_state()
 
 
@@ -375,11 +371,7 @@ def verify_depth_bound(
         lam = tuple(q for q in gamma if q in set(data))
 
         out = simulate_module(module, input_state=sc.input_state)
-        keep = ("R",) + tuple(v for v in module.graph.vertices if v in set(data))
-        rho_ra = out.average_state().reduced(keep).permuted(("R",) + data)
-        tvec = target.vector
-        delta = 1.0 - float(np.real(tvec.conj() @ rho_ra.matrix @ tvec))
-        delta = min(max(delta, 0.0), 1.0)
+        delta = min(max(1.0 - target_fidelity(module, out, target), 0.0), 1.0)
 
         if not lam or set(lam) == set(data):
             e_r = 0.0  # degenerate cut
@@ -398,9 +390,8 @@ def verify_depth_bound(
         eps = delta / module.p ** len(gamma) if module.p > 0 else np.inf
         if np.isfinite(eps):
             erased = simulate_module(module, input_state=sc.input_state,
-                                     erased=(gamma, module.rounds_count - 1))
-            rho_er = erased.average_state().reduced(keep).permuted(("R",) + data)
-            fid_er = float(np.real(tvec.conj() @ rho_er.matrix @ tvec))
+                                     erased=(gamma, len(module.rounds) - 1))
+            fid_er = target_fidelity(module, erased, target)
             checker.check(1.0 - eps, fid_er + SLACK_EXACT)
         details.append(
             {"scenario": sc.name, "delta": delta, "ree_target": e_r,
@@ -538,7 +529,7 @@ def repetition_module(p: float, rounds: int = 2) -> EcModule:
             Layer([Unitary(("d0", "a0"), _CNOT), Unitary(("d2", "a1"), _CNOT)]),
             Layer([Unitary(("d1", "a0"), _CNOT)]),
             Layer([Unitary(("d1", "a1"), _CNOT)]),
-            Layer([Measure("a0", k0), Measure("a1", k1)]),
+            Layer([measure_gate("a0", k0), measure_gate("a1", k1)]),
             Layer([
                 Conditional(("d0",), (k0, k1), {(1, 0): _X}),
                 Conditional(("d1",), (k0, k1), {(1, 1): _X}),

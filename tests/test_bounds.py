@@ -9,8 +9,6 @@ from locbound.bounds import (
     encoding_depth_floor,
     encoding_depth_floor_geometric,
     overhead_floor,
-    structure_unitary_floor,
-    structure_unitary_terms,
     syndrome_depth_floor,
 )
 
@@ -64,25 +62,6 @@ def test_syndrome_depth_floor():
     assert abs(syndrome_depth_floor(15, 2, 1, 1) - 4.0) < 1e-12
     floors = [syndrome_depth_floor(k, 10, 30, 2) for k in range(1, 40)]
     assert all(b >= a for a, b in zip(floors, floors[1:]))  # monotone in k
-
-
-def test_structure_unitary_floor():
-    assert structure_unitary_floor(3, 0.5, 0.0, [1, 2]) == 3.0
-    eps = 2.0 ** -7
-    root = math.sqrt(eps)
-    expect = 1.0 - (2 * root * 1 + g_oracle(root))
-    got = structure_unitary_floor(1, 0.5, 2.0 ** -8, [1])
-    assert abs(got - expect) < 1e-12
-    # saturated block: bound is vacuous
-    info = structure_unitary_terms(1, 0.5, 0.9, [1])
-    assert info["saturated"] == [1]
-    assert structure_unitary_floor(1, 0.5, 0.9, [1]) == 0.0
-    # monotone non-increasing in delta, non-decreasing in k
-    deltas = [structure_unitary_floor(4, 0.5, d, [1, 1, 1, 1])
-              for d in (0.0, 1e-6, 1e-4, 1e-3)]
-    assert all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:]))
-    ks = [structure_unitary_floor(k, 0.5, 1e-6, [1, 1]) for k in (1, 2, 3, 4)]
-    assert all(b >= a - 1e-12 for a, b in zip(ks, ks[1:]))
 
 
 def test_depth_bound_rhs():

@@ -10,19 +10,17 @@ from locbound.circuit import (
     CircuitError,
     Conditional,
     ConnectivityGraph,
-    Depolarize,
     EcModule,
     Embedding,
-    Erase,
     KrausGate,
     Layer,
-    Measure,
     Unitary,
     apply_layer,
     apply_operator,
     boundary,
     grid_graph,
     logical_error_rate,
+    measure_gate,
     noise_apply,
     parse_circuit_lines,
     simulate_module,
@@ -34,6 +32,7 @@ from locbound.qstate import (
     ClassicalQuantumState,
     DensityMatrix,
     ParseError,
+    PureState,
     RegisterLayout,
 )
 from locbound.rand import random_density, random_unitary
@@ -193,7 +192,7 @@ def test_validate_layer():
     assert not rep.ok
     assert any("locality" in v for v in rep.violations)
     # measurement is a separable A:X instrument: fine anywhere
-    assert validate_layer(g, Layer([Measure("2", "s")])).ok
+    assert validate_layer(g, Layer([measure_gate("2", "s")])).ok
     # completeness violations
     rep = validate_layer(g, Layer([Unitary(("0",), np.array([[1, 0], [0, 0.5]]))]))
     assert any("completeness" in v for v in rep.violations)
@@ -205,8 +204,19 @@ def test_validate_layer():
     nan_kraus = KrausGate(("0",), [np.array([[np.nan, 0], [0, 1]])])
     assert any("completeness" in v for v in validate_layer(g, Layer([nan_kraus])).violations)
     # qubit reuse inside one layer
-    rep = validate_layer(g, Layer([Measure("0", "a"), Measure("0", "b")]))
+    rep = validate_layer(g, Layer([measure_gate("0", "a"), measure_gate("0", "b")]))
     assert any("two gates" in v for v in rep.violations)
+    # an object that is not a gate is reported, not raised
+    rep = validate_layer(g, Layer([("0", "1")]))
+    assert rep.violations == ["unknown gate type tuple"]
+
+
+def test_measure_gate_is_keyed_projective_kraus():
+    gate = measure_gate("3", "s")
+    assert isinstance(gate, KrausGate)
+    assert gate.qubits == ("3",) and gate.key == "s"
+    assert [np.diag(k).real.tolist() for k in gate.operators] == [[1, 0], [0, 1]]
+    assert Layer([gate, Unitary(("0", "1"), CNOT)]).support == ("3", "0", "1")
 
 
 def test_validate_layer_conditional_table():
@@ -230,7 +240,7 @@ def test_validate_layer_conditional_table():
 
 def test_simulate_module_refuses_bad_conditional():
     g = ConnectivityGraph(["0", "1"], [("0", "1")])
-    layers = [Layer([Measure("1", "s")]),
+    layers = [Layer([measure_gate("1", "s")]),
               Layer([Conditional(("0",), ("s",), {(1,): np.eye(2) * 2})])]
     mod = EcModule(g, rounds=[Circuit(g, layers)], data_qubits=("0",),
                    encoder=np.eye(2, dtype=complex), p=0.1)
@@ -255,14 +265,14 @@ def test_apply_layer_identity_and_cnot():
 def test_apply_layer_measurement_branches():
     lay = RegisterLayout.qubits("0")
     st = cq_pure(lay, H @ [1, 0])
-    out = apply_layer(st, Layer([Measure("0", "s")]))
+    out = apply_layer(st, Layer([measure_gate("0", "s")]))
     assert len(out.branches) == 2
     weights = sorted(round(w, 10) for _, w, _ in out.branches)
     assert weights == [0.5, 0.5]
     records = sorted(rec for rec, _, _ in out.branches)
     assert records == [(("s", 0),), (("s", 1),)]
     # a second write of the same key appends; dict() keeps the last value
-    again = apply_layer(out, Layer([Measure("0", "s")]))
+    again = apply_layer(out, Layer([measure_gate("0", "s")]))
     assert sorted(rec for rec, _, _ in again.branches) == [
         (("s", 0), ("s", 0)), (("s", 1), ("s", 1))]
     assert {dict(rec)["s"] for rec, _, _ in again.branches} == {0, 1}
@@ -276,7 +286,7 @@ def test_apply_layer_conditional_and_trace():
     st = cq_pure(lay, np.kron(np.kron(H @ [1, 0], [0, 1]), [1, 0]))
     x = np.array([[0, 1], [1, 0]])
     layers = [
-        Layer([Measure("0", "s"), Measure("1", "t")]),
+        Layer([measure_gate("0", "s"), measure_gate("1", "t")]),
         Layer([Conditional(("1",), ("s", "t"), {(1, 1): x}),
                Conditional(("2",), ("s", "missing"), {(1, None): x})]),
     ]
@@ -294,20 +304,23 @@ def test_apply_layer_conditional_and_trace():
 def test_noise_modes():
     lay = RegisterLayout.qubits("0", "1")
     st = cq_pure(lay, [1, 0, 0, 0])
-    full = noise_apply(st, Depolarize(1.0, ("0", "1")))
+    full = noise_apply(st, 1.0, ("0", "1"))
     assert np.abs(full.branches[0][2].matrix - np.eye(4) / 4).max() < 1e-12
 
-    none = noise_apply(st, Depolarize(0.0, ("0", "1")))
+    none = noise_apply(st, 0.0, ("0", "1"))
     assert np.abs(none.branches[0][2].matrix - st.branches[0][2].matrix).max() < 1e-12
 
-    erased = noise_apply(st, Erase(("0",), 0.3, ("0", "1")))
+    erased = noise_apply(st, 0.3, ("0", "1"), erased=("0",))
     red = erased.average_state().reduced(["0"])
     assert np.abs(red.matrix - np.eye(2) / 2).max() < 1e-12
+    # the erased qubit gets rate 1, the other one rate p
+    expect = noise_apply(noise_apply(st, 1.0, ("0",)), 0.3, ("1",))
+    assert np.abs(erased.branches[0][2].matrix - expect.branches[0][2].matrix).max() < 1e-15
 
-    with pytest.raises(ValueError):
-        Depolarize(1.5, ("0",))
-    with pytest.raises(ValueError):
-        Erase(("7",), 0.1, ("0",))
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+        noise_apply(st, 1.5, ("0",))
+    with pytest.raises(ValueError, match="subset of the noise qubits"):
+        noise_apply(st, 0.1, ("0",), erased=("1",))
 
 
 def test_depolarizing_channel_formula():
@@ -396,16 +409,23 @@ def test_simulation_size_cap():
         simulate_module(mod)
 
 
-def test_custom_decoder():
-    # decoder that traces out nothing extra: matches the default on the
-    # trivial module
-    mod = trivial_module(0.25)
+def test_input_state_registers_checked_up_front():
+    # an input must live on exactly R + data qubits
+    mod = trivial_module(0.1)
+    extra = PureState(RegisterLayout.qubits("0", "x"), [1, 0, 0, 0])
+    with pytest.raises(CircuitError, match=r"registers \('R', '0', 'x'\) must be exactly"):
+        simulate_module(mod, input_state=extra)
 
-    def decoder(cq):
-        avg = cq.average_state()
-        return avg.reduced(("R", "0"))
 
-    assert abs(logical_error_rate(mod, decoder) - logical_error_rate(mod)) < 1e-12
+def test_input_reference_dimension_checked():
+    # k = 0 modules take a trivial R; an R of dimension 2 is named with both
+    # dimensions instead of failing deep inside the layout code
+    from locbound.verify import swap_module
+
+    lay = RegisterLayout.of(("R", 2), ("0", 2), ("1", 2))
+    state = PureState(lay, np.eye(8)[0])
+    with pytest.raises(CircuitError, match="'R' has dimension 2; the module needs 1"):
+        simulate_module(swap_module(0.1), input_state=state)
 
 
 def test_mixture_identity_choi():
@@ -471,6 +491,22 @@ def test_circuit_file_round_trip(tmp_path):
     assert circ.graph.m == 3
     assert circ.depth == 2
     assert circ.validate().ok
+
+
+def test_circuit_file_qubit_limit_on_its_line():
+    # the qubits line is refused before any vertex label is built
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="limited to 12 qubits") as err:
+            parse_circuit_lines(["qubits 3000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line_no == 1
+    assert peak < 2 ** 20
+    assert parse_circuit_lines(["qubits 12"]).graph.m == 12
 
 
 def test_circuit_file_errors():

@@ -419,6 +419,21 @@ def test_verify_sie_circuit_qubit_limit(tmp_path):
     assert "limited to 12 qubits" in proc.stderr
 
 
+def test_internal_invariant_failure_exits_three(monkeypatch, capsys):
+    # a noise channel that loses trace is a fault of the package, not of the
+    # input: exit 3 with a one-line message and no report
+    import locbound.circuit as circuit
+
+    depolarize = circuit._depolarize_matrix
+    monkeypatch.setattr(circuit, "_depolarize_matrix",
+                        lambda mat, dims, pos, p: 0.5 * depolarize(mat, dims, pos, p))
+    assert dispatch(["verify", "overhead"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: trace not preserved")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # CLI contract over argv: exit 0 or 1 with strict JSON on stdout, or exit 2
 # with a message on stderr; dispatch never raises.

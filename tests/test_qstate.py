@@ -10,7 +10,6 @@ from locbound.qstate import (
     max_entangled_state,
     partial_trace,
     purify,
-    tensor_product,
     trace_distance,
 )
 from locbound.entropy import vn_entropy
@@ -45,28 +44,32 @@ def test_density_validation():
 
 
 def test_tensor_product_identities():
+    # products are built with np.kron on the joint layout; the constructors
+    # must agree with the product of their one-qubit versions
     mm = DensityMatrix.maximally_mixed(Q1)
-    mm_b = DensityMatrix.maximally_mixed(RegisterLayout.qubits("b"))
-    prod = tensor_product(mm, mm_b)
-    assert np.allclose(prod.matrix, np.eye(4) / 4)
+    assert np.allclose(DensityMatrix.maximally_mixed(Q2).matrix, np.kron(mm.matrix, mm.matrix))
+    assert np.allclose(DensityMatrix.maximally_mixed(Q2).matrix, np.eye(4) / 4)
 
     zero = DensityMatrix.computational(Q1, [0])
     one = DensityMatrix.computational(RegisterLayout.qubits("b"), [1])
-    p01 = tensor_product(zero, one)
+    p01 = DensityMatrix(Q2, np.kron(zero.matrix, one.matrix))
     expect = np.zeros((4, 4))
     expect[1, 1] = 1.0
     assert np.allclose(p01.matrix, expect)
+    assert np.allclose(DensityMatrix.computational(Q2, [0, 1]).matrix, expect)
 
     with pytest.raises(ValueError):
-        tensor_product(zero, DensityMatrix.computational(Q1, [1]))  # label collision
+        RegisterLayout.qubits("a", "a")  # label collision in a joint layout
 
 
 def test_tensor_trace_multiplicative():
     rng = np.random.default_rng(0)
+    q4 = RegisterLayout.qubits("a", "b", "c", "d")
     for _ in range(20):
         a = random_density(rng, Q2)
         b = random_density(rng, RegisterLayout.qubits("c", "d"))
-        prod = tensor_product(a, b)
+        # validation accepts the product: unit trace, Hermitian, PSD
+        prod = DensityMatrix(q4, np.kron(a.matrix, b.matrix))
         # oracle: direct multiplication of the traces
         assert abs(prod.matrix.trace().real - a.matrix.trace().real * b.matrix.trace().real) < 1e-12
 
@@ -78,7 +81,7 @@ def test_partial_trace_examples():
     rng = np.random.default_rng(1)
     a = random_density(rng, Q1)
     b = random_density(rng, RegisterLayout.qubits("b"))
-    prod = tensor_product(a, b)
+    prod = DensityMatrix(Q2, np.kron(a.matrix, b.matrix), validate=False)
     assert np.abs(partial_trace(prod, ["b"]).matrix - a.matrix).max() < 1e-12
 
     ghz_layout = RegisterLayout.qubits("a", "b", "c")

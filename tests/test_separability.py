@@ -9,7 +9,7 @@ from locbound.qstate import (
     RegisterLayout,
     max_entangled_state,
 )
-from locbound.rand import apply_kraus, random_density, random_pure, random_unitary
+from locbound.rand import random_density, random_pure, random_unitary
 from locbound.separability import (
     _objective_and_grad,
     ree_bracket,
@@ -146,9 +146,12 @@ def test_monotone_under_separable_channels():
             np.sqrt(p) * np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             for p in probs
         ]
-        out_rho = DensityMatrix(Q2, apply_kraus(rho.matrix, kraus), validate=False)
-        out_sig = DensityMatrix(Q2, apply_kraus(ens.assemble(Q2).matrix, kraus),
-                                validate=False)
+        def channel(mat):
+            out = sum(k @ mat @ k.conj().T for k in kraus)
+            return DensityMatrix(Q2, (out + out.conj().T) / 2, validate=False)
+
+        out_rho = channel(rho.matrix)
+        out_sig = channel(ens.assemble(Q2).matrix)
         transported = relative_entropy(out_rho, out_sig)
         assert transported.is_finite
         assert float(transported) <= up + 1e-3

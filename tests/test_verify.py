@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from locbound.circuit import Circuit, ConnectivityGraph, Layer, Measure
+from locbound.circuit import Circuit, ConnectivityGraph, Layer, measure_gate
 from locbound.stabilizer import five_qubit_code, four_two_two_code, repetition_code
 from locbound.verify import (
     DepthBoundScenario,
@@ -39,7 +39,7 @@ def test_verify_sie_guards():
     with pytest.raises(ValueError):
         verify_sie(qubits=10)
     g = ConnectivityGraph(["0"], [])
-    circ = Circuit(g, [Layer([Measure("0", "s")])])
+    circ = Circuit(g, [Layer([measure_gate("0", "s")])])
     with pytest.raises(ValueError):
         verify_sie(circuit=circ)
 
@@ -144,6 +144,23 @@ def test_repetition_module_corrects_bit_flips():
     mod = repetition_module(0.08, rounds=1)
     delta = logical_error_rate(mod)
     assert 0.0 < delta < 1.0
+
+
+def test_depth_bound_target_register_order():
+    # a target is matched by register label, not by position: the same
+    # state with its registers listed in the other order gives the same delta
+    from locbound.qstate import PureState, RegisterLayout
+
+    state = PureState(RegisterLayout.qubits("0", "1"), [0, 1, 0, 0])  # |0>_0 |1>_1
+    flipped = PureState(RegisterLayout.qubits("1", "0"), [0, 0, 1, 0])
+    deltas = [
+        verify_depth_bound([DepthBoundScenario(
+            "pair", isolated_pair_module(0.01), gamma=("0",), input_state=state, target=t,
+        )]).parameters["scenarios"][0]["delta"]
+        for t in (state, flipped)
+    ]
+    assert deltas[0] == pytest.approx(0.009975, abs=1e-12)
+    assert deltas[1] == deltas[0]
 
 
 def test_swap_and_isolated_modules():
