@@ -41,7 +41,6 @@ from .circuit import (
     validate_layer,
 )
 from .entropy import (
-    EntropyValue,
     binary_entropy,
     coherent_info,
     cond_mutual_info,

@@ -31,7 +31,6 @@ class BoundInputs:
     dim: int
     c1: float = 1.0
     c2: float = 1.0
-    d: int | None = None
 
     def __post_init__(self):
         if self.m < 1 or self.k < 1 or self.k > self.m:
@@ -59,13 +58,6 @@ class BoundReport:
     active_branch: str
     intermediates: dict = field(default_factory=dict)
     satisfiable: bool | None = None
-
-    def to_json(self) -> dict:
-        out = {"value": self.value, "active_branch": self.active_branch}
-        out.update(self.intermediates)
-        if self.satisfiable is not None:
-            out["satisfiable"] = self.satisfiable
-        return out
 
 
 def encoding_depth_floor(k: int, boundary_sizes: Sequence[float]) -> float:

@@ -281,10 +281,6 @@ class Layer:
     def __init__(self, gates):
         object.__setattr__(self, "gates", tuple(gates))
 
-    @property
-    def support(self) -> tuple:
-        return tuple(q for g in self.gates for q in g.qubits)
-
 
 @dataclass
 class LayerReport:

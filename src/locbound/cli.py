@@ -40,11 +40,16 @@ class InputError(ValueError):
     pass
 
 
-def _parse_region(text: str) -> list:
+def _parse_region(text: str, n: int) -> list:
+    """Comma-separated qubit indices, each in 0..n-1."""
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        region = [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise InputError(f"bad region {text!r}; expected comma-separated qubit indices")
+    for q in sorted(region):
+        if not 0 <= q < n:
+            raise InputError(f"qubit index {q} out of range")
+    return region
 
 
 def _finite_float(text: str) -> float:
@@ -67,8 +72,8 @@ def _int(text: str) -> int:
     return value
 
 
-def _parse_blocks(text: str) -> list:
-    return [_parse_region(part) for part in text.split(";") if part != ""]
+def _parse_blocks(text: str, n: int) -> list:
+    return [_parse_region(part, n) for part in text.split(";") if part != ""]
 
 
 def _render(report: dict) -> str:
@@ -119,7 +124,7 @@ def _cmd_code_distance(args):
 
 def _cmd_code_correctable(args):
     code = read_code_file(args.file)
-    region = _parse_region(args.region)
+    region = _parse_region(args.region, code.n)
     ok = correctable_region(code, region)
     return 0, {
         "command": "code correctable",
@@ -153,7 +158,7 @@ def _cmd_entropy(args):
     if args.code is None or args.region is None:
         raise InputError("entropy needs either --epsilon or --code with --region")
     code = read_code_file(args.code)
-    region = _parse_region(args.region)
+    region = _parse_region(args.region, code.n)
     labels = [f"q{q}" for q in region]
     rho = code.encoded_maximally_mixed()
     rest = rho.layout.complement(labels)
@@ -170,7 +175,7 @@ def _cmd_entropy(args):
 
 def _cmd_ree(args):
     code = read_code_file(args.code)
-    region = _parse_region(args.region)
+    region = _parse_region(args.region, code.n)
     labels = [f"q{q}" for q in region]
     if 2 ** code.n > 64:
         raise InputError("ree limited to total dimension <= 64 (n <= 6 qubits)")
@@ -287,7 +292,7 @@ def _cmd_verify_sie(args):
 
 def _cmd_verify_structure(args):
     code = read_code_file(args.code)
-    blocks = _parse_blocks(args.partition)
+    blocks = _parse_blocks(args.partition, code.n)
     report = ver.verify_structure_code(code, blocks)
     return _verify_exit(report)
 

@@ -2,13 +2,16 @@
 coherent information, conditional mutual information, and the binary
 entropy / continuity-slack functions h and g.
 
-Matrix logarithms go through Hermitian eigendecompositions only; the
-eigenvalue cutoff separates genuine support violations from float noise.
+Matrix logarithms go through Hermitian eigendecompositions only, and
+every spectrum entropy -sum lam log2 lam is formed by `_spectrum_entropy`.
+Relative entropy is a plain float: +inf when supp(rho) is not contained
+in supp(sigma), where the support cutoff separates genuine violations
+from float noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Iterable
 
 import numpy as np
@@ -18,27 +21,9 @@ from .qstate import DensityMatrix
 EIG_CUTOFF = 1e-12  # treat eigenvalues below this as 0 in x log x
 SUPPORT_CUTOFF = 1e-10  # kernel threshold for the support test
 
-LOG2 = np.log(2.0)
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """Relative-entropy result; ``support_violation`` encodes +infinity."""
-
-    value: float
-    support_violation: bool = False
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.support_violation
-
-    def __float__(self) -> float:
-        if self.support_violation:
-            return float("inf")
-        return self.value
-
 
 def _spectrum_entropy(evals: np.ndarray) -> float:
+    """-sum lam log2 lam over the eigenvalues above EIG_CUTOFF, in bits."""
     lam = evals[evals > EIG_CUTOFF]
     return float(-(lam * np.log2(lam)).sum())
 
@@ -52,13 +37,12 @@ def vn_entropy(rho: DensityMatrix, subset: Iterable[str] | None = None) -> float
     return _spectrum_entropy(np.clip(evals, 0.0, None))
 
 
-def relative_entropy(rho: DensityMatrix, sigma) -> EntropyValue:
+def relative_entropy(rho: DensityMatrix, sigma) -> float:
     """Relative entropy D(rho || sigma) = tr rho (log rho - log sigma), in bits.
 
     ``sigma`` may be a DensityMatrix or any Hermitian PSD array of the
     same dimension (e.g. the non-normalized operator I (x) rho_B).
-    Returns a support-violation flag when supp(rho) is not contained in
-    supp(sigma).
+    Returns ``math.inf`` when supp(rho) is not contained in supp(sigma).
     """
     if isinstance(sigma, DensityMatrix):
         if rho.layout != sigma.layout:
@@ -74,15 +58,13 @@ def relative_entropy(rho: DensityMatrix, sigma) -> EntropyValue:
         proj = s_vecs[:, kernel]
         leak = float(np.einsum("ik,ij,jk->", proj.conj(), rho.matrix, proj).real)
         if leak > SUPPORT_CUTOFF:
-            return EntropyValue(0.0, support_violation=True)
-    r_evals, r_vecs = np.linalg.eigh(rho.matrix)
-    r_evals = np.clip(r_evals, 0.0, None)
-    tr_rho_log_rho = float((r_evals[r_evals > EIG_CUTOFF] * np.log2(r_evals[r_evals > EIG_CUTOFF])).sum())
+            return math.inf
+    tr_rho_log_rho = -_spectrum_entropy(np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None))
     # tr(rho log sigma) restricted to the support of sigma
     log_s = np.where(s_evals > SUPPORT_CUTOFF, np.log2(np.clip(s_evals, SUPPORT_CUTOFF, None)), 0.0)
     rho_in_s = s_vecs.conj().T @ rho.matrix @ s_vecs
     tr_rho_log_sig = float((np.diag(rho_in_s).real * log_s).sum())
-    return EntropyValue(tr_rho_log_rho - tr_rho_log_sig)
+    return tr_rho_log_rho - tr_rho_log_sig
 
 
 def _check_partition(rho: DensityMatrix, *parts) -> None:

@@ -162,27 +162,6 @@ class DensityMatrix:
         v = v / np.linalg.norm(v)
         return cls(layout, np.outer(v, v.conj()), validate=False)
 
-    @classmethod
-    def maximally_mixed(cls, layout) -> "DensityMatrix":
-        layout = _as_layout(layout)
-        d = layout.dim
-        return cls(layout, np.eye(d) / d, validate=False)
-
-    @classmethod
-    def computational(cls, layout, bits: Sequence[int]) -> "DensityMatrix":
-        """Product basis state |b1 b2 ...> over the layout."""
-        layout = _as_layout(layout)
-        if len(bits) != len(layout):
-            raise ValueError("one basis index per register required")
-        idx = 0
-        for b, d in zip(bits, layout.dims):
-            if not 0 <= b < d:
-                raise ValueError(f"basis index {b} out of range for dimension {d}")
-            idx = idx * d + b
-        v = np.zeros(layout.dim, dtype=complex)
-        v[idx] = 1.0
-        return cls.from_vector(layout, v)
-
     @property
     def dim(self) -> int:
         return self.layout.dim

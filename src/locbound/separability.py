@@ -5,24 +5,28 @@ explicitly separable ensembles.
 The upper-bound search is a multi-restart local search over ensemble
 parameters (softmax weights, unit-vector pure product factors); every
 feasible point assembles to a separable state, so any returned value is a
-sound upper bound regardless of convergence. Restart seeds derive from the
-master seed, so results are deterministic for a given budget.
+sound upper bound regardless of convergence. One decode maps parameters to
+an ensemble and one assembly maps an ensemble to sigma, for the objective
+and the returned witness alike; the reported value is D(rho || sigma) from
+`relative_entropy`. Restart seeds derive from the master seed, so results
+are deterministic for a given budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .entropy import coherent_info, relative_entropy
+from .entropy import _check_partition, coherent_info, relative_entropy, vn_entropy
 from .qstate import DensityMatrix
 from .rand import DEFAULT_SEED, rng_from
 
 DEFAULT_RESTARTS = 20
 DEFAULT_ITERATIONS = 2000
+STOP_MARGIN = 5e-4  # ree_bracket stops restarting once upper <= lower + this
 
 _LN2 = np.log(2.0)
 _EIG_FLOOR = 1e-18
@@ -37,21 +41,14 @@ class SeparableEnsemble:
     order (A side then B side).
     """
 
-    a_labels: tuple
-    b_labels: tuple
     weights: np.ndarray
     a_factors: np.ndarray  # (terms, dim_A), rows unit norm
     b_factors: np.ndarray  # (terms, dim_B), rows unit norm
 
-    def assemble_matrix(self) -> np.ndarray:
-        prod = np.einsum("ti,tj->tij", self.a_factors, self.b_factors)
-        c = prod.reshape(len(self.weights), -1)
-        sig = (c.T * self.weights) @ c.conj()
-        return (sig + sig.conj().T) / 2
-
     def assemble(self, layout) -> DensityMatrix:
         """Assembled separable state on the given (A then B) layout."""
-        return DensityMatrix(layout, self.assemble_matrix(), validate=False)
+        sigma, _ = _assemble(self.weights, self.a_factors, self.b_factors)
+        return DensityMatrix(layout, sigma, validate=False)
 
 
 @dataclass
@@ -62,14 +59,12 @@ class ReeBracket:
     restarts_run: int = 0
     iterations_run: int = 0
     converged: bool = False
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _split_cut(rho: DensityMatrix, a, b):
     a = tuple(a)
     b = tuple(rho.layout.complement(a)) if b is None else tuple(b)
-    if set(a) | set(b) != set(rho.layout.labels) or set(a) & set(b):
-        raise ValueError("cut must partition the register labels")
+    _check_partition(rho, a, b)
     if not a or not b:
         raise ValueError("both sides of the cut must be nonempty")
     return a, b
@@ -85,18 +80,27 @@ def ree_lower(rho: DensityMatrix, a: Iterable[str], b: Iterable[str] | None = No
 # Upper bound: projected local search over ensemble parameters
 
 
-def _unpack(theta, terms, da, db):
-    t = terms
+def _decode(theta, terms, da, db):
+    """Parameters -> (softmax weights p, unit factors a_hat, b_hat, and the
+    factor norms |a|, |b| the tangential gradient divides by)."""
+    t, na, nb = terms, terms * da, terms * db
     w = theta[:t]
-    off = t
-    ra = theta[off : off + t * da].reshape(t, da)
-    off += t * da
-    ia = theta[off : off + t * da].reshape(t, da)
-    off += t * da
-    rb = theta[off : off + t * db].reshape(t, db)
-    off += t * db
-    ib = theta[off : off + t * db].reshape(t, db)
-    return w, ra + 1j * ia, rb + 1j * ib
+    a = (theta[t : t + na] + 1j * theta[t + na : t + 2 * na]).reshape(t, da)
+    b = (theta[t + 2 * na : t + 2 * na + nb] + 1j * theta[t + 2 * na + nb :]).reshape(t, db)
+    ra = np.linalg.norm(a, axis=1)
+    rb = np.linalg.norm(b, axis=1)
+    ra = np.where(ra < 1e-30, 1.0, ra)
+    rb = np.where(rb < 1e-30, 1.0, rb)
+    ew = np.exp(w - w.max())
+    return ew / ew.sum(), a / ra[:, None], b / rb[:, None], ra, rb
+
+
+def _assemble(p, ah, bh):
+    """sigma = sum_t p_t |a_t b_t><a_t b_t| (Hermitian-symmetrized) and the
+    product vectors a_t (x) b_t as rows."""
+    c = np.einsum("ti,tj->tij", ah, bh).reshape(len(p), -1)
+    sigma = (c.T * p) @ c.conj()
+    return (sigma + sigma.conj().T) / 2, c
 
 
 def _pack(w, a, b):
@@ -106,20 +110,8 @@ def _pack(w, a, b):
 
 
 def _objective_and_grad(theta, rho_mat, terms, da, db, tr_rho_log_rho):
-    w, a, b = _unpack(theta, terms, da, db)
-    ra = np.linalg.norm(a, axis=1)
-    rb = np.linalg.norm(b, axis=1)
-    ra = np.where(ra < 1e-30, 1.0, ra)
-    rb = np.where(rb < 1e-30, 1.0, rb)
-    ah = a / ra[:, None]
-    bh = b / rb[:, None]
-    w_shift = w - w.max()
-    ew = np.exp(w_shift)
-    p = ew / ew.sum()
-
-    c = np.einsum("ti,tj->tij", ah, bh).reshape(terms, da * db)
-    sigma = (c.T * p) @ c.conj()
-    sigma = (sigma + sigma.conj().T) / 2
+    p, ah, bh, ra, rb = _decode(theta, terms, da, db)
+    sigma, c = _assemble(p, ah, bh)
 
     lam, v = np.linalg.eigh(sigma)
     lam_c = np.clip(lam, _EIG_FLOOR, None)
@@ -220,14 +212,8 @@ def _run_restart(restart, seed, rho_mat, terms, da, db, tr_rho_log_rho, iteratio
         method="L-BFGS-B",
         options={"maxiter": iterations, "ftol": 1e-14, "gtol": 1e-12},
     )
-    w, a, b = _unpack(res.x, terms, da, db)
-    ra = np.linalg.norm(a, axis=1)
-    rb = np.linalg.norm(b, axis=1)
-    a = a / np.where(ra < 1e-30, 1.0, ra)[:, None]
-    b = b / np.where(rb < 1e-30, 1.0, rb)[:, None]
-    ws = np.exp(w - w.max())
-    ws /= ws.sum()
-    return ws, a, b, int(res.nit), bool(res.success)
+    p, ah, bh, _, _ = _decode(res.x, terms, da, db)
+    return SeparableEnsemble(p, ah, bh), int(res.nit), bool(res.success)
 
 
 def ree_upper(
@@ -261,14 +247,10 @@ def _ree_upper_bracket(rho, a, b, restarts, iterations, seed, stop_at) -> ReeBra
     db = rho_p.layout.subset(b_labels).dim
     terms = (da * db) ** 2
     rho_mat = rho_p.matrix
-
-    evals = np.clip(np.linalg.eigvalsh(rho_mat), 0.0, None)
-    pos = evals[evals > 1e-12]
-    tr_rho_log_rho = float((pos * np.log2(pos)).sum())
+    tr_rho_log_rho = -vn_entropy(rho_p)
 
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = root.spawn(restarts)
-    layout = rho_p.layout
 
     best_val = np.inf
     best_ens = None
@@ -277,12 +259,10 @@ def _ree_upper_bracket(rho, a, b, restarts, iterations, seed, stop_at) -> ReeBra
     any_success = False
 
     for r in range(restarts):
-        ws, af, bf, nit, ok = _run_restart(
+        ens, nit, ok = _run_restart(
             r, seeds[r], rho_mat, terms, da, db, tr_rho_log_rho, iterations
         )
-        ens = SeparableEnsemble(a_labels, b_labels, ws, af, bf)
-        val = relative_entropy(rho_p, ens.assemble(layout))
-        v = max(float(val), 0.0) if val.is_finite else np.inf
+        v = max(relative_entropy(rho_p, ens.assemble(rho_p.layout)), 0.0)
         total_iters += nit
         restarts_run += 1
         any_success = any_success or ok
@@ -298,7 +278,6 @@ def _ree_upper_bracket(rho, a, b, restarts, iterations, seed, stop_at) -> ReeBra
         restarts_run=restarts_run,
         iterations_run=total_iters,
         converged=bool(any_success and np.isfinite(best_val)),
-        diagnostics={"terms": terms, "dim_a": da, "dim_b": db},
     )
 
 
@@ -309,13 +288,12 @@ def ree_bracket(
     restarts: int = DEFAULT_RESTARTS,
     iterations: int = DEFAULT_ITERATIONS,
     seed: int = DEFAULT_SEED,
-    stop_margin: float = 5e-4,
 ) -> ReeBracket:
     """Two-sided REE bracket: certified lower bound, heuristic upper bound."""
     a_labels, b_labels = _split_cut(rho, a, b)
     lower = ree_lower(rho, a_labels, b_labels)
     bracket = _ree_upper_bracket(
-        rho, a_labels, b_labels, restarts, iterations, seed, stop_at=lower + stop_margin
+        rho, a_labels, b_labels, restarts, iterations, seed, stop_at=lower + STOP_MARGIN
     )
     bracket.lower = lower
     return bracket

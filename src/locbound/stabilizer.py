@@ -48,14 +48,6 @@ class Pauli:
             raise PauliError("bit vector length must equal n")
 
     @property
-    def weight(self) -> int:
-        return sum(1 for xb, zb in zip(self.x, self.z) if xb or zb)
-
-    @property
-    def support(self) -> tuple:
-        return tuple(j for j in range(self.n) if self.x[j] or self.z[j])
-
-    @property
     def symplectic(self) -> np.ndarray:
         return np.array(self.x + self.z, dtype=np.uint8)
 

@@ -13,6 +13,7 @@ quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .circuit import (
     target_fidelity,
     with_reference,
 )
-from .entropy import cond_mutual_info, g_slack, vn_entropy
+from .entropy import _spectrum_entropy, coherent_info, cond_mutual_info, g_slack, vn_entropy
 from .qstate import DensityMatrix, PureState, RegisterLayout, fidelity
 from .rand import (
     DEFAULT_SEED,
@@ -125,9 +126,7 @@ def _cut_entropy(vec: np.ndarray, dims, positions) -> float:
     t = vec.reshape(dims).transpose(list(positions) + rest)
     du = int(np.prod([dims[i] for i in positions])) if positions else 1
     s = np.linalg.svd(t.reshape(du, -1), compute_uv=False)
-    probs = s ** 2
-    probs = probs[probs > 1e-14]
-    return float(-(probs * np.log2(probs)).sum())
+    return _spectrum_entropy(s ** 2)
 
 
 def default_cut_family(graph: ConnectivityGraph, rng, extra_random: int = 5) -> tuple:
@@ -230,18 +229,11 @@ def verify_sie(
 # Code-structure lemmas
 
 
-def _blocks_to_labels(blocks) -> list:
-    out = []
-    for block in blocks:
-        labels = tuple(b if isinstance(b, str) else f"q{int(b)}" for b in block)
-        out.append(labels)
-    return out
-
-
 def verify_structure_code(code: StabilizerCode, blocks: Iterable) -> VerificationReport:
     """sum_i ree_lower(Lambda_i : complement) >= k on the encoded maximally
-    mixed state, for any partition into blocks smaller than the distance."""
-    blocks = _blocks_to_labels(blocks)
+    mixed state, for any partition of the qubit indices into blocks smaller
+    than the distance."""
+    blocks = [tuple(f"q{int(q)}" for q in block) for block in blocks]
     dist = min_distance(code)
     d = dist.distance if dist.exact else dist.at_least
     all_labels = [f"q{i}" for i in range(code.n)]
@@ -301,8 +293,6 @@ def verify_corr_max_entangled(
     rng = rng_from(seed)
     dist = min_distance(code)
     d = dist.distance if dist.exact else dist.at_least
-    from itertools import combinations
-
     regions = []
     for size in range(1, d):
         regions.extend(combinations(range(code.n), size))
@@ -311,10 +301,7 @@ def verify_corr_max_entangled(
         rho = random_code_state(code, rng, mixed=(i % 2 == 1))
         for region in regions:
             labels = [f"q{q}" for q in region]
-            rest = rho.layout.complement(labels)
-            coh = vn_entropy(rho, rest) - vn_entropy(rho)
-            s_lam = vn_entropy(rho, labels)
-            checker.check(abs(coh - s_lam), 0.0)
+            checker.check(abs(coherent_info(rho, labels) - vn_entropy(rho, labels)), 0.0)
     return checker.report(
         "corr-is-max-entangled",
         {"n": code.n, "k": code.k, "distance": d, "states": n_states,

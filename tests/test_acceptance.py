@@ -72,7 +72,7 @@ def test_criterion_1_entropy_identities():
         da = lay.dims[0]
         rho_b = partial_trace(rho, ["a"]).matrix
         tie = abs(
-            float(relative_entropy(rho, np.kron(np.eye(da), rho_b)))
+            relative_entropy(rho, np.kron(np.eye(da), rho_b))
             + (vn_entropy(rho) - vn_entropy(rho, ["b"]))
         )
         worst_tie = max(worst_tie, tie)

@@ -216,7 +216,6 @@ def test_measure_gate_is_keyed_projective_kraus():
     assert isinstance(gate, KrausGate)
     assert gate.qubits == ("3",) and gate.key == "s"
     assert [np.diag(k).real.tolist() for k in gate.operators] == [[1, 0], [0, 1]]
-    assert Layer([gate, Unitary(("0", "1"), CNOT)]).support == ("3", "0", "1")
 
 
 def test_validate_layer_conditional_table():

@@ -325,6 +325,25 @@ def test_oversized_dense_paths_exit_two(repetition13, argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, index", [
+    (["entropy", "--code", FIVE_QUBIT, "--region", "9"], 9),
+    (["entropy", "--code", FIVE_QUBIT, "--region", "-1"], -1),
+    (["entropy", "--code", FOUR_TWO_TWO, "--region", "0,1,2,3,4"], 4),
+    (["ree", "--code", FIVE_QUBIT, "--region", "9"], 9),
+    (["ree", "--code", "data/repetition3.code", "--region", "0,-1"], -1),
+    (["ree", "--code", FOUR_TWO_TWO, "--region", "0,1,2,3,4"], 4),
+    (["code", "correctable", "--file", FIVE_QUBIT, "--region", "9,-1"], -1),
+    (["verify", "structure-code", "--code", FIVE_QUBIT, "--partition", "0,1;2,3;4,9"], 9),
+], ids=["entropy-9", "entropy-neg", "entropy-422-4", "ree-9", "ree-neg", "ree-422-4",
+        "correctable", "structure-code"])
+def test_region_index_out_of_range_exits_two(capsys, argv, index):
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: qubit index {index} out of range\n"
+
+
 def test_correctable_beyond_dense_limit(repetition13):
     proc = run_cli("code", "correctable", "--file", repetition13, "--region", "0",
                    timeout=30)
@@ -452,6 +471,12 @@ _REGION = st.one_of(
     st.lists(st.integers(-2, 9), max_size=5).map(lambda qs: ",".join(map(str, qs))),
     st.sampled_from(["", ",", "a", "0,,1"]),
 )
+_BLOCKS = st.one_of(
+    st.lists(_REGION, max_size=4).map(";".join),
+    st.sampled_from(["0,1;2,3;4", "0;1;2;3", "0;1;2", ";", "0,1;;2"]),
+)
+_SMALL_CODE_FILE = st.sampled_from([str(ROOT / "data" / name)
+                                    for name in ("four_two_two.code", "repetition3.code")])
 _COORD = st.one_of(
     st.integers(-4, 4).map(str),
     st.sampled_from(["0.5", "4294967296", str(2 ** 52), str(2 ** 53), "1e300", "-1e300",
@@ -483,7 +508,18 @@ _CODE_ARGV = st.one_of(
     _cat(st.just(["code", "distance"]), _flag("--file", _CODE_FILE), _flag("--cap", _INT)),
     _cat(st.just(["code", "correctable"]), _flag("--file", _CODE_FILE),
          _flag("--region", _REGION)),
+    _cat(st.just(["code", "encode"]), _flag("--file", _CODE_FILE),
+         st.sampled_from([[], ["--full"]])),
+    _cat(st.just(["entropy"]), _flag("--code", _CODE_FILE), _flag("--region", _REGION)),
+    _cat(st.just(["verify", "structure-code"]), _flag("--code", _CODE_FILE),
+         _flag("--partition", _BLOCKS)),
+    _cat(st.just(["verify", "corr-max"]), _flag("--code", _CODE_FILE),
+         _flag("--states", st.sampled_from(["1", "2"]))),
 )
+# the REE search costs about 0.3 s per call on a five-qubit cut, so only the
+# smaller codes, at a budget of one restart of three iterations
+_REE_ARGV = _cat(st.just(["ree"]), _flag("--code", _SMALL_CODE_FILE), _flag("--region", _REGION),
+                 st.just(["--restarts", "1", "--iterations", "3"]))
 
 
 @st.composite
@@ -529,7 +565,7 @@ def _check_contract(argv):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_BOUND_ARGV, _CODE_ARGV))
+@given(st.one_of(_BOUND_ARGV, _CODE_ARGV, _REE_ARGV))
 def test_cli_argv_contract(argv):
     _check_contract(argv)
 

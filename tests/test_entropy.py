@@ -40,7 +40,7 @@ def scalar_entropy(*probs):
 
 
 def test_vn_entropy_examples():
-    assert abs(vn_entropy(DensityMatrix.maximally_mixed(Q1)) - 1.0) < 1e-12
+    assert abs(vn_entropy(DensityMatrix(Q1, np.eye(2) / 2)) - 1.0) < 1e-12
     rng = np.random.default_rng(0)
     pure = random_pure(rng, Q2).to_density()
     assert abs(vn_entropy(pure)) < 1e-9
@@ -54,14 +54,11 @@ def test_vn_entropy_examples():
 def test_relative_entropy_examples():
     rng = np.random.default_rng(1)
     rho = random_density(rng, Q1)
-    assert abs(float(relative_entropy(rho, rho))) < 1e-10
-    zero = DensityMatrix.computational(Q1, [0])
-    mm = DensityMatrix.maximally_mixed(Q1)
-    assert abs(float(relative_entropy(zero, mm)) - 1.0) < 1e-12
-    res = relative_entropy(mm, zero)
-    assert res.support_violation
-    assert not res.is_finite
-    assert float(res) == float("inf")
+    assert abs(relative_entropy(rho, rho)) < 1e-10
+    zero = DensityMatrix(Q1, np.diag([1.0, 0.0]))
+    mm = DensityMatrix(Q1, np.eye(2) / 2)
+    assert abs(relative_entropy(zero, mm) - 1.0) < 1e-12
+    assert math.isinf(relative_entropy(mm, zero))  # supp(mm) is not in supp(zero)
 
 
 def test_relative_entropy_ties_to_conditional_entropy():
@@ -70,7 +67,7 @@ def test_relative_entropy_ties_to_conditional_entropy():
         rho = random_density(rng, Q2, rank=int(rng.integers(1, 5)))
         rho_b = partial_trace(rho, ["a"]).matrix
         sig = np.kron(np.eye(2), rho_b)
-        lhs = float(relative_entropy(rho, sig))
+        lhs = relative_entropy(rho, sig)
         neg_cond = -(vn_entropy(rho) - vn_entropy(rho, ["b"]))
         assert abs(lhs - neg_cond) < 1e-9
 
@@ -82,7 +79,7 @@ def test_coherent_info_examples():
     a = random_pure(rng, Q1).to_density()
     b = random_pure(rng, RegisterLayout.qubits("b")).to_density()
     assert abs(coherent_info(product(Q2, a, b), ["a"])) < 1e-9
-    mm = DensityMatrix.maximally_mixed(Q2)
+    mm = DensityMatrix(Q2, np.eye(4) / 4)
     assert abs(coherent_info(mm, ["a"]) - (-1.0)) < 1e-12
     with pytest.raises(ValueError):
         coherent_info(mm, ["a"], ["a"])

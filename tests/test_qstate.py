@@ -24,6 +24,18 @@ def ket(*amps):
     return v / np.linalg.norm(v)
 
 
+def basis(layout, index):
+    """The computational basis state |index> on ``layout``."""
+    v = np.zeros(layout.dim, dtype=complex)
+    v[index] = 1.0
+    return DensityMatrix.from_vector(layout, v)
+
+
+def mixed(layout):
+    """The maximally mixed state on ``layout``."""
+    return DensityMatrix(layout, np.eye(layout.dim) / layout.dim)
+
+
 def test_layout_invariants():
     with pytest.raises(ValueError):
         RegisterLayout([Register("a", 2), Register("a", 2)])
@@ -44,19 +56,17 @@ def test_density_validation():
 
 
 def test_tensor_product_identities():
-    # products are built with np.kron on the joint layout; the constructors
-    # must agree with the product of their one-qubit versions
-    mm = DensityMatrix.maximally_mixed(Q1)
-    assert np.allclose(DensityMatrix.maximally_mixed(Q2).matrix, np.kron(mm.matrix, mm.matrix))
-    assert np.allclose(DensityMatrix.maximally_mixed(Q2).matrix, np.eye(4) / 4)
+    # products are built with np.kron on the joint layout, in register order
+    mm = mixed(Q1)
+    assert np.allclose(DensityMatrix(Q2, np.kron(mm.matrix, mm.matrix)).matrix, mixed(Q2).matrix)
 
-    zero = DensityMatrix.computational(Q1, [0])
-    one = DensityMatrix.computational(RegisterLayout.qubits("b"), [1])
+    zero = basis(Q1, 0)
+    one = basis(RegisterLayout.qubits("b"), 1)
     p01 = DensityMatrix(Q2, np.kron(zero.matrix, one.matrix))
     expect = np.zeros((4, 4))
     expect[1, 1] = 1.0
     assert np.allclose(p01.matrix, expect)
-    assert np.allclose(DensityMatrix.computational(Q2, [0, 1]).matrix, expect)
+    assert np.allclose(p01.matrix, basis(Q2, 0b01).matrix)
 
     with pytest.raises(ValueError):
         RegisterLayout.qubits("a", "a")  # label collision in a joint layout
@@ -108,10 +118,10 @@ def test_fidelity_examples():
     rho = random_density(rng, Q2)
     assert abs(fidelity(rho, rho) - 1.0) < 1e-10
 
-    zero = DensityMatrix.computational(Q1, [0])
-    one = DensityMatrix.computational(Q1, [1])
+    zero = basis(Q1, 0)
+    one = basis(Q1, 1)
     assert fidelity(zero, one) < 1e-12
-    assert abs(fidelity(zero, DensityMatrix.maximally_mixed(Q1)) - 0.5) < 1e-12
+    assert abs(fidelity(zero, mixed(Q1)) - 0.5) < 1e-12
 
     sig = random_density(rng, Q2)
     assert abs(fidelity(rho, sig) - fidelity(sig, rho)) < 1e-10
@@ -126,10 +136,10 @@ def test_fidelity_examples():
 
 
 def test_trace_distance_examples():
-    zero = DensityMatrix.computational(Q1, [0])
+    zero = basis(Q1, 0)
     plus = DensityMatrix.from_vector(Q1, ket(1, 1))
     assert trace_distance(zero, zero) == 0.0
-    one = DensityMatrix.computational(Q1, [1])
+    one = basis(Q1, 1)
     assert abs(trace_distance(zero, one) - 2.0) < 1e-12
     # eigenvalue oracle on the 2x2 difference
     diff = zero.matrix - plus.matrix
@@ -139,7 +149,7 @@ def test_trace_distance_examples():
 
 
 def test_purify():
-    mm = DensityMatrix.maximally_mixed(Q1)
+    mm = mixed(Q1)
     pure = purify(mm)
     back = pure.reduced(["a"])
     assert abs(fidelity(back, mm) - 1.0) < 1e-10
@@ -208,8 +218,8 @@ def test_permuted_round_trip():
 
 
 def test_classical_quantum_state():
-    zero = DensityMatrix.computational(Q1, [0])
-    one = DensityMatrix.computational(Q1, [1])
+    zero = basis(Q1, 0)
+    one = basis(Q1, 1)
     cq = ClassicalQuantumState(Q1, [((("s", 0),), 0.5, zero), ((("s", 1),), 0.5, one)])
     avg = cq.average_state()
     assert np.allclose(avg.matrix, np.eye(2) / 2)

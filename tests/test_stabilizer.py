@@ -66,8 +66,7 @@ def knill_laflamme_oracle(code, region):
 
 def test_parse_pauli_round_trip():
     p = parse_pauli("XZZXI")
-    assert p.weight == 4
-    assert p.support == (0, 1, 2, 3)
+    assert p.x == (1, 0, 0, 1, 0) and p.z == (0, 1, 1, 0, 0)
     assert str(p) == "XZZXI"
     assert str(parse_pauli("-IZY")) == "-IZY"
     assert str(parse_pauli("+YY")) == "YY"
