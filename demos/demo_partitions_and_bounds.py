@@ -18,7 +18,7 @@ print("=== partition of a 16x16 grid ===")
 graph, emb = grid_graph((16, 16))
 for lam in (4, 16, 64):
     p = grid_partition(emb, graph, lam)
-    g = check_guarantees(p, emb, lam, dense=True, total_vertices=graph.m)
+    g = check_guarantees(p, emb, lam, dense=True)
     print(f"  lam={lam:3d}: blocks={p.count:3d} worst size={g.worst_size:3d} "
           f"worst boundary={g.worst_boundary:3d} (budget {g.boundary_budget:.0f}) "
           f"count bound: {g.count_note}")

@@ -6,6 +6,10 @@ A ConnectivityGraph owns the vertex order (label -> row, edge endpoint
 rows); embeddings are point arrays in that order, so graph routines work
 on integer rows and string labels stay at files, gates and reports.
 
+Validity is checked once, on construction: a Circuit checks every layer
+against its graph, and an EcModule refuses a round on another graph, so
+the simulator and the verifiers never re-check.
+
 The classical system X is kept structural: each branch of a
 ClassicalQuantumState carries a record, the tuple of (key, outcome) pairs
 written so far. A keyed KrausGate (a measurement is one, see measure_gate)
@@ -20,7 +24,7 @@ checks that the total weight is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -119,48 +123,37 @@ def _graph_points(embedding: Embedding, graph: ConnectivityGraph) -> np.ndarray:
     return embedding.points
 
 
-@dataclass
-class EmbeddingReport:
-    ok: bool
-    worst_pair: tuple | None  # (u, v, distance) with the smallest spacing
-    worst_edge: tuple | None  # (u, v, length) with the longest edge
-    violations: list = field(default_factory=list)
-
-
-def validate_embedding(embedding: Embedding, graph: ConnectivityGraph) -> EmbeddingReport:
-    """Check unit minimum spacing and edge lengths <= c.
+def validate_embedding(embedding: Embedding, graph: ConnectivityGraph) -> list:
+    """Violations of unit minimum spacing and of edge lengths <= c; empty
+    when the embedding is valid.
 
     The closest pair comes from one k-d tree query and the longest edge
     from one vectorized norm over the edge arrays. Ties go to the first
-    row, then to its first partner.
+    row, then to its first partner, which fixes the pair a spacing
+    violation names.
     """
     pts = _graph_points(embedding, graph)
-    report = EmbeddingReport(ok=True, worst_pair=None, worst_edge=None)
-
+    violations = []
     if graph.m > 1:
         tree = cKDTree(pts)
         near, nbr = tree.query(pts, k=2)  # a row may list a coincident point before itself
         i = int(np.argmin(near[:, 1]))
         j = min({*nbr[i].tolist(), *tree.query_ball_point(pts[i], near[i, 1])} - {i})
-        u, v = graph.vertices[min(i, j)], graph.vertices[max(i, j)]
         dist = float(np.linalg.norm(pts[i] - pts[j]))
-        report.worst_pair = (u, v, dist)
         if dist < 1.0 - 1e-12:
-            report.ok = False
-            report.violations.append(f"spacing violation: |eta({u}) - eta({v})| = {dist:.6g} < 1")
+            u, v = graph.vertices[min(i, j)], graph.vertices[max(i, j)]
+            violations.append(f"spacing violation: |eta({u}) - eta({v})| = {dist:.6g} < 1")
 
     lengths = np.linalg.norm(pts[graph.eu] - pts[graph.ev], axis=1)
     if lengths.size and lengths.max() > 0.0:
         e = int(np.argmax(lengths))
-        u, v = graph.edges[e]
         length = float(lengths[e])
-        report.worst_edge = (u, v, length)
         if length > embedding.c + 1e-12:
-            report.ok = False
-            report.violations.append(
+            u, v = graph.edges[e]
+            violations.append(
                 f"edge violation: |eta({u}) - eta({v})| = {length:.6g} > c = {embedding.c}"
             )
-    return report
+    return violations
 
 
 def grid_graph(shape: Sequence[int]) -> tuple:
@@ -282,53 +275,45 @@ class Layer:
         object.__setattr__(self, "gates", tuple(gates))
 
 
-@dataclass
-class LayerReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-
-
-def validate_layer(graph: ConnectivityGraph, layer: Layer) -> LayerReport:
-    """Locality (supports are cliques of G), disjointness, completeness."""
-    report = LayerReport(ok=True)
+def validate_layer(graph: ConnectivityGraph, layer: Layer) -> list:
+    """Violations of locality (supports are cliques of G), disjointness and
+    completeness; empty when the layer is valid."""
+    violations = []
     seen: set = set()
     for gate in layer.gates:
         if not isinstance(gate, (Unitary, Conditional, KrausGate)):
-            report.violations.append(f"unknown gate type {type(gate).__name__}")
+            violations.append(f"unknown gate type {type(gate).__name__}")
             continue
         supp = gate.qubits
         for q in supp:
             if q not in graph.index:
-                report.violations.append(f"gate references unknown qubit {q!r}")
+                violations.append(f"gate references unknown qubit {q!r}")
             if q in seen:
-                report.violations.append(f"qubit {q!r} used by two gates in one layer")
+                violations.append(f"qubit {q!r} used by two gates in one layer")
             seen.add(q)
         for i in range(len(supp)):
             for j in range(i + 1, len(supp)):
                 if not graph.has_edge(supp[i], supp[j]):
-                    report.violations.append(
-                        f"locality violation: ({supp[i]}, {supp[j]}) not an edge"
-                    )
+                    violations.append(f"locality violation: ({supp[i]}, {supp[j]}) not an edge")
         dim = 2 ** len(supp)
         if isinstance(gate, Unitary):
-            report.violations.extend(_unitary_violations(gate.matrix, dim))
+            violations.extend(_unitary_violations(gate.matrix, dim))
         elif isinstance(gate, Conditional):
             for outcomes, u in gate.table.items():
                 if len(outcomes) != len(gate.keys):
-                    report.violations.append(
+                    violations.append(
                         f"conditional entry {outcomes}: {len(gate.keys)} outcomes expected"
                     )
-                report.violations.extend(
+                violations.extend(
                     f"conditional entry {outcomes}: {v}" for v in _unitary_violations(u, dim)
                 )
         elif any(k.shape != (dim, dim) for k in gate.operators):
-            report.violations.append("Kraus operator shape mismatch")
+            violations.append("Kraus operator shape mismatch")
         else:
             total = sum(k.conj().T @ k for k in gate.operators)
             if not np.abs(total - np.eye(dim)).max() <= TRACE_TOL:
-                report.violations.append("Kraus completeness violation: sum K^dag K != I")
-    report.ok = not report.violations
-    return report
+                violations.append("Kraus completeness violation: sum K^dag K != I")
+    return violations
 
 
 def _unitary_violations(u: np.ndarray, dim: int) -> list:
@@ -341,7 +326,8 @@ def _unitary_violations(u: np.ndarray, dim: int) -> list:
 
 @dataclass
 class Circuit:
-    """Ordered layers over one connectivity graph."""
+    """Ordered layers over one connectivity graph. Every layer is checked
+    against the graph on construction, so a Circuit that exists is valid."""
 
     graph: ConnectivityGraph
     layers: tuple
@@ -349,18 +335,14 @@ class Circuit:
     def __init__(self, graph, layers):
         self.graph = graph
         self.layers = tuple(layers)
+        violations = [f"layer {i}: {v}" for i, layer in enumerate(self.layers)
+                      for v in validate_layer(graph, layer)]
+        if violations:
+            raise CircuitError("; ".join(violations))
 
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    def validate(self) -> LayerReport:
-        report = LayerReport(ok=True)
-        for i, layer in enumerate(self.layers):
-            sub = validate_layer(self.graph, layer)
-            report.violations.extend(f"layer {i}: {v}" for v in sub.violations)
-        report.ok = not report.violations
-        return report
 
 
 def _branch_apply_gate(record, weight, mat, dims, layout, gate):
@@ -476,7 +458,8 @@ class EcModule:
 
     ``data_qubits`` orders the n data legs of the encoder; the encoder is
     an isometry 2^k -> 2^n. The reference register R never sees noise or
-    gates.
+    gates. Each round is a Circuit on the module's graph (same vertices
+    and edges), so every layer it runs is local there.
     """
 
     graph: ConnectivityGraph
@@ -494,6 +477,10 @@ class EcModule:
             raise ValueError("p must lie in [0, 1]")
         if not set(self.data_qubits) <= set(self.graph.vertices):
             raise ValueError("data qubits must be graph vertices")
+        graph = (self.graph.index.keys(), self.graph.edges)
+        for j, circ in enumerate(self.rounds):
+            if (circ.graph.index.keys(), circ.graph.edges) != graph:
+                raise CircuitError(f"round {j} is a circuit on another graph")
         dim_n, dim_k = self.encoder.shape
         if dim_n != 2 ** len(self.data_qubits):
             raise ValueError("encoder row dimension must be 2^n")
@@ -515,14 +502,6 @@ class EcModule:
     @property
     def depth(self) -> int:
         return max((c.depth for c in self.rounds), default=0)
-
-    def validate(self) -> LayerReport:
-        report = LayerReport(ok=True)
-        for j, circ in enumerate(self.rounds):
-            sub = circ.validate()
-            report.violations.extend(f"round {j}: {v}" for v in sub.violations)
-        report.ok = not report.violations
-        return report
 
     def target_state(self) -> PureState:
         """(I_R (x) U)(Phi_RL) on registers R + data qubits (data order)."""
@@ -589,9 +568,6 @@ def simulate_module(
     branch is computed exactly, never sampled. Output lives on R + A with
     classical branch records.
     """
-    report = module.validate()
-    if not report.ok:
-        raise CircuitError("module failed validation: " + "; ".join(report.violations))
     if module.m + module.k > MAX_QUBITS:
         raise CircuitError(f"simulation limited to about {MAX_QUBITS} total qubits")
     state = _initial_cq_state(module, input_state)
@@ -741,11 +717,10 @@ def parse_circuit_lines(lines: Iterable[str]) -> Circuit:
     if current is not None:
         layers.append(Layer(current))
     graph = ConnectivityGraph([str(i) for i in range(m)], edges)
-    circuit = Circuit(graph, layers)
-    report = circuit.validate()
-    if not report.ok:
-        raise ParseError(0, "; ".join(report.violations))
-    return circuit
+    try:
+        return Circuit(graph, layers)
+    except CircuitError as exc:
+        raise ParseError(0, str(exc)) from None
 
 
 def read_circuit_file(path) -> Circuit:

@@ -197,14 +197,12 @@ def _cmd_ree(args):
 
 def _cmd_partition(args):
     graph, emb = part.read_embedded_graph_file(args.graph)
-    embedding = validate_embedding(emb, graph)
-    if not embedding.ok:
-        raise InputError(embedding.violations[0])
+    violations = validate_embedding(emb, graph)
+    if violations:
+        raise InputError(violations[0])
     partition = part.grid_partition(emb, graph, args.lam, kappa=args.kappa)
-    guarantee = part.check_guarantees(
-        partition, emb, args.lam, kappa=args.kappa, dense=args.dense,
-        total_vertices=graph.m,
-    )
+    guarantee = part.check_guarantees(partition, emb, args.lam, kappa=args.kappa,
+                                      dense=args.dense)
     code = 0 if guarantee.ok else 1
     return code, {
         "command": "partition",

@@ -71,19 +71,15 @@ class Partition:
 
 @dataclass
 class PartitionGuarantee:
-    lam: int
     kappa: float
     size_ok: bool
     boundary_ok: bool
     count_ok: bool | None  # None when not applicable
-    count_note: str
+    count_note: str  # "<count> <= <budget>" when the count bound is checked
     worst_size: int
     worst_boundary: int
-    worst_size_block: int
-    worst_boundary_block: int
     boundary_budget: float
     count: int
-    count_budget: int
 
     @property
     def ok(self) -> bool:
@@ -172,26 +168,19 @@ def grid_partition(embedding: Embedding, graph: ConnectivityGraph, lam: int,
 
 
 def check_guarantees(partition: Partition, embedding: Embedding, lam: int,
-                     kappa: float | None = None, dense: bool = False,
-                     total_vertices: int | None = None) -> PartitionGuarantee:
+                     kappa: float | None = None, dense: bool = False) -> PartitionGuarantee:
     """Check the three partition guarantees against explicit constants.
 
-    The count bound holds for the merged construction on dense instances
-    (full grids); pass ``dense=True`` to assert it, otherwise it is
-    reported as not applicable.
+    The count bound 2 ceil(m / lam), with m the number of partitioned
+    vertices, holds for the merged construction on dense instances (full
+    grids); pass ``dense=True`` to assert it, otherwise it is reported as
+    not applicable.
     """
     dim = embedding.dimension
     k = kappa_default(embedding.c, dim) if kappa is None else kappa
     budget = boundary_budget(lam, embedding.c, dim, k)
-    m = total_vertices if total_vertices is not None else sum(partition.sizes)
-
-    sizes = partition.sizes
-    bsizes = partition.boundary_sizes
-    worst_size = max(sizes, default=0)
-    worst_boundary = max(bsizes, default=0)
-    worst_size_block = sizes.index(worst_size) if sizes else -1
-    worst_boundary_block = bsizes.index(worst_boundary) if bsizes else -1
-    count_budget = 2 * math.ceil(m / lam)
+    worst_size = max(partition.sizes, default=0)
+    worst_boundary = max(partition.boundary_sizes, default=0)
     if not dense:
         count_ok: bool | None = None
         count_note = "not applicable (sparse)"
@@ -199,10 +188,10 @@ def check_guarantees(partition: Partition, embedding: Embedding, lam: int,
         count_ok = None
         count_note = "not applicable (merging disabled)"
     else:
-        count_ok = partition.count <= count_budget
-        count_note = f"{partition.count} <= {count_budget}"
+        max_blocks = 2 * math.ceil(sum(partition.sizes) / lam)
+        count_ok = partition.count <= max_blocks
+        count_note = f"{partition.count} <= {max_blocks}"
     return PartitionGuarantee(
-        lam=lam,
         kappa=k,
         size_ok=worst_size <= lam,
         boundary_ok=worst_boundary <= budget + 1e-9,
@@ -210,11 +199,8 @@ def check_guarantees(partition: Partition, embedding: Embedding, lam: int,
         count_note=count_note,
         worst_size=worst_size,
         worst_boundary=worst_boundary,
-        worst_size_block=worst_size_block,
-        worst_boundary_block=worst_boundary_block,
         boundary_budget=budget,
         count=partition.count,
-        count_budget=count_budget,
     )
 
 

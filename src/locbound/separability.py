@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import minimize
 
-from .entropy import _check_partition, coherent_info, relative_entropy, vn_entropy
+from .entropy import _check_partition, relative_entropy, vn_entropy
 from .qstate import DensityMatrix
 from .rand import DEFAULT_SEED, rng_from
 
@@ -72,8 +72,13 @@ def _split_cut(rho: DensityMatrix, a, b):
 
 def ree_lower(rho: DensityMatrix, a: Iterable[str], b: Iterable[str] | None = None) -> float:
     """Certified lower bound max(I(A>B), I(B>A), 0) on the REE."""
-    a, b = _split_cut(rho, a, b)
-    return max(coherent_info(rho, a, b), coherent_info(rho, b, a), 0.0)
+    return _ree_lower(rho, *_split_cut(rho, a, b))
+
+
+def _ree_lower(rho: DensityMatrix, a: tuple, b: tuple) -> float:
+    """max(S(B) - S(AB), S(A) - S(AB), 0) on a resolved cut."""
+    s_ab = vn_entropy(rho)
+    return max(vn_entropy(rho, b) - s_ab, vn_entropy(rho, a) - s_ab, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +237,14 @@ def ree_upper(
     budget and always a valid upper bound. ``stop_at`` skips remaining
     restarts once the bound reaches that value (used by ree_bracket).
     """
-    bracket = _ree_upper_bracket(rho, a, b, restarts, iterations, seed, stop_at)
+    bracket = _ree_upper_bracket(rho, *_split_cut(rho, a, b), restarts, iterations, seed,
+                                 stop_at)
     return bracket.upper, bracket.ensemble
 
 
-def _ree_upper_bracket(rho, a, b, restarts, iterations, seed, stop_at) -> ReeBracket:
-    a_labels, b_labels = _split_cut(rho, a, b)
+def _ree_upper_bracket(rho, a_labels, b_labels, restarts, iterations, seed,
+                       stop_at) -> ReeBracket:
+    """The ensemble search on a resolved cut (a_labels, b_labels)."""
     if rho.dim > 64:
         raise ValueError("ree_upper supports total dimension <= 64")
     if restarts < 1:
@@ -291,7 +298,7 @@ def ree_bracket(
 ) -> ReeBracket:
     """Two-sided REE bracket: certified lower bound, heuristic upper bound."""
     a_labels, b_labels = _split_cut(rho, a, b)
-    lower = ree_lower(rho, a_labels, b_labels)
+    lower = _ree_lower(rho, a_labels, b_labels)
     bracket = _ree_upper_bracket(
         rho, a_labels, b_labels, restarts, iterations, seed, stop_at=lower + STOP_MARGIN
     )

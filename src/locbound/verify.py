@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import circuit as circ
 from .bounds import BoundInputs, depth_bound_rhs, overhead_floor
 from .circuit import (
     MAX_QUBITS,
@@ -28,6 +27,7 @@ from .circuit import (
     EcModule,
     Layer,
     Unitary,
+    apply_operator,
     boundary,
     grid_graph,
     logical_error_rate,
@@ -183,17 +183,15 @@ def verify_sie(
             raise ValueError("layers must be >= 1")
         shape = (2, qubits // 2) if qubits % 2 == 0 and qubits > 2 else (qubits,)
         graph, _ = grid_graph(shape)
-        layer_list = [random_unitary_layer(graph, rng) for _ in range(layers)]
-    else:
-        graph = circuit.graph
-        if graph.m > MAX_QUBITS:
-            raise ValueError(
-                f"verify_sie limited to {MAX_QUBITS} qubits (dense state vector); "
-                f"circuit has {graph.m}"
-            )
-        if any(not isinstance(g, Unitary) for layer in circuit.layers for g in layer.gates):
-            raise ValueError("verify_sie requires unitary-only layers")
-        layer_list = list(circuit.layers)
+        circuit = Circuit(graph, [random_unitary_layer(graph, rng) for _ in range(layers)])
+    graph = circuit.graph
+    if graph.m > MAX_QUBITS:
+        raise ValueError(
+            f"verify_sie limited to {MAX_QUBITS} qubits (dense state vector); "
+            f"circuit has {graph.m}"
+        )
+    if any(not isinstance(g, Unitary) for layer in circuit.layers for g in layer.gates):
+        raise ValueError("verify_sie requires unitary-only layers")
     cuts = tuple(cut_family) if cut_family is not None else default_cut_family(graph, rng)
     bounds3 = {cut: 3 * len(boundary(graph, cut)) for cut in cuts}
     positions = {cut: [graph.index[v] for v in cut] for cut in cuts}
@@ -206,21 +204,16 @@ def verify_sie(
 
     checker = _Checker(SLACK_EXACT)
     entropies = {cut: _cut_entropy(vec, dims, positions[cut]) for cut in cuts}
-    for layer in layer_list:
-        rep = circ.validate_layer(graph, layer)
-        if not rep.ok:
-            raise ValueError("invalid layer: " + "; ".join(rep.violations))
+    for layer in circuit.layers:
         for gate in layer.gates:
-            vec = circ.apply_operator(
-                vec, dims, [graph.index[q] for q in gate.qubits], gate.matrix
-            )
+            vec = apply_operator(vec, dims, [graph.index[q] for q in gate.qubits], gate.matrix)
         for cut in cuts:
             after = _cut_entropy(vec, dims, positions[cut])
             checker.check(after - entropies[cut], bounds3[cut])
             entropies[cut] = after
     return checker.report(
         "small-incremental-entangling",
-        {"qubits": graph.m, "layers": len(layer_list), "cuts": len(cuts)},
+        {"qubits": graph.m, "layers": circuit.depth, "cuts": len(cuts)},
         seed if isinstance(seed, int) else -1,
     )
 
@@ -234,8 +227,7 @@ def verify_structure_code(code: StabilizerCode, blocks: Iterable) -> Verificatio
     mixed state, for any partition of the qubit indices into blocks smaller
     than the distance."""
     blocks = [tuple(f"q{int(q)}" for q in block) for block in blocks]
-    dist = min_distance(code)
-    d = dist.distance if dist.exact else dist.at_least
+    d = min_distance(code).at_least
     all_labels = [f"q{i}" for i in range(code.n)]
     seen: list = []
     for block in blocks:
@@ -291,8 +283,7 @@ def verify_corr_max_entangled(
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
     rng = rng_from(seed)
-    dist = min_distance(code)
-    d = dist.distance if dist.exact else dist.at_least
+    d = min_distance(code).at_least
     regions = []
     for size in range(1, d):
         regions.extend(combinations(range(code.n), size))
@@ -331,12 +322,6 @@ class DepthBoundScenario:
     target: PureState | None = None
 
 
-def _scenario_target(scenario: DepthBoundScenario) -> PureState:
-    if scenario.target is not None:
-        return with_reference(scenario.target)
-    return scenario.module.target_state()
-
-
 def verify_depth_bound(
     scenarios: Sequence[DepthBoundScenario] | None = None,
 ) -> VerificationReport:
@@ -353,7 +338,7 @@ def verify_depth_bound(
     for sc in scenarios:
         module = sc.module
         gamma = tuple(str(g) for g in sc.gamma)
-        target = _scenario_target(sc)
+        target = module.target_state() if sc.target is None else with_reference(sc.target)
         data = module.data_qubits
         lam = tuple(q for q in gamma if q in set(data))
 
@@ -363,7 +348,7 @@ def verify_depth_bound(
         if not lam or set(lam) == set(data):
             e_r = 0.0  # degenerate cut
         else:
-            if scenario_needs_pure_target(sc):
+            if sc.target is None and module.k > 0:
                 raise ValueError(
                     f"scenario {sc.name}: nontrivial cuts need a pure target on A'"
                 )
@@ -387,10 +372,6 @@ def verify_depth_bound(
     return checker.report(
         "depth-bound", {"scenarios": details}, -1
     )
-
-
-def scenario_needs_pure_target(sc: DepthBoundScenario) -> bool:
-    return sc.target is None and sc.module.k > 0
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +416,7 @@ def verify_appendix(seed: int = DEFAULT_SEED, trials: int = 1000) -> Verificatio
         else:
             rho = random_density(rng, lay3, rank=int(rng.integers(1, 5)))
             rho_ab = rho.reduced(["a", "b"])
-            kraus = _random_b_to_bc_channel(rng)
+            kraus = random_kraus_channel(rng, dim_in=2, dim_out=4, n_kraus=2)  # B -> BC
         sig = np.zeros((8, 8), dtype=complex)
         for k in kraus:
             full = np.kron(np.eye(2, dtype=complex), k)
@@ -468,11 +449,6 @@ def _fixed_state_kraus(state: np.ndarray):
         if ev > 1e-14:
             out.append(np.kron(np.eye(2, dtype=complex), np.sqrt(ev) * vecs[:, i:i + 1]))
     return out
-
-
-def _random_b_to_bc_channel(rng):
-    """Kraus operators C^2 -> C^4 = BC for a Haar random isometry channel."""
-    return random_kraus_channel(rng, dim_in=2, dim_out=4, n_kraus=2)
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,7 @@ def test_criterion_9_partition_guarantees():
         lam = 1
         while lam <= graph.m:
             part = grid_partition(emb, graph, lam)
-            guarantee = check_guarantees(part, emb, lam, dense=True,
-                                         total_vertices=graph.m)
+            guarantee = check_guarantees(part, emb, lam, dense=True)
             if not guarantee.ok:
                 all_ok = False
             lam *= 2

@@ -70,19 +70,14 @@ def test_boundary_examples():
 
 def test_validate_embedding():
     grid, emb = grid_graph((3, 3))
-    assert validate_embedding(emb, grid).ok
+    assert validate_embedding(emb, grid) == []
 
     close = Embedding(np.array([[0.0, 0.0], [0.5, 0.0]]), 1.0)
     g = ConnectivityGraph(["0", "1"], [("0", "1")])
-    rep = validate_embedding(close, g)
-    assert not rep.ok
-    assert any("spacing" in v for v in rep.violations)
+    assert validate_embedding(close, g) == ["spacing violation: |eta(0) - eta(1)| = 0.5 < 1"]
 
     stretched = Embedding(np.array([[0.0, 0.0], [2.0, 0.0]]), 1.0)
-    rep = validate_embedding(stretched, g)
-    assert not rep.ok
-    assert any("edge" in v for v in rep.violations)
-    assert rep.worst_edge == ("0", "1", 2.0)
+    assert validate_embedding(stretched, g) == ["edge violation: |eta(0) - eta(1)| = 2 > c = 1.0"]
 
 
 def _grid_graph_oracle(shape):
@@ -169,46 +164,41 @@ def test_validate_embedding_matches_brute_force():
                      if rng.random() < 0.3]
         c = float(rng.choice([1.0, 1.5, 2.0]))
         graph = ConnectivityGraph(labels, [(labels[i], labels[j]) for i, j in edge_rows])
-        rep = validate_embedding(Embedding(points, c), graph)
+        violations = validate_embedding(Embedding(points, c), graph)
         closest, spacing, longest, kinds = _embedding_oracle(points, edge_rows, c)
-        assert rep.ok == (not kinds)
-        assert {v.split()[0] for v in rep.violations} == kinds
-        if closest is None:
-            assert rep.worst_pair is None
-        else:
-            u, v, dist = rep.worst_pair
-            assert (graph.index[u], graph.index[v]) == closest  # first closest pair
-            assert dist == pytest.approx(spacing, rel=1e-12, abs=1e-15)
-        if longest == 0.0:
-            assert rep.worst_edge is None
-        else:
-            assert rep.worst_edge[2] == pytest.approx(longest, rel=1e-12)
+        # what a user sees: the kinds, in order, and the numbers each message names
+        assert [v.split()[0] for v in violations] == \
+            [kind for kind in ("spacing", "edge") if kind in kinds]
+        for v in violations:
+            if v.startswith("spacing"):
+                u, w = closest  # the first closest pair, by row
+                assert v == f"spacing violation: |eta({u}) - eta({w})| = {spacing:.6g} < 1"
+            else:
+                assert v.endswith(f"= {longest:.6g} > c = {c}")
 
 
 def test_validate_layer():
     g = ConnectivityGraph(["0", "1", "2"], [("0", "1")])
-    assert validate_layer(g, Layer([Unitary(("0", "1"), CNOT)])).ok
-    rep = validate_layer(g, Layer([Unitary(("0", "2"), CNOT)]))
-    assert not rep.ok
-    assert any("locality" in v for v in rep.violations)
+    assert validate_layer(g, Layer([Unitary(("0", "1"), CNOT)])) == []
+    assert validate_layer(g, Layer([Unitary(("0", "2"), CNOT)])) == [
+        "locality violation: (0, 2) not an edge"]
     # measurement is a separable A:X instrument: fine anywhere
-    assert validate_layer(g, Layer([measure_gate("2", "s")])).ok
+    assert validate_layer(g, Layer([measure_gate("2", "s")])) == []
     # completeness violations
-    rep = validate_layer(g, Layer([Unitary(("0",), np.array([[1, 0], [0, 0.5]]))]))
-    assert any("completeness" in v for v in rep.violations)
+    violations = validate_layer(g, Layer([Unitary(("0",), np.array([[1, 0], [0, 0.5]]))]))
+    assert any("completeness" in v for v in violations)
     bad_kraus = KrausGate(("0",), [np.eye(2) * 0.5])
-    assert any("completeness" in v for v in validate_layer(g, Layer([bad_kraus])).violations)
+    assert any("completeness" in v for v in validate_layer(g, Layer([bad_kraus])))
     # NaN entries fail the completeness checks instead of slipping past them
     nan_gate = Unitary(("0",), np.array([[np.nan, 0], [0, 1]]))
-    assert any("completeness" in v for v in validate_layer(g, Layer([nan_gate])).violations)
+    assert any("completeness" in v for v in validate_layer(g, Layer([nan_gate])))
     nan_kraus = KrausGate(("0",), [np.array([[np.nan, 0], [0, 1]])])
-    assert any("completeness" in v for v in validate_layer(g, Layer([nan_kraus])).violations)
+    assert any("completeness" in v for v in validate_layer(g, Layer([nan_kraus])))
     # qubit reuse inside one layer
-    rep = validate_layer(g, Layer([measure_gate("0", "a"), measure_gate("0", "b")]))
-    assert any("two gates" in v for v in rep.violations)
+    violations = validate_layer(g, Layer([measure_gate("0", "a"), measure_gate("0", "b")]))
+    assert any("two gates" in v for v in violations)
     # an object that is not a gate is reported, not raised
-    rep = validate_layer(g, Layer([("0", "1")]))
-    assert rep.violations == ["unknown gate type tuple"]
+    assert validate_layer(g, Layer([("0", "1")])) == ["unknown gate type tuple"]
 
 
 def test_measure_gate_is_keyed_projective_kraus():
@@ -221,30 +211,59 @@ def test_measure_gate_is_keyed_projective_kraus():
 def test_validate_layer_conditional_table():
     g = ConnectivityGraph(["0", "1"], [("0", "1")])
     good = Conditional(("0",), ("s",), {(1,): np.array([[0, 1], [1, 0]])})
-    assert validate_layer(g, Layer([good])).ok
+    assert validate_layer(g, Layer([good])) == []
     bad_entries = {
         "completeness": np.array([[1, 0], [0, 0.5]]),
         "shape": np.eye(4),
     }
     for word, u in bad_entries.items():
-        rep = validate_layer(g, Layer([Conditional(("0",), ("s",), {(0,): np.eye(2), (1,): u})]))
-        assert len(rep.violations) == 1
-        assert word in rep.violations[0] and "(1,)" in rep.violations[0]
+        violations = validate_layer(
+            g, Layer([Conditional(("0",), ("s",), {(0,): np.eye(2), (1,): u})]))
+        assert len(violations) == 1
+        assert word in violations[0] and "(1,)" in violations[0]
     nan_entry = Conditional(("0",), ("s",), {(1,): np.array([[np.nan, 0], [0, 1]])})
-    assert any("completeness" in v for v in validate_layer(g, Layer([nan_entry])).violations)
+    assert any("completeness" in v for v in validate_layer(g, Layer([nan_entry])))
     wrong_arity = Conditional(("0",), ("s", "t"), {(1,): np.eye(2)})
-    assert any("2 outcomes expected" in v
-               for v in validate_layer(g, Layer([wrong_arity])).violations)
+    assert any("2 outcomes expected" in v for v in validate_layer(g, Layer([wrong_arity])))
 
 
 def test_simulate_module_refuses_bad_conditional():
+    # a round with a non-unitary table entry cannot be built, so no module
+    # holding it reaches simulate_module
     g = ConnectivityGraph(["0", "1"], [("0", "1")])
     layers = [Layer([measure_gate("1", "s")]),
               Layer([Conditional(("0",), ("s",), {(1,): np.eye(2) * 2})])]
-    mod = EcModule(g, rounds=[Circuit(g, layers)], data_qubits=("0",),
-                   encoder=np.eye(2, dtype=complex), p=0.1)
-    with pytest.raises(CircuitError, match=r"round 0: layer 1: conditional entry \(1,\)"):
-        simulate_module(mod)
+    with pytest.raises(CircuitError, match=r"^layer 1: conditional entry \(1,\)"):
+        Circuit(g, layers)
+    # every violation of every layer is named, in order
+    g = ConnectivityGraph(["0", "1", "2"], [("0", "1")])
+    layers = [Layer([Unitary(("0", "1"), CNOT)]),
+              Layer([Unitary(("0", "2"), CNOT), measure_gate("1", "a"), measure_gate("1", "b")])]
+    with pytest.raises(CircuitError) as err:
+        Circuit(g, layers)
+    assert str(err.value) == ("layer 1: locality violation: (0, 2) not an edge; "
+                              "layer 1: qubit '1' used by two gates in one layer")
+
+
+def test_module_refuses_round_on_another_graph():
+    # the round's own graph has (1, 2), so its SWAP there is local to the
+    # round; on the module's graph it is not, and the module is refused
+    # instead of simulating a non-local gate
+    module_graph = ConnectivityGraph(["0", "1", "2"], [("0", "1")])
+    wider = ConnectivityGraph(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    round_ = Circuit(wider, [Layer([Unitary(("1", "2"), swap)])])
+    with pytest.raises(CircuitError, match="^round 0 is a circuit on another graph$"):
+        EcModule(module_graph, rounds=[round_], data_qubits=("0", "1", "2"),
+                 encoder=np.eye(8, 2, dtype=complex), p=0.1)
+    # a different vertex set is refused too; the same graph rebuilt is not
+    with pytest.raises(CircuitError, match="round 1 is a circuit on another graph"):
+        EcModule(module_graph, rounds=[Circuit(module_graph, []),
+                                       Circuit(ConnectivityGraph(["0", "1"], [("0", "1")]), [])],
+                 data_qubits=("0",), encoder=np.eye(2, dtype=complex), p=0.1)
+    same = ConnectivityGraph(["2", "1", "0"], [("1", "0")])
+    EcModule(module_graph, rounds=[Circuit(same, [])], data_qubits=("0",),
+             encoder=np.eye(2, dtype=complex), p=0.1)
 
 
 def test_apply_layer_identity_and_cnot():
@@ -290,7 +309,7 @@ def test_apply_layer_conditional_and_trace():
                Conditional(("2",), ("s", "missing"), {(1, None): x})]),
     ]
     for layer in layers:
-        assert validate_layer(g, layer).ok
+        assert validate_layer(g, layer) == []
         st = apply_layer(st, layer)
     assert abs(st.total_weight - 1.0) < 1e-12
     by_record = {rec: dm for rec, _, dm in st.branches}
@@ -489,7 +508,7 @@ def test_circuit_file_round_trip(tmp_path):
     circ = read_circuit_file(path)
     assert circ.graph.m == 3
     assert circ.depth == 2
-    assert circ.validate().ok
+    assert [len(layer.gates) for layer in circ.layers] == [2, 1]
 
 
 def test_circuit_file_qubit_limit_on_its_line():

@@ -521,6 +521,21 @@ _CODE_ARGV = st.one_of(
 _REE_ARGV = _cat(st.just(["ree"]), _flag("--code", _SMALL_CODE_FILE), _flag("--region", _REGION),
                  st.just(["--restarts", "1", "--iterations", "3"]))
 
+# the verify subcommands, with every count drawn from small values or
+# invalid tokens: a large valid count would run for minutes. --layers is
+# always given, since its default is 100 layers
+_VERIFY_ARGV = st.one_of(
+    _cat(st.just(["verify", "sie"]),
+         _flag("--qubits", st.sampled_from([*map(str, range(1, 10)), "x", "1.5"])),
+         st.sampled_from(["0", "1", "2", "3", "x"]).map(lambda v: ["--layers", v]),
+         _flag("--seed", _INT)),
+    st.sampled_from(["-1", "0", "1", "2", "x", str(10 ** 400)]).map(
+        lambda v: ["verify", "appendix", "--trials", v]),
+    st.just(["verify", "depth-bound"]),
+    _cat(st.just(["verify", "overhead"]), _flag("--dim", _INT), _flag("--c1", _FLOAT),
+         _flag("--c2", _FLOAT)),
+)
+
 
 @st.composite
 def _graph_text(draw):
@@ -565,7 +580,7 @@ def _check_contract(argv):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_BOUND_ARGV, _CODE_ARGV, _REE_ARGV))
+@given(st.one_of(_BOUND_ARGV, _CODE_ARGV, _REE_ARGV, _VERIFY_ARGV))
 def test_cli_argv_contract(argv):
     _check_contract(argv)
 

@@ -81,9 +81,11 @@ def test_lam_one_singletons():
 
 def test_check_guarantees_dense_grid():
     g, e = grid_graph((32, 32))
-    gu = check_guarantees(grid_partition(e, g, 16), e, 16, dense=True, total_vertices=g.m)
+    gu = check_guarantees(grid_partition(e, g, 16), e, 16, dense=True)
     assert gu.ok
     assert gu.size_ok and gu.boundary_ok and gu.count_ok
+    # the count budget 2 ceil(m / lam) takes m from the partition itself
+    assert gu.count_note == f"{gu.count} <= 128"
 
 
 def test_check_guarantees_sparse():
@@ -101,7 +103,7 @@ def test_check_guarantees_sparse():
     g = ConnectivityGraph(labels, edges)
     emb = Embedding(pts, c=1.6)
     p = grid_partition(emb, g, 16)
-    gu = check_guarantees(p, emb, 16, dense=False, total_vertices=g.m)
+    gu = check_guarantees(p, emb, 16, dense=False)
     assert gu.size_ok and gu.boundary_ok
     assert gu.count_ok is None
     assert "sparse" in gu.count_note
@@ -113,7 +115,7 @@ def test_grid_sweep_small():
         lam = 1
         while lam <= g.m:
             p = grid_partition(e, g, lam)
-            gu = check_guarantees(p, e, lam, dense=True, total_vertices=g.m)
+            gu = check_guarantees(p, e, lam, dense=True)
             assert gu.ok, (shape, lam, gu)
             lam *= 2
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from locbound.circuit import Circuit, ConnectivityGraph, Layer, measure_gate
+from locbound.circuit import Circuit, ConnectivityGraph, Layer, measure_gate, validate_layer
 from locbound.stabilizer import five_qubit_code, four_two_two_code, repetition_code
 from locbound.verify import (
     DepthBoundScenario,
@@ -129,10 +129,14 @@ def test_verify_overhead_consistency():
 
 
 def test_corpus_modules_validate():
-    for module in default_module_corpus():
-        assert module.validate().ok
-    for sc in default_depth_bound_scenarios():
-        assert sc.module.validate().ok
+    # a module that exists is valid: every layer of every round passes
+    # validate_layer on the module's own graph
+    modules = default_module_corpus() + [sc.module for sc in default_depth_bound_scenarios()]
+    for module in modules:
+        for circuit in module.rounds:
+            assert (circuit.graph.vertices, circuit.graph.edges) == \
+                (module.graph.vertices, module.graph.edges)
+            assert all(validate_layer(module.graph, layer) == [] for layer in circuit.layers)
 
 
 def test_repetition_module_corrects_bit_flips():
