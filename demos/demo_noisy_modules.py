@@ -24,8 +24,11 @@ print("\n=== classical record branches of one noisy round ===")
 # a record is the tuple of (key, outcome) pairs written so far
 mod = repetition_module(0.1, rounds=1)
 out = simulate_module(mod)
-for record, weight, _ in sorted(out.branches, key=lambda b: -b[1])[:4]:
-    print(f"  weight {weight:.4f}  record {record}  syndrome {dict(record)}")
+# a branch matrix is unnormalized: its trace is the branch weight; ties at
+# the printed precision go by record, so last-ulp differences cannot reorder
+weighted = sorted((-round(mat.trace().real, 4), record) for record, mat in out.branches)
+for neg_weight, record in weighted[:4]:
+    print(f"  weight {-neg_weight:.4f}  record {record}  syndrome {dict(record)}")
 
 print("\n=== erased-round variant: the region really is forgotten ===")
 erased = simulate_module(mod, erased=(("d0", "d1"), 0))

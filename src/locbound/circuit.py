@@ -11,15 +11,17 @@ against its graph, and an EcModule refuses a round on another graph, so
 the simulator and the verifiers never re-check.
 
 The classical system X is kept structural: each branch of a
-ClassicalQuantumState carries a record, the tuple of (key, outcome) pairs
-written so far. A keyed KrausGate (a measurement is one, see measure_gate)
-appends (key, i) for its i-th operator; a Conditional reads the last
-outcome of each of its keys (None if unwritten) and applies the unitary
-its table gives for that outcome tuple, or nothing. Noise is a rate p on
-a list of qubits plus an erased region at rate 1. Every channel is
-evaluated by exact arithmetic on density matrices (never by sampling);
-one finish step re-symmetrizes each branch, renormalizes its trace and
-checks that the total weight is kept.
+ClassicalQuantumState is (record, matrix): the record is the tuple of
+(key, outcome) pairs written so far, and the matrix is unnormalized, its
+trace the branch weight. A keyed KrausGate (a measurement is one, see
+measure_gate) appends (key, i) for its i-th operator and never divides by
+the outcome probability; a Conditional reads the last outcome of each of
+its keys (None if unwritten) and applies the unitary its table gives for
+that outcome tuple, or nothing. Noise is a rate p on a list of qubits
+plus an erased region at rate 1. Every channel is evaluated by exact
+arithmetic on density matrices (never by sampling); one finish step
+re-symmetrizes each branch, merges equal records, drops branches of
+weight <= NEGLIGIBLE and checks that the total weight is kept.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from scipy.spatial import cKDTree
 
 from .qstate import (
     ClassicalQuantumState,
-    DensityMatrix,
     ParseError,
     PureState,
     Register,
@@ -324,17 +325,18 @@ def _unitary_violations(u: np.ndarray, dim: int) -> list:
     return []
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
     """Ordered layers over one connectivity graph. Every layer is checked
-    against the graph on construction, so a Circuit that exists is valid."""
+    against the graph on construction, and the fields are frozen, so a
+    Circuit that exists is valid."""
 
     graph: ConnectivityGraph
     layers: tuple
 
     def __init__(self, graph, layers):
-        self.graph = graph
-        self.layers = tuple(layers)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "layers", tuple(layers))
         violations = [f"layer {i}: {v}" for i, layer in enumerate(self.layers)
                       for v in validate_layer(graph, layer)]
         if violations:
@@ -345,59 +347,50 @@ class Circuit:
         return len(self.layers)
 
 
-def _branch_apply_gate(record, weight, mat, dims, layout, gate):
-    """Apply one gate to one branch; yields (record, weight, matrix)."""
-    positions = layout.positions(gate.qubits)
+def _branch_apply_gate(record, mat, dims, positions, gate):
+    """Apply one gate to one branch; yields (record, matrix). A keyed
+    KrausGate yields (record + ((key, i),), K_i mat K_i^dag) for every i,
+    unnormalized, so each trace is that branch's weight."""
     if isinstance(gate, Conditional):
         last = dict(record)
         u = gate.table.get(tuple(last.get(k) for k in gate.keys))
-        yield record, weight, mat if u is None else apply_operator(mat, dims, positions, u)
-        return
-    if isinstance(gate, Unitary):
-        yield record, weight, apply_operator(mat, dims, positions, gate.matrix)
-        return
-    if isinstance(gate, KrausGate):
-        if gate.key is None:
-            acc = np.zeros_like(mat)
-            for k in gate.operators:
-                acc += apply_operator(mat, dims, positions, k)
-            yield record, weight, acc
-        else:
-            for i, k in enumerate(gate.operators):
-                new = apply_operator(mat, dims, positions, k)
-                prob = new.trace().real
-                if prob > 1e-14:
-                    yield record + ((gate.key, i),), weight * prob, new / prob
-        return
-    raise CircuitError(f"unknown gate type {type(gate).__name__}")
+        yield record, mat if u is None else apply_operator(mat, dims, positions, u)
+    elif isinstance(gate, Unitary):
+        yield record, apply_operator(mat, dims, positions, gate.matrix)
+    elif not isinstance(gate, KrausGate):
+        raise CircuitError(f"unknown gate type {type(gate).__name__}")
+    elif gate.key is None:
+        acc = np.zeros_like(mat)
+        for k in gate.operators:
+            acc += apply_operator(mat, dims, positions, k)
+        yield record, acc
+    else:
+        for i, k in enumerate(gate.operators):
+            yield record + ((gate.key, i),), apply_operator(mat, dims, positions, k)
 
 
 def _finish(layout, items, before: float) -> ClassicalQuantumState:
-    """Wrap channel output (record, weight, matrix) as branches: each matrix
-    is re-symmetrized and renormalized into its weight, branches of weight
-    <= 1e-16 are dropped, and the total weight must stay ``before``."""
-    branches = []
-    for rec, w, mat in items:
-        mat = (mat + mat.conj().T) / 2
-        tr = mat.trace().real
-        if w * tr <= 1e-16:
-            continue
-        branches.append((rec, w * tr, DensityMatrix(layout, mat / tr, validate=False)))
-    total = sum(w for _, w, _ in branches)
+    """The finish step of every channel: re-symmetrize each (record, matrix)
+    item, merge equal records, drop branches of weight <= NEGLIGIBLE, and
+    check that the total weight stays ``before``."""
+    state = ClassicalQuantumState(
+        layout, ((rec, (mat + mat.conj().T) / 2) for rec, mat in items)).merged()
+    total = state.total_weight
     if not abs(total - before) <= TRACE_TOL:
         raise InvariantError(f"trace not preserved: total weight {before!r} -> {total!r}")
-    return ClassicalQuantumState(layout, branches, validate=False)
+    return state
 
 
 def apply_layer(state: ClassicalQuantumState, layer: Layer) -> ClassicalQuantumState:
-    """One separable channel step; branches with equal records are merged."""
+    """One separable channel step, then the finish step."""
     layout = state.layout
     dims = layout.dims
-    items = [(rec, w, dm.matrix) for rec, w, dm in state.branches]
+    items = state.branches
     for gate in layer.gates:
-        items = [out for rec, w, mat in items
-                 for out in _branch_apply_gate(rec, w, mat, dims, layout, gate)]
-    return _finish(layout, items, state.total_weight).merged()
+        positions = layout.positions(gate.qubits)
+        items = [out for rec, mat in items
+                 for out in _branch_apply_gate(rec, mat, dims, positions, gate)]
+    return _finish(layout, items, state.total_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +437,7 @@ def noise_apply(state: ClassicalQuantumState, p: float, qubits: Sequence[str],
                 mat = _depolarize_matrix(mat, dims, pos, rate)
         return mat
 
-    items = ((rec, w, noisy(dm.matrix)) for rec, w, dm in state.branches)
+    items = ((rec, noisy(mat)) for rec, mat in state.branches)
     return _finish(layout, items, state.total_weight)
 
 
@@ -452,14 +445,15 @@ def noise_apply(state: ClassicalQuantumState, p: float, qubits: Sequence[str],
 # Error-correction modules
 
 
-@dataclass
+@dataclass(frozen=True)
 class EcModule:
     """J rounds of (depolarizing noise on A, then a separable local circuit).
 
     ``data_qubits`` orders the n data legs of the encoder; the encoder is
     an isometry 2^k -> 2^n. The reference register R never sees noise or
     gates. Each round is a Circuit on the module's graph (same vertices
-    and edges), so every layer it runs is local there.
+    and edges), so every layer it runs is local there; the fields are
+    frozen, so that stays true.
     """
 
     graph: ConnectivityGraph
@@ -470,9 +464,9 @@ class EcModule:
     name: str = "module"
 
     def __post_init__(self):
-        self.rounds = tuple(self.rounds)
-        self.data_qubits = tuple(str(q) for q in self.data_qubits)
-        self.encoder = np.asarray(self.encoder, dtype=complex)
+        object.__setattr__(self, "rounds", tuple(self.rounds))
+        object.__setattr__(self, "data_qubits", tuple(str(q) for q in self.data_qubits))
+        object.__setattr__(self, "encoder", np.asarray(self.encoder, dtype=complex))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if not set(self.data_qubits) <= set(self.graph.vertices):
@@ -565,9 +559,12 @@ def simulate_module(
 
     ``erased=(region, round_index)`` substitutes the erase-then-depolarize
     channel N_Gamma for the product depolarizing noise at that round; the
-    branch is computed exactly, never sampled. Output lives on R + A with
-    classical branch records.
+    branch is computed exactly, never sampled; j must lie in 0..J-1.
+    Output lives on R + A with classical branch records.
     """
+    J = len(module.rounds)
+    if erased is not None and not 0 <= erased[1] < J:
+        raise ValueError(f"erased round {erased[1]} is outside 0..{J - 1} (J = {J})")
     if module.m + module.k > MAX_QUBITS:
         raise CircuitError(f"simulation limited to about {MAX_QUBITS} total qubits")
     state = _initial_cq_state(module, input_state)

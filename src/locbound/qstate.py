@@ -4,7 +4,8 @@ States carry an ordered register layout; the register order fixes the
 Kronecker order of the underlying array, and every label-addressed
 operation permutes internally, so callers never juggle indices.
 A ClassicalQuantumState keeps the classical system as branch records,
-tuples of (key, outcome) pairs, instead of a dense register.
+tuples of (key, outcome) pairs, instead of a dense register; each record
+carries an unnormalized matrix whose trace is the branch weight.
 All logarithms elsewhere in the package are base 2 (registers count
 qubits), and every value here is immutable after construction.
 """
@@ -19,6 +20,7 @@ import numpy as np
 HERM_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
+NEGLIGIBLE = 1e-14  # a classical-quantum branch of weight <= this is dropped
 
 
 class ParseError(ValueError):
@@ -221,67 +223,59 @@ class PureState:
 class ClassicalQuantumState:
     """Mixture of quantum states tagged by classical records.
 
-    Represents states of the form sum_s q_s rho_s (x) |s><s|_X without a
-    dense classical register: the classical side stays structural, which
-    keeps dimensions small and makes A:X separability automatic. A branch
-    is (record, weight, DensityMatrix); a record is the tuple of
+    Represents states sum_s rho~_s (x) |s><s|_X without a dense classical
+    register: the classical side stays structural, which keeps dimensions
+    small and makes A:X separability automatic. A branch is (record,
+    matrix), where the matrix is the unnormalized rho~_s = q_s rho_s, so
+    its trace is the branch weight q_s. A record is the tuple of
     (key, outcome) pairs written so far, oldest first, so ``dict(record)``
-    gives the last outcome of each key.
+    gives the last outcome of each key. A state enters through the
+    validated ``from_density``; the channel steps of circuit.py check that
+    the total weight is kept.
     """
 
-    def __init__(self, layout, branches, validate: bool = True):
+    def __init__(self, layout, branches):
         self.layout = _as_layout(layout)
+        d = self.layout.dim
         items = []
-        for record, weight, dm in branches:
-            if not isinstance(dm, DensityMatrix):
-                dm = DensityMatrix(self.layout, dm, validate=validate)
-            if dm.layout != self.layout:
-                raise ValueError("branch layout mismatch")
-            items.append((tuple(record), float(weight), dm))
+        for record, mat in branches:
+            mat = np.asarray(mat, dtype=complex)
+            if mat.shape != (d, d):
+                raise ValueError(
+                    f"branch matrix shape {mat.shape} does not match layout dimension {d}"
+                )
+            mat.setflags(write=False)
+            items.append((tuple(record), mat))
         if not items:
             raise ValueError("at least one branch required")
-        if validate:
-            total = sum(w for _, w, _ in items)
-            if abs(total - 1.0) > TRACE_ATOL:
-                raise ValueError(f"branch weights sum to {total!r}, not 1")
-            if any(w < -TRACE_ATOL for _, w, _ in items):
-                raise ValueError("negative branch weight")
         self.branches = tuple(items)
 
     @classmethod
     def from_density(cls, dm: DensityMatrix) -> "ClassicalQuantumState":
         """One branch with the empty record."""
-        return cls(dm.layout, [((), 1.0, dm)])
+        return cls(dm.layout, [((), dm.matrix)])
 
     @property
     def total_weight(self) -> float:
-        return sum(w for _, w, _ in self.branches)
+        return float(sum(mat.trace().real for _, mat in self.branches))
 
     def average_state(self) -> DensityMatrix:
         """Quantum marginal sum_s q_s rho_s (classical register traced out)."""
         acc = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
-        for _, w, dm in self.branches:
-            acc += w * dm.matrix
+        for _, mat in self.branches:
+            acc += mat
         acc = (acc + acc.conj().T) / 2
         acc /= acc.trace().real
         return DensityMatrix(self.layout, acc, validate=False)
 
-    def merged(self, drop_below: float = 1e-14) -> "ClassicalQuantumState":
-        """Combine branches with identical records; drop negligible weights."""
+    def merged(self) -> "ClassicalQuantumState":
+        """Sum the matrices of branches with equal records; drop branches of
+        weight <= NEGLIGIBLE."""
         acc: dict = {}
-        for record, w, dm in self.branches:
-            if record in acc:
-                rec_w, mat = acc[record]
-                acc[record] = (rec_w + w, mat + w * dm.matrix)
-            else:
-                acc[record] = (w, w * dm.matrix)
-        items = []
-        for record in acc:
-            w, mat = acc[record]
-            if w <= drop_below:
-                continue
-            items.append((record, w, DensityMatrix(self.layout, mat / w, validate=False)))
-        return ClassicalQuantumState(self.layout, items, validate=False)
+        for record, mat in self.branches:
+            acc[record] = acc[record] + mat if record in acc else mat
+        kept = [(rec, mat) for rec, mat in acc.items() if mat.trace().real > NEGLIGIBLE]
+        return ClassicalQuantumState(self.layout, kept)
 
     def __repr__(self):
         return f"ClassicalQuantumState({self.layout!r}, branches={len(self.branches)})"
@@ -308,7 +302,7 @@ def partial_trace(rho: DensityMatrix, drop: Iterable[str]) -> DensityMatrix:
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     evals, vecs = np.linalg.eigh(mat)
-    # zero out float noise: sqrt would amplify 1e-16 dust to 1e-8
+    # zero out float noise: sqrt would amplify rounding dust to 1e-8
     evals = np.where(evals < 1e-14, 0.0, evals)
     return (vecs * np.sqrt(evals)) @ vecs.conj().T
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -35,7 +36,8 @@ from locbound.qstate import (
     PureState,
     RegisterLayout,
 )
-from locbound.rand import random_density, random_unitary
+from locbound.rand import random_density, random_kraus_channel, random_unitary
+from locbound.verify import repetition_module
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -273,11 +275,11 @@ def test_apply_layer_identity_and_cnot():
     st = cq_pure(lay, plus0)
 
     ident = apply_layer(st, Layer([]))
-    assert np.abs(ident.branches[0][2].matrix - st.branches[0][2].matrix).max() < 1e-12
+    assert np.abs(ident.branches[0][1] - st.branches[0][1]).max() < 1e-12
 
     out = apply_layer(st, Layer([Unitary(("0", "1"), CNOT)]))
     bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    assert np.abs(out.branches[0][2].matrix - np.outer(bell, bell)).max() < 1e-12
+    assert np.abs(out.branches[0][1] - np.outer(bell, bell)).max() < 1e-12
 
 
 def test_apply_layer_measurement_branches():
@@ -285,15 +287,16 @@ def test_apply_layer_measurement_branches():
     st = cq_pure(lay, H @ [1, 0])
     out = apply_layer(st, Layer([measure_gate("0", "s")]))
     assert len(out.branches) == 2
-    weights = sorted(round(w, 10) for _, w, _ in out.branches)
+    # a branch matrix is unnormalized: its trace is the branch weight
+    weights = sorted(round(mat.trace().real, 10) for _, mat in out.branches)
     assert weights == [0.5, 0.5]
-    records = sorted(rec for rec, _, _ in out.branches)
+    records = sorted(rec for rec, _ in out.branches)
     assert records == [(("s", 0),), (("s", 1),)]
     # a second write of the same key appends; dict() keeps the last value
     again = apply_layer(out, Layer([measure_gate("0", "s")]))
-    assert sorted(rec for rec, _, _ in again.branches) == [
+    assert sorted(rec for rec, _ in again.branches) == [
         (("s", 0), ("s", 0)), (("s", 1), ("s", 1))]
-    assert {dict(rec)["s"] for rec, _, _ in again.branches} == {0, 1}
+    assert {dict(rec)["s"] for rec, _ in again.branches} == {0, 1}
 
 
 def test_apply_layer_conditional_and_trace():
@@ -312,7 +315,7 @@ def test_apply_layer_conditional_and_trace():
         assert validate_layer(g, layer) == []
         st = apply_layer(st, layer)
     assert abs(st.total_weight - 1.0) < 1e-12
-    by_record = {rec: dm for rec, _, dm in st.branches}
+    by_record = {rec: DensityMatrix(lay, mat / mat.trace().real) for rec, mat in st.branches}
     assert set(by_record) == {(("s", 0), ("t", 1)), (("s", 1), ("t", 1))}
     q1 = {rec: by_record[rec].reduced(["1", "2"]).matrix for rec in by_record}
     assert np.abs(q1[(("s", 0), ("t", 1))] - np.diag([0, 0, 1, 0])).max() < 1e-12
@@ -323,22 +326,69 @@ def test_noise_modes():
     lay = RegisterLayout.qubits("0", "1")
     st = cq_pure(lay, [1, 0, 0, 0])
     full = noise_apply(st, 1.0, ("0", "1"))
-    assert np.abs(full.branches[0][2].matrix - np.eye(4) / 4).max() < 1e-12
+    assert np.abs(full.branches[0][1] - np.eye(4) / 4).max() < 1e-12
 
     none = noise_apply(st, 0.0, ("0", "1"))
-    assert np.abs(none.branches[0][2].matrix - st.branches[0][2].matrix).max() < 1e-12
+    assert np.abs(none.branches[0][1] - st.branches[0][1]).max() < 1e-12
 
     erased = noise_apply(st, 0.3, ("0", "1"), erased=("0",))
     red = erased.average_state().reduced(["0"])
     assert np.abs(red.matrix - np.eye(2) / 2).max() < 1e-12
     # the erased qubit gets rate 1, the other one rate p
     expect = noise_apply(noise_apply(st, 1.0, ("0",)), 0.3, ("1",))
-    assert np.abs(erased.branches[0][2].matrix - expect.branches[0][2].matrix).max() < 1e-15
+    assert np.abs(erased.branches[0][1] - expect.branches[0][1]).max() < 1e-15
 
     with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
         noise_apply(st, 1.5, ("0",))
     with pytest.raises(ValueError, match="subset of the noise qubits"):
         noise_apply(st, 0.1, ("0",), erased=("1",))
+
+
+def _embed(op, n, first):
+    """``op`` on the contiguous qubits from ``first``, as an n-qubit matrix."""
+    w = op.shape[0].bit_length() - 1
+    return np.kron(np.kron(np.eye(2 ** first), op), np.eye(2 ** (n - first - w)))
+
+
+@pytest.mark.parametrize("n, measured, kraus_qubits", [(2, 1, (0,)), (3, 0, (1, 2))])
+def test_branch_format_matches_dense_oracle(n, measured, kraus_qubits):
+    # a keyed gate's branch i holds K_i rho K_i^dag unnormalized, so its
+    # trace is the outcome weight and the branches sum to the unkeyed output
+    rng = np.random.default_rng(n)
+    lay = RegisterLayout.qubits(*(str(q) for q in range(n)))
+    rho = random_density(rng, lay)
+    ops = random_kraus_channel(rng, 2 ** len(kraus_qubits))
+    gates = [measure_gate(str(measured), "s"),
+             KrausGate(tuple(str(q) for q in kraus_qubits), ops, key="k")]
+    for gate in gates:
+        first = int(gate.qubits[0])
+        out = apply_layer(ClassicalQuantumState.from_density(rho), Layer([gate]))
+        assert abs(out.total_weight - 1.0) < 1e-12
+        by_record = dict(out.branches)
+        assert sorted(by_record) == [((gate.key, i),) for i in range(len(gate.operators))]
+        for i, k in enumerate(gate.operators):
+            full = _embed(k, n, first)
+            expect = full @ rho.matrix @ full.conj().T
+            assert np.abs(by_record[((gate.key, i),)] - expect).max() < 1e-12
+        unkeyed = apply_layer(ClassicalQuantumState.from_density(rho),
+                              Layer([KrausGate(gate.qubits, gate.operators)]))
+        assert len(unkeyed.branches) == 1
+        assert np.abs(sum(by_record.values()) - unkeyed.branches[0][1]).max() < 1e-12
+
+
+def test_branches_with_equal_records_merge():
+    rng = np.random.default_rng(4)
+    lay = RegisterLayout.qubits("0", "1")
+    a, b = (random_density(rng, lay).matrix for _ in range(2))
+    rec = (("s", 1),)
+    st = ClassicalQuantumState(lay, [(rec, 0.25 * a), (rec, 0.75 * b)])
+    out = apply_layer(st, Layer([measure_gate("0", "t")]))
+    assert sorted(r for r, _ in out.branches) == [rec + (("t", 0),), rec + (("t", 1),)]
+    mixed = 0.25 * a + 0.75 * b
+    for r, mat in out.branches:
+        full = _embed(np.diag([1.0, 0.0] if r[-1][1] == 0 else [0.0, 1.0]), 2, 0)
+        assert np.abs(mat - full @ mixed @ full).max() < 1e-12
+    assert abs(out.total_weight - 1.0) < 1e-12
 
 
 def test_depolarizing_channel_formula():
@@ -413,6 +463,30 @@ def test_erased_variant_reduced_state():
     out = simulate_module(mod, erased=(("0",), 0))
     red = out.average_state().reduced(["0"])
     assert np.abs(red.matrix - np.eye(2) / 2).max() < 1e-12
+
+
+@pytest.mark.parametrize("j", [5, 1, -1])
+def test_simulate_module_refuses_an_erased_round_that_does_not_exist(j):
+    # a round index outside 0..J-1 names no round: the region would never be erased
+    mod = repetition_module(0.1, 1)
+    with pytest.raises(ValueError, match=rf"^erased round {j} is outside 0\.\.0 \(J = 1\)$"):
+        simulate_module(mod, erased=(("d0", "d1"), j))
+
+
+def test_circuit_and_module_fields_are_frozen():
+    # reassigning a field would bypass the checks made on construction
+    g = ConnectivityGraph(["0", "1"], [("0", "1")])
+    circ = Circuit(g, [Layer([Unitary(("0", "1"), CNOT)])])
+    mod = EcModule(g, rounds=[circ], data_qubits=("0",),
+                   encoder=np.eye(2, dtype=complex), p=0.1)
+    other = ConnectivityGraph(["0", "1"], [])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        circ.layers = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        circ.graph = other
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mod.rounds = (Circuit(other, []),)
+    assert circ.graph is g and len(circ.layers) == 1 and mod.rounds == (circ,)
 
 
 def test_simulation_size_cap():

@@ -6,6 +6,7 @@ belongs in the tests."""
 
 import ast
 import dataclasses
+import importlib.util
 from pathlib import Path
 from types import FunctionType
 
@@ -89,3 +90,20 @@ def test_every_member_of_an_exported_class_has_a_user_outside_the_tests():
     unread = [f"{cls.__name__}.{member}" for cls in classes
               for member in sorted(_members(cls) - used)]
     assert unread == []
+
+
+def test_every_benchmark_target_resolves():
+    # the benchmark's tracer wraps these names and looks each one up as
+    # below; without this test only the benchmark's own selftest would
+    # notice a deleted or renamed one
+    spec = importlib.util.spec_from_file_location("worker", ROOT / "perfbench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    assert len(worker.TARGETS) > 20
+    for layer, qualname, on_result in worker.TARGETS:
+        owner = importlib.import_module(f"locbound.{layer}")
+        *classes, attr = qualname.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        assert callable(owner.__dict__[attr]), f"{layer}.{qualname}"
+        assert on_result is None or callable(on_result)

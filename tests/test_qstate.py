@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from locbound.qstate import (
+    NEGLIGIBLE,
     ClassicalQuantumState,
     DensityMatrix,
     Register,
@@ -218,20 +219,24 @@ def test_permuted_round_trip():
 
 
 def test_classical_quantum_state():
-    zero = basis(Q1, 0)
-    one = basis(Q1, 1)
-    cq = ClassicalQuantumState(Q1, [((("s", 0),), 0.5, zero), ((("s", 1),), 0.5, one)])
+    # a branch is (record, matrix); the unnormalized matrix's trace is its weight
+    zero = basis(Q1, 0).matrix
+    one = basis(Q1, 1).matrix
+    cq = ClassicalQuantumState(Q1, [((("s", 0),), 0.5 * zero), ((("s", 1),), 0.5 * one)])
     avg = cq.average_state()
     assert np.allclose(avg.matrix, np.eye(2) / 2)
     assert abs(cq.total_weight - 1.0) < 1e-12
-    assert ClassicalQuantumState.from_density(zero).branches[0][0] == ()
+    assert ClassicalQuantumState.from_density(basis(Q1, 0)).branches[0][0] == ()
 
-    with pytest.raises(ValueError):
-        ClassicalQuantumState(Q1, [((("s", 0),), 0.7, zero)])  # weights must sum to 1
+    with pytest.raises(ValueError, match="does not match layout dimension 2"):
+        ClassicalQuantumState(Q1, [((("s", 0),), np.eye(4))])
+    with pytest.raises(ValueError, match="at least one branch"):
+        ClassicalQuantumState(Q1, [])
 
     merged = ClassicalQuantumState(
-        Q1, [((("s", 0),), 0.5, zero), ((("s", 0),), 0.5, one)]
+        Q1, [((("s", 0),), 0.5 * zero), ((("s", 0),), 0.5 * one),
+             ((("s", 1),), NEGLIGIBLE * one)]
     ).merged()
-    assert len(merged.branches) == 1
+    assert len(merged.branches) == 1  # a branch of weight NEGLIGIBLE is dropped
     assert merged.branches[0][0] == (("s", 0),)
-    assert np.allclose(merged.branches[0][2].matrix, np.eye(2) / 2)
+    assert np.allclose(merged.branches[0][1], np.eye(2) / 2)
