@@ -22,10 +22,21 @@ plus an erased region at rate 1. Every channel is evaluated by exact
 arithmetic on density matrices (never by sampling); one finish step
 re-symmetrizes each branch, merges equal records, drops branches of
 weight <= NEGLIGIBLE and checks that the total weight is kept.
+
+Dense passes go one slice at a time. An operator or a noise channel
+mixes no row factor outside its support, so a matrix is processed one
+slice of fixed non-support row factors at a time, at most _SLICE
+entries (qstate) or else the smallest slice that holds the support,
+through slice-sized scratch. A matrix of one slice runs as one
+whole-array step. Branch matrices of a ClassicalQuantumState are
+read-only, so a writable matrix belongs to the running channel step: the
+step copies a branch at most once and then updates it in place.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -33,11 +44,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .qstate import (
+    _SLICE,
     ClassicalQuantumState,
     ParseError,
     PureState,
     Register,
     RegisterLayout,
+    _hermitize,
     max_entangled_state,
 )
 
@@ -178,23 +191,70 @@ def grid_graph(shape: Sequence[int]) -> tuple:
 # Operator application on labelled registers
 
 
+def _slices(dims: Sequence[int], keep: Sequence[int], ndim: int) -> list:
+    """Indices into the ``dims * ndim``-shaped view of an array, one per
+    slice: leading row factors outside ``keep`` are fixed, one at a time,
+    until a slice has at most _SLICE entries or none is left to fix. Row
+    factors in ``keep`` and every column factor stay whole. An array of at
+    most _SLICE entries is one slice, ``...``."""
+    n = len(dims)
+    size = math.prod(dims) ** ndim
+    fixed = []
+    for p in range(n):
+        if size <= _SLICE:
+            break
+        if p not in keep:
+            fixed.append(p)
+            size //= dims[p]
+    if not fixed:
+        return [...]
+    out = []
+    for values in itertools.product(*(range(dims[p]) for p in fixed)):
+        idx = [slice(None)] * (n * ndim)
+        for p, v in zip(fixed, values):
+            idx[p] = slice(v, v + 1)
+        out.append(tuple(idx))
+    return out
+
+
 def apply_operator(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int],
-                   op: np.ndarray) -> np.ndarray:
+                   op: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """K v for a state vector (1-D), K rho K^dag for a density matrix (2-D).
 
     K acts on the tensor factors at ``positions``, listed in K's own
-    factor order (any order, not necessarily sorted).
+    factor order (any order, not necessarily sorted). K rho K^dag mixes no
+    row factor outside K's support, so the work goes one slice of fixed
+    non-support row factors at a time (see _slices), through two
+    slice-sized scratch buffers, into ``out``: a C-contiguous array of the
+    result's shape, which may be ``arr`` itself, or a new array if None.
     """
     positions = list(positions)
     w = len(positions)
     n = len(dims)
-    k = op.reshape(tuple(dims[p] for p in positions) * 2)
+    gate_dims = tuple(dims[p] for p in positions)
+    dg = op.shape[0]
+    k = op.reshape(gate_dims * 2).reshape(dg, dg)  # as np.tensordot forms it: same gemm
     t = arr.reshape(tuple(dims) * arr.ndim)
-    # rows take K, columns take conj(K): (K rho K^dag)_ij = K_ia rho_ab conj(K_jb)
+    slices = _slices(dims, positions, arr.ndim)
+    shape = t[slices[0]].shape
+    dtype = np.result_type(op, arr)
+    res = np.empty(t.shape, dtype) if out is None else out.reshape(t.shape)
+    scratch = np.empty((2, dg, math.prod(shape) // dg), dtype)
+    # rows take K, columns take conj(K): (K rho K^dag)_ij = K_ia rho_ab conj(K_jb);
+    # each side is np.tensordot(K, s, (K's columns, axes)) moved back into place
+    sides = []
     for side, kt in enumerate((k, k.conj())[:arr.ndim]):
         axes = [p + side * n for p in positions]
-        t = np.moveaxis(np.tensordot(kt, t, axes=(range(w, 2 * w), axes)), range(w), axes)
-    return t.reshape(arr.shape)
+        order = axes + [a for a in range(len(shape)) if a not in axes]
+        sides.append((kt, axes, order, [shape[a] for a in order]))
+    for idx in slices:
+        s = t[idx]
+        for kt, axes, order, moved in sides:
+            np.copyto(scratch[0].reshape(moved), s.transpose(order))
+            np.dot(kt, scratch[0], out=scratch[1])
+            s = np.moveaxis(scratch[1].reshape(moved), range(w), axes)
+        res[idx] = s
+    return res.reshape(arr.shape) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -350,31 +410,37 @@ class Circuit:
 def _branch_apply_gate(record, mat, dims, positions, gate):
     """Apply one gate to one branch; yields (record, matrix). A keyed
     KrausGate yields (record + ((key, i),), K_i mat K_i^dag) for every i,
-    unnormalized, so each trace is that branch's weight."""
+    unnormalized, so each trace is that branch's weight. A writable
+    ``mat`` belongs to the running step and takes the last result in
+    place; a read-only one is never written."""
+    def apply(op, in_place=True):
+        out = mat if in_place and mat.flags.writeable else None
+        return apply_operator(mat, dims, positions, op, out=out)
+
     if isinstance(gate, Conditional):
         last = dict(record)
         u = gate.table.get(tuple(last.get(k) for k in gate.keys))
-        yield record, mat if u is None else apply_operator(mat, dims, positions, u)
+        yield record, mat if u is None else apply(u)
     elif isinstance(gate, Unitary):
-        yield record, apply_operator(mat, dims, positions, gate.matrix)
+        yield record, apply(gate.matrix)
     elif not isinstance(gate, KrausGate):
         raise CircuitError(f"unknown gate type {type(gate).__name__}")
     elif gate.key is None:
         acc = np.zeros_like(mat)
         for k in gate.operators:
-            acc += apply_operator(mat, dims, positions, k)
+            acc += apply(k, in_place=False)
         yield record, acc
     else:
+        final = len(gate.operators) - 1
         for i, k in enumerate(gate.operators):
-            yield record + ((gate.key, i),), apply_operator(mat, dims, positions, k)
+            yield record + ((gate.key, i),), apply(k, in_place=i == final)
 
 
 def _finish(layout, items, before: float) -> ClassicalQuantumState:
     """The finish step of every channel: re-symmetrize each (record, matrix)
     item, merge equal records, drop branches of weight <= NEGLIGIBLE, and
     check that the total weight stays ``before``."""
-    state = ClassicalQuantumState(
-        layout, ((rec, (mat + mat.conj().T) / 2) for rec, mat in items)).merged()
+    state = ClassicalQuantumState(layout, ((rec, _hermitize(mat)) for rec, mat in items)).merged()
     total = state.total_weight
     if not abs(total - before) <= TRACE_TOL:
         raise InvariantError(f"trace not preserved: total weight {before!r} -> {total!r}")
@@ -398,19 +464,30 @@ def apply_layer(state: ClassicalQuantumState, layer: Layer) -> ClassicalQuantumS
 
 
 def _depolarize_matrix(mat, dims, pos, p):
-    """N_p(rho) = (1 - p) rho + p I/d (x) tr_q rho on the factor at ``pos``.
+    """N_p(rho) = (1 - p) rho + p I/d (x) tr_q rho on the factor at ``pos``,
+    in place on the writable ``mat``, which is returned; one slice of
+    fixed row factors other than ``pos`` at a time.
 
     p = 1 is erasure: the factor is replaced by the maximally mixed state.
     """
+    n = len(dims)
     d = dims[pos]
-    left = int(np.prod(dims[:pos]))
-    right = int(np.prod(dims[pos + 1:]))
-    t = mat.reshape(left, d, right, left, d, right)
-    mixed = (p / d) * np.trace(t, axis1=1, axis2=4)
-    out = (1.0 - p) * t
+    t = mat.reshape(tuple(dims) * 2)
+    diags = []
     for i in range(d):
-        out[:, i, :, :, i, :] += mixed
-    return out.reshape(mat.shape)
+        diag = [slice(None)] * (2 * n)
+        diag[pos] = diag[pos + n] = i
+        diags.append(tuple(diag))
+    slices = _slices(dims, (pos,), 2)
+    mixed = np.empty(t[slices[0]][diags[0]].shape, mat.dtype)
+    for idx in slices:
+        s = t[idx]
+        np.trace(s, axis1=pos, axis2=pos + n, out=mixed)
+        np.multiply(p / d, mixed, out=mixed)
+        np.multiply(1.0 - p, s, out=s)
+        for diag in diags:
+            s[diag] += mixed
+    return mat
 
 
 def noise_apply(state: ClassicalQuantumState, p: float, qubits: Sequence[str],
@@ -419,7 +496,8 @@ def noise_apply(state: ClassicalQuantumState, p: float, qubits: Sequence[str],
     branch, with exact channel arithmetic; the ``erased`` qubits (a subset)
     get rate 1 and so are replaced by the maximally mixed state. The
     channels act on different factors, so their order does not matter, and
-    the X record is untouched.
+    the X record is untouched. Each noisy branch is copied once and then
+    updated in place.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -430,11 +508,13 @@ def noise_apply(state: ClassicalQuantumState, p: float, qubits: Sequence[str],
     layout = state.layout
     dims = layout.dims
     rates = [(layout.position(q), 1.0 if q in erased else p) for q in qubits]
+    rates = [(pos, rate) for pos, rate in rates if rate > 0.0]
 
     def noisy(mat):
+        if rates:
+            mat = mat.copy()
         for pos, rate in rates:
-            if rate > 0.0:
-                mat = _depolarize_matrix(mat, dims, pos, rate)
+            mat = _depolarize_matrix(mat, dims, pos, rate)
         return mat
 
     items = ((rec, noisy(mat)) for rec, mat in state.branches)

@@ -8,10 +8,15 @@ tuples of (key, outcome) pairs, instead of a dense register; each record
 carries an unnormalized matrix whose trace is the branch weight.
 All logarithms elsewhere in the package are base 2 (registers count
 qubits), and every value here is immutable after construction.
+
+Dense passes over a matrix larger than _SLICE entries work one
+cache-sized slice or tile at a time, in place on a writable matrix, so
+they make no full-size temporary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,6 +26,7 @@ HERM_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 NEGLIGIBLE = 1e-14  # a classical-quantum branch of weight <= this is dropped
+_SLICE = 2 ** 14  # complex entries one step of a dense pass touches (256 KiB, an L2 share)
 
 
 class ParseError(ValueError):
@@ -264,7 +270,7 @@ class ClassicalQuantumState:
         acc = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
         for _, mat in self.branches:
             acc += mat
-        acc = (acc + acc.conj().T) / 2
+        acc = _hermitize(acc)
         acc /= acc.trace().real
         return DensityMatrix(self.layout, acc, validate=False)
 
@@ -283,6 +289,35 @@ class ClassicalQuantumState:
 
 # ---------------------------------------------------------------------------
 # Operations
+
+
+def _hermitize(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat^dag) / 2, each entry (a + conj(b)) / 2 with b its
+    transposed partner. A matrix of at most _SLICE entries gives a new
+    array; a larger one is rewritten in place, after a copy if it is
+    read-only, one pair of mirrored tiles at a time through two tile-sized
+    buffers (the four tiles hold _SLICE entries)."""
+    d = len(mat)
+    if d * d <= _SLICE:
+        return (mat + mat.conj().T) / 2
+    if not mat.flags.writeable:
+        mat = mat.copy()
+    b = math.isqrt(_SLICE // 4)
+    buf = np.empty((2, b, b), mat.dtype)
+    for i in range(0, d, b):
+        for j in range(i, d, b):
+            upper, lower = mat[i:i + b, j:j + b], mat[j:j + b, i:i + b]
+            pairs = [(upper, lower)] if i == j else [(upper, lower), (lower, upper)]
+            new = []
+            for x, (tile, partner) in zip(buf, pairs):
+                x = x[:tile.shape[0], :tile.shape[1]]
+                np.conjugate(partner.T, out=x)
+                np.add(tile, x, out=x)
+                np.divide(x, 2, out=x)
+                new.append(x)
+            for x, (tile, _) in zip(new, pairs):
+                tile[...] = x
+    return mat
 
 
 def partial_trace(rho: DensityMatrix, drop: Iterable[str]) -> DensityMatrix:

@@ -395,10 +395,10 @@ def test_depolarizing_channel_formula():
     rng = np.random.default_rng(0)
     mat = np.outer([1, 1j], [1, -1j]) / 2
     for p in (0.0, 0.3, 1.0):
-        out = _depolarize_matrix(mat, (2,), 0, p)
+        out = _depolarize_matrix(mat.copy(), (2,), 0, p)  # in place: pass a copy
         expect = (1 - p) * mat + p * np.trace(mat) * np.eye(2) / 2
         assert np.abs(out - expect).max() < 1e-12
-    out = _depolarize_matrix(mat, (2,), 0, 1.0)
+    out = _depolarize_matrix(mat.copy(), (2,), 0, 1.0)
     assert np.abs(out - np.trace(mat) * np.eye(2) / 2).max() < 1e-12
 
 
@@ -412,7 +412,7 @@ def test_depolarize_matches_pauli_sandwich():
             for sigma in paulis:
                 full = np.kron(np.kron(np.eye(2 ** pos), sigma), np.eye(2 ** (2 - pos)))
                 oracle = oracle + 0.25 * p * full @ rho @ full.conj().T
-            out = _depolarize_matrix(rho, (2, 2, 2), pos, p)
+            out = _depolarize_matrix(rho.copy(), (2, 2, 2), pos, p)
             assert np.abs(out - oracle).max() < 1e-12
 
 
@@ -529,13 +529,13 @@ def test_mixture_identity_choi():
         dim = 2 ** m
 
         def n_p(mat):
-            out = mat
+            out = mat.copy()  # choi_matrix reuses its input
             for q in range(m):
                 out = _depolarize_matrix(out, dims, q, p)
             return out
 
         def n_gamma(mat):
-            out = mat
+            out = mat.copy()
             for q in gamma:
                 out = _depolarize_matrix(out, dims, q, 1.0)
             for q in range(m):
