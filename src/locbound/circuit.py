@@ -238,6 +238,8 @@ def apply_operator(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int
     slices = _slices(dims, positions, arr.ndim)
     shape = t[slices[0]].shape
     dtype = np.result_type(op, arr)
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     res = np.empty(t.shape, dtype) if out is None else out.reshape(t.shape)
     scratch = np.empty((2, dg, math.prod(shape) // dg), dtype)
     # rows take K, columns take conj(K): (K rho K^dag)_ij = K_ia rho_ab conj(K_jb);
@@ -411,10 +413,11 @@ def _branch_apply_gate(record, mat, dims, positions, gate):
     """Apply one gate to one branch; yields (record, matrix). A keyed
     KrausGate yields (record + ((key, i),), K_i mat K_i^dag) for every i,
     unnormalized, so each trace is that branch's weight. A writable
-    ``mat`` belongs to the running step and takes the last result in
-    place; a read-only one is never written."""
+    C-contiguous ``mat`` belongs to the running step and takes the last
+    result in place; any other is never written."""
     def apply(op, in_place=True):
-        out = mat if in_place and mat.flags.writeable else None
+        owned = mat.flags.writeable and mat.flags.c_contiguous
+        out = mat if in_place and owned else None
         return apply_operator(mat, dims, positions, op, out=out)
 
     if isinstance(gate, Conditional):
@@ -426,7 +429,7 @@ def _branch_apply_gate(record, mat, dims, positions, gate):
     elif not isinstance(gate, KrausGate):
         raise CircuitError(f"unknown gate type {type(gate).__name__}")
     elif gate.key is None:
-        acc = np.zeros_like(mat)
+        acc = np.zeros_like(mat, order="C")
         for k in gate.operators:
             acc += apply(k, in_place=False)
         yield record, acc
@@ -465,11 +468,13 @@ def apply_layer(state: ClassicalQuantumState, layer: Layer) -> ClassicalQuantumS
 
 def _depolarize_matrix(mat, dims, pos, p):
     """N_p(rho) = (1 - p) rho + p I/d (x) tr_q rho on the factor at ``pos``,
-    in place on the writable ``mat``, which is returned; one slice of
-    fixed row factors other than ``pos`` at a time.
+    in place on the writable C-contiguous ``mat``, which is returned; one
+    slice of fixed row factors other than ``pos`` at a time.
 
     p = 1 is erasure: the factor is replaced by the maximally mixed state.
     """
+    if not mat.flags.c_contiguous:
+        raise ValueError("mat must be C-contiguous")
     n = len(dims)
     d = dims[pos]
     t = mat.reshape(tuple(dims) * 2)

@@ -9,9 +9,9 @@ carries an unnormalized matrix whose trace is the branch weight.
 All logarithms elsewhere in the package are base 2 (registers count
 qubits), and every value here is immutable after construction.
 
-Dense passes over a matrix larger than _SLICE entries work one
-cache-sized slice or tile at a time, in place on a writable matrix, so
-they make no full-size temporary.
+Dense passes over a matrix work one cache-sized slice or tile of at
+most _SLICE entries at a time, in place on a writable matrix, so they
+make no full-size temporary.
 """
 
 from __future__ import annotations
@@ -293,16 +293,13 @@ class ClassicalQuantumState:
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
     """(mat + mat^dag) / 2, each entry (a + conj(b)) / 2 with b its
-    transposed partner. A matrix of at most _SLICE entries gives a new
-    array; a larger one is rewritten in place, after a copy if it is
+    transposed partner, rewritten in place, after a copy if ``mat`` is
     read-only, one pair of mirrored tiles at a time through two tile-sized
-    buffers (the four tiles hold _SLICE entries)."""
+    buffers (the four tiles hold at most _SLICE entries)."""
     d = len(mat)
-    if d * d <= _SLICE:
-        return (mat + mat.conj().T) / 2
     if not mat.flags.writeable:
         mat = mat.copy()
-    b = math.isqrt(_SLICE // 4)
+    b = min(math.isqrt(_SLICE // 4), d)
     buf = np.empty((2, b, b), mat.dtype)
     for i in range(0, d, b):
         for j in range(i, d, b):

@@ -1,9 +1,9 @@
 """The sliced dense kernels against whole-array oracles.
 
 apply_operator, _depolarize_matrix and _hermitize work one slice or tile
-of at most _SLICE entries at a time. On matrices of several slices they
-must agree bit for bit with the whole-array bodies they replaced (kept
-here as oracles), and apply_operator to 1e-12 with an np.kron embedding.
+of at most _SLICE entries at a time. They must agree bit for bit with
+the whole-array bodies they replaced (kept here as oracles) on matrices
+of several slices, and _hermitize on one tile or less too, and apply_operator to 1e-12 with an np.kron embedding.
 Each channel step must stay near one state of memory above its input.
 """
 
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from locbound.circuit import (
+    KrausGate,
     Layer,
     Unitary,
     _depolarize_matrix,
@@ -22,7 +23,13 @@ from locbound.circuit import (
     apply_operator,
     noise_apply,
 )
-from locbound.qstate import _SLICE, ClassicalQuantumState, RegisterLayout, _hermitize
+from locbound.qstate import (
+    _SLICE,
+    ClassicalQuantumState,
+    DensityMatrix,
+    RegisterLayout,
+    _hermitize,
+)
 from locbound.rand import random_density, random_unitary
 
 # qubit counts whose density matrices span several slices (4 and 16 at 2^14)
@@ -94,7 +101,7 @@ def test_sliced_apply_operator_matches_oracles(n):
 
 
 @pytest.mark.parametrize("n", SLICED)
-def test_sliced_depolarize_and_hermitize_match_whole_array(n):
+def test_sliced_depolarize_matches_whole_array(n):
     # compared as bytes on an input with a block of -0.0 entries (factor 1
     # in |1> on both sides), so that a reordered sum would show: np.trace
     # starts from +0.0, so two -0.0 diagonal entries add to +0.0
@@ -107,11 +114,20 @@ def test_sliced_depolarize_and_hermitize_match_whole_array(n):
         for p in (0.3, 1.0):
             got = _depolarize_matrix(rho.copy(), dims, pos, p)
             assert got.tobytes() == whole_array_depolarize(rho, dims, pos, p).tobytes()
-    rng = np.random.default_rng(n)
-    mat = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)
-    mat[block] = complex(-0.0, -0.0)
+
+
+@pytest.mark.parametrize("d", (1, 2, 64, 100, 2 ** SLICED[0]))
+def test_hermitize_matches_whole_array(d):
+    # one tile, a tile with a partial edge, and several tiles; in place on
+    # a writable matrix, on a copy of a read-only one, bytes equal to
+    # (m + m^dag) / 2 with -0.0 entries present
+    rng = np.random.default_rng(d)
+    mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    mat[: d // 2, d // 3:] = complex(-0.0, -0.0)
     expect = ((mat + mat.conj().T) / 2).tobytes()
-    assert _hermitize(mat.copy()).tobytes() == expect
+    work = mat.copy()
+    assert _hermitize(work) is work
+    assert work.tobytes() == expect
     mat.setflags(write=False)  # a branch of a state: copied, never written
     before = mat.copy()
     assert _hermitize(mat).tobytes() == expect
@@ -141,3 +157,39 @@ def test_channel_steps_stay_near_one_state():
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * one, f"{name}: {peak / one:.2f} states"
+
+
+@pytest.mark.parametrize("n", (3,) + SLICED)
+def test_fortran_ordered_branch_keeps_every_gate(n):
+    # an F-ordered branch (a conjugated transpose) through an unkeyed
+    # KrausGate and then a Unitary in one layer gives the same bytes as its
+    # C-ordered copy, and matches an np.kron reference
+    rng = np.random.default_rng(n)
+    layout = RegisterLayout.qubits(*map(str, range(n)))
+    rho = _density(n, 3 * n)
+    f_rho = np.asarray(rho.conj().T)
+    assert f_rho.flags.f_contiguous and not f_rho.flags.c_contiguous
+    p = 0.3
+    kraus = [np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * np.array([[0, 1], [1, 0]])]
+    u = random_unitary(rng, 4)
+    layer = Layer([KrausGate(("0",), kraus), Unitary(("1", str(n - 1)), u)])
+    got = {}
+    for name, mat in (("F", f_rho), ("C", np.ascontiguousarray(f_rho))):
+        state = apply_layer(ClassicalQuantumState.from_density(DensityMatrix(layout, mat)), layer)
+        (_, got[name]), = state.branches
+    assert got["F"].tobytes() == got["C"].tobytes()
+    ks = [kron_embed(k, n, [0]) for k in kraus]
+    full = kron_embed(u, n, [1, n - 1])
+    expect = full @ sum(k @ f_rho @ k.conj().T for k in ks) @ full.conj().T
+    assert np.abs(got["F"] - expect).max() < 1e-12
+
+
+def test_in_place_kernels_refuse_non_c_contiguous_targets():
+    n = 3
+    dims = (2,) * n
+    rho = _density(n, 5)
+    f_buf = np.asfortranarray(rho)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        apply_operator(rho, dims, [0], np.eye(2), out=f_buf)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _depolarize_matrix(f_buf, dims, 0, 0.1)
