@@ -80,6 +80,7 @@ from .stabilizer import (
     DistanceResult,
     Pauli,
     StabilizerCode,
+    code_entropy,
     commutes,
     correctable_region,
     encoding_isometry,

@@ -35,6 +35,7 @@ step copies a branch at most once and then updates it in place.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,36 +66,73 @@ MAX_QUBITS = 12  # dense simulation: circuit files, verify_sie, simulate_module
 class ConnectivityGraph:
     """Undirected graph on the qubit set; no self-loops. ``index`` maps a
     label to its row in ``vertices``; ``eu``/``ev`` are the endpoint rows
-    of ``edges`` (string-sorted normalized pairs)."""
+    of ``edges`` (string-sorted normalized pairs).
+
+    The edges live as the two row arrays. The label tuples of ``edges``
+    and the pair set behind ``has_edge`` are built from them on first read.
+    """
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple]):
-        self.vertices = tuple(str(v) for v in vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        if len(self.index) != len(self.vertices):
-            raise ValueError("duplicate vertices")
-        pairs = set()
+        self._set_vertices(vertices)
+        rows = []
         for u, v in edges:
             u, v = str(u), str(v)
             if u not in self.index or v not in self.index:
                 raise ValueError(f"edge ({u}, {v}) references unknown vertex")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            pairs.add((u, v) if u <= v else (v, u))
-        self._pairs = frozenset(pairs)
-        self.edges = tuple(sorted(pairs))
-        self.eu = np.array([self.index[u] for u, _ in self.edges], dtype=np.int64)
-        self.ev = np.array([self.index[v] for _, v in self.edges], dtype=np.int64)
+            rows.append((self.index[u], self.index[v]))
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        self._set_edges(rows[:, 0], rows[:, 1])
+
+    @classmethod
+    def _from_rows(cls, vertices: Sequence[str], eu: np.ndarray,
+                   ev: np.ndarray) -> "ConnectivityGraph":
+        """The graph whose i-th edge joins rows eu[i] != ev[i], which must
+        be in range; pairs may repeat and come in either orientation."""
+        graph = cls.__new__(cls)
+        graph._set_vertices(vertices)
+        graph._set_edges(eu, ev)
+        return graph
+
+    def _set_vertices(self, vertices: Sequence[str]) -> None:
+        self.vertices = tuple(map(str, vertices))
+        self.index = dict(zip(self.vertices, range(len(self.vertices))))
+        if len(self.index) != len(self.vertices):
+            raise ValueError("duplicate vertices")
+
+    def _set_edges(self, eu: np.ndarray, ev: np.ndarray) -> None:
+        """Normalize each pair to (smaller, larger) label, drop repeats and
+        sort by labels, all on the ranks of the labels in string order."""
+        m = self.m
+        by_label = np.array(sorted(range(m), key=self.vertices.__getitem__), dtype=np.int64)
+        rank = np.empty(m, dtype=np.int64)
+        rank[by_label] = np.arange(m)
+        ru, rv = rank[eu], rank[ev]
+        key = np.minimum(ru, rv) * m + np.maximum(ru, rv)
+        key.sort()
+        key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0
+        self.eu, self.ev = by_label[key // m], by_label[key % m]
         self.eu.flags.writeable = self.ev.flags.writeable = False
 
     @property
     def m(self) -> int:
         return len(self.vertices)
 
+    @functools.cached_property
+    def edges(self) -> tuple:
+        verts = self.vertices
+        return tuple((verts[u], verts[v]) for u, v in zip(self.eu.tolist(), self.ev.tolist()))
+
+    @functools.cached_property
+    def _pairs(self) -> frozenset:
+        return frozenset(self.edges)
+
     def has_edge(self, u: str, v: str) -> bool:
         return ((u, v) if u <= v else (v, u)) in self._pairs
 
     def __repr__(self):
-        return f"ConnectivityGraph(m={self.m}, edges={len(self.edges)})"
+        return f"ConnectivityGraph(m={self.m}, edges={len(self.eu)})"
 
 
 def boundary(graph: ConnectivityGraph, region: Iterable[str]) -> set:
@@ -175,16 +213,14 @@ def grid_graph(shape: Sequence[int]) -> tuple:
     axis-aligned edges; returns (graph, embedding) with c = 1."""
     shape = tuple(int(s) for s in shape)
     dim = len(shape)
-    m = int(np.prod(shape))
-    ids = np.arange(m).reshape(shape)
-    labels = [str(i) for i in range(m)]
-    edges = []
-    for ax in range(dim):
-        rows = np.moveaxis(ids, ax, 0)  # unit steps along ax are steps along axis 0
-        edges.extend(zip(rows[:-1].ravel().tolist(), rows[1:].ravel().tolist()))
-    graph = ConnectivityGraph(labels, [(labels[u], labels[v]) for u, v in edges])
-    points = np.indices(shape, dtype=float).reshape(dim, m).T
-    return graph, Embedding(points, c=1.0)
+    m = math.prod(shape)
+    coords = np.indices(shape).reshape(dim, m)  # column i: the coordinates of vertex i
+    # vertex u steps along axis a unless it is last there; the step adds
+    # the row-major stride of a
+    axis, eu = np.nonzero(coords < np.array(shape).reshape(dim, 1) - 1)
+    strides = np.array([math.prod(shape[a + 1:]) for a in range(dim)], dtype=np.int64)
+    graph = ConnectivityGraph._from_rows(map(str, range(m)), eu, eu + strides[axis])
+    return graph, Embedding(coords.T.astype(float), c=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,12 @@ def cell_side(lam: int, dimension: int) -> int:
 
 @dataclass
 class Partition:
-    """Disjoint blocks covering the vertex set, with boundary sizes. Each
-    block is an ascending int64 array of rows into ``graph.vertices``."""
+    """Disjoint blocks covering the vertex set, with their sizes and
+    boundary sizes. Each block is an ascending int64 array of rows into
+    ``graph.vertices``."""
 
     blocks: tuple
+    sizes: tuple
     boundary_sizes: tuple
     lam: int
     merged: bool
@@ -63,10 +65,6 @@ class Partition:
     @property
     def count(self) -> int:
         return len(self.blocks)
-
-    @property
-    def sizes(self) -> tuple:
-        return tuple(len(b) for b in self.blocks)
 
 
 @dataclass
@@ -136,13 +134,17 @@ def grid_partition(embedding: Embedding, graph: ConnectivityGraph, lam: int,
             "embedding violates unit spacing or lam is below the packing regime"
         )
 
-    def blocks_from_starts(starts):
+    def partition_from_starts(starts, merged, note=""):
         """Blocks are the runs of ``order`` that begin at ``starts``."""
         ends = np.r_[starts[1:], m]
+        sizes = ends - starts
         block_id = np.empty(m, dtype=np.int64)
-        block_id[order] = np.repeat(np.arange(len(starts)), ends - starts)
+        block_id[order] = np.repeat(np.arange(len(starts)), sizes)
         rows = np.argsort(block_id, kind="stable")  # ascending rows within each block
-        return tuple(rows[s:e] for s, e in zip(starts.tolist(), ends.tolist())), block_id
+        blocks = tuple(rows[s:e] for s, e in zip(starts.tolist(), ends.tolist()))
+        bsizes = _boundary_sizes(graph, block_id, len(blocks))
+        return Partition(blocks, tuple(sizes.tolist()), tuple(bsizes.tolist()), lam,
+                         merged, note)
 
     # greedy merge of consecutive cells while the block stays within lam
     merged_starts = []
@@ -154,17 +156,14 @@ def grid_partition(embedding: Embedding, graph: ConnectivityGraph, lam: int,
             merged_starts.append(start)
         acc_size += count
 
-    blocks, block_id = blocks_from_starts(np.array(merged_starts, dtype=np.int64))
-    bsizes = _boundary_sizes(graph, block_id, len(blocks))
+    partition = partition_from_starts(np.array(merged_starts, dtype=np.int64), merged=True)
     budget = boundary_budget(lam, embedding.c, dim, kappa)
-    if len(merged_starts) < len(cell_starts) and bsizes.max(initial=0) > budget:
-        blocks, block_id = blocks_from_starts(cell_starts)
-        bsizes = _boundary_sizes(graph, block_id, len(blocks))
-        return Partition(
-            blocks, tuple(int(b) for b in bsizes), lam, merged=False,
+    if len(merged_starts) < len(cell_starts) and max(partition.boundary_sizes) > budget:
+        return partition_from_starts(
+            cell_starts, merged=False,
             note="merging disabled: merged blocks would break the boundary bound",
         )
-    return Partition(blocks, tuple(int(b) for b in bsizes), lam, merged=True)
+    return partition
 
 
 def check_guarantees(partition: Partition, embedding: Embedding, lam: int,

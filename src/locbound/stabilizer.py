@@ -6,7 +6,8 @@ bit vectors x, z and phase exponent e; Y carries e = 1 per qubit so that
 Hermitian strings have e = x.z (mod 2). Correctability is a GF(2) rank
 test on the generator matrix (a region is correctable iff it supports no
 logical operator), and the distance is the smallest region that fails it.
-The dense code projector serves the encoders and entropies, for n <= 12.
+Entropies of the encoded maximally mixed state are GF(2) ranks too, at any
+n. The dense code projector serves the encoders alone, for n <= 12.
 """
 
 from __future__ import annotations
@@ -256,6 +257,13 @@ class DistanceResult:
         return str(self.distance) if self.exact else f">= {self.at_least}"
 
 
+def _region_columns(code: StabilizerCode, region: Sequence[int]) -> np.ndarray:
+    """Mask of the region's X and Z columns in the symplectic matrix."""
+    on = np.zeros(code.n, dtype=bool)
+    on[list(region)] = True
+    return np.concatenate([on, on])
+
+
 def _correctable(code: StabilizerCode, region: Sequence[int]) -> bool:
     """True iff no logical operator is supported in the region (distinct
     in-range qubits).
@@ -264,9 +272,7 @@ def _correctable(code: StabilizerCode, region: Sequence[int]) -> bool:
     generator, the right side the stabilizers supported on the region; the
     first set contains the second, so equal counts mean equal sets.
     """
-    on = np.zeros(code.n, dtype=bool)
-    on[list(region)] = True
-    cols = np.concatenate([on, on])
+    cols = _region_columns(code, region)
     g = code.symplectic_matrix
     return 2 * len(region) - _gf2_rank(g[:, cols]) == len(g) - _gf2_rank(g[:, ~cols])
 
@@ -296,6 +302,26 @@ def correctable_region(code: StabilizerCode, region: Iterable[int]) -> bool:
         if not 0 <= q < code.n:
             raise ValueError(f"qubit index {q} out of range")
     return _correctable(code, region)
+
+
+def code_entropy(code: StabilizerCode, region: Iterable[int]) -> int:
+    """Von Neumann entropy S(A), in bits, of the region A (distinct qubit
+    indices) in the encoded maximally mixed state Pi_C / 2^k.
+
+    The reduced state is the uniform mixture over the stabilizers supported
+    in A, which are the kernel of the generators' restriction to the
+    complement; with r = n - k generators this gives
+    S(A) = |A| - r + rank(G restricted to the complement)
+    (Fattal, Cubitt, Yamamoto, Bravyi, Chuang, quant-ph/0406168).
+    """
+    region = list(region)
+    if len(set(region)) != len(region):
+        raise ValueError(f"region {region} lists a qubit twice")
+    for q in region:
+        if not 0 <= q < code.n:
+            raise ValueError(f"qubit index {q} out of range")
+    g = code.symplectic_matrix
+    return len(region) - len(g) + _gf2_rank(g[:, ~_region_columns(code, region)])
 
 
 # ---------------------------------------------------------------------------

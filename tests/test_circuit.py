@@ -99,7 +99,8 @@ def _grid_graph_oracle(shape):
     return tuple(str(i) for i in range(m)), edges, points
 
 
-@pytest.mark.parametrize("shape", [(1,), (7,), (1, 5), (3, 4), (2, 3, 4)])
+# (12,) and (3, 5) have labels whose string order differs from numeric order
+@pytest.mark.parametrize("shape", [(1,), (7,), (1, 5), (3, 4), (2, 3, 4), (12,), (3, 5)])
 def test_grid_graph_matches_loop_oracle(shape):
     graph, emb = grid_graph(shape)
     vertices, edges, points = _grid_graph_oracle(shape)
@@ -111,6 +112,15 @@ def test_grid_graph_matches_loop_oracle(shape):
     assert [(graph.vertices[u], graph.vertices[v]) for u, v in zip(graph.eu, graph.ev)] \
         == list(graph.edges)
     assert all(graph.index[v] == i for i, v in enumerate(graph.vertices))
+    # the label constructor, given the same edges reversed and flipped,
+    # builds the same graph
+    labelled = ConnectivityGraph(vertices, [(v, u) for u, v in reversed(edges)])
+    assert labelled.edges == graph.edges
+    assert np.array_equal(labelled.eu, graph.eu) and np.array_equal(labelled.ev, graph.ev)
+    pairs = set(edges)
+    for u, v in itertools.product(vertices, repeat=2):
+        want = ((u, v) if u <= v else (v, u)) in pairs
+        assert graph.has_edge(u, v) == labelled.has_edge(u, v) == want
 
 
 def _boundary_oracle(vertices, edges, region):

@@ -316,13 +316,26 @@ def repetition13(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["ree", "--code", "{file}", "--region", "0"],
-    ["entropy", "--code", "{file}", "--region", "0"],
     ["code", "encode", "--file", "{file}"],
-], ids=["ree", "entropy", "encode"])
+], ids=["ree", "encode"])
 def test_oversized_dense_paths_exit_two(repetition13, argv):
     proc = run_cli(*(a.format(file=repetition13) for a in argv), timeout=30)
     assert proc.returncode == 2
     assert proc.stdout == ""
+
+
+def test_entropy_beyond_dense_limit(repetition13):
+    # code entropies are GF(2) ranks, so a 13-qubit code needs no dense state
+    proc = run_cli("entropy", "--code", repetition13, "--region", "0,5", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["vn_entropy"], report["coherent_info"],
+            report["coherent_info_reverse"], report["total_entropy"]) == (1.0, 0.0, 0.0, 1.0)
+
+
+def test_entropy_code_rejects_a_repeated_qubit(capsys):
+    assert dispatch(["entropy", "--code", FIVE_QUBIT, "--region", "0,0"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv, index", [

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locbound.circuit import grid_graph
 from locbound.entropy import vn_entropy
+from locbound.partition import grid_partition
 from locbound.qstate import DensityMatrix, ParseError, RegisterLayout, trace_distance
 from locbound.stabilizer import (
+    FIVE_QUBIT_GENERATORS,
+    FOUR_TWO_TWO_GENERATORS,
+    REPETITION_3_GENERATORS,
     CodeValidationError,
     StabilizerCode,
+    code_entropy,
     commutes,
     correctable_region,
     encoding_isometry,
@@ -22,6 +28,8 @@ from locbound.stabilizer import (
     repetition_code,
     validate_code,
 )
+from locbound.separability import ree_lower
+from locbound.verify import verify_structure_code
 
 STEANE = ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
 SHOR = ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI",
@@ -165,6 +173,64 @@ def test_correctable_agrees_with_distance():
             for region in combinations(range(code.n), d)
         )
         assert some_bad, f"no uncorrectable region of size d for {code}"
+
+
+# code: grid shape of its qubit layout
+DENSE_ORACLE_CODES = (
+    (FIVE_QUBIT_GENERATORS, (5,)),
+    (FOUR_TWO_TWO_GENERATORS, (2, 2)),
+    (REPETITION_3_GENERATORS, (3,)),
+    (STEANE, (7,)),
+    (SHOR, (3, 3)),
+    (SURFACE_3, (3, 3)),
+)
+
+
+def test_code_entropy_matches_dense_oracle():
+    for gens, _ in DENSE_ORACLE_CODES:
+        code = validate_code(gens)
+        rho = code.encoded_maximally_mixed()
+        for size in range(code.n + 1):
+            for region in combinations(range(code.n), size):
+                dense = vn_entropy(rho, [f"q{q}" for q in region])
+                assert abs(code_entropy(code, region) - dense) < 1e-12, (gens, region)
+
+
+def test_structure_code_matches_dense_ree_lower():
+    """On the grid partition at lam = d - 1, every per-block value equals
+    the dense ree_lower of the block."""
+    for gens, shape in DENSE_ORACLE_CODES:
+        code = validate_code(gens)
+        d = min_distance(code).distance
+        if d < 2:
+            continue  # no block is below the distance
+        graph, emb = grid_graph(shape)
+        blocks = [block.tolist() for block in grid_partition(emb, graph, d - 1).blocks]
+        report = verify_structure_code(code, blocks)
+        rho = code.encoded_maximally_mixed()
+        dense = [ree_lower(rho, [f"q{q}" for q in block]) for block in blocks]
+        assert report.passed
+        assert np.allclose(report.parameters["per_block"], dense, rtol=0.0, atol=1e-12)
+
+
+def test_code_entropy_beyond_the_dense_limit():
+    # a 15-qubit repetition code: Z-type generators Z_i Z_(i+1), so every
+    # nonempty region holds one bit of the logical X-basis mixture
+    n = 15
+    code = validate_code("I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1))
+    assert code.k == 1
+    assert code_entropy(code, []) == 0
+    for size in range(1, n + 1):
+        for region in combinations(range(n), size):
+            assert code_entropy(code, region) == 1, region
+
+
+def test_code_entropy_rejects_bad_regions():
+    code = five_qubit_code()
+    with pytest.raises(ValueError, match="twice"):
+        code_entropy(code, [0, 0])
+    with pytest.raises(ValueError, match="out of range"):
+        code_entropy(code, [5])
 
 
 def test_encoding_isometry():
