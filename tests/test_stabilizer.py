@@ -175,7 +175,7 @@ def test_correctable_agrees_with_distance():
         assert some_bad, f"no uncorrectable region of size d for {code}"
 
 
-# code: grid shape of its qubit layout
+# (generators, grid shape of the qubit layout)
 DENSE_ORACLE_CODES = (
     (FIVE_QUBIT_GENERATORS, (5,)),
     (FOUR_TWO_TWO_GENERATORS, (2, 2)),
@@ -214,8 +214,8 @@ def test_structure_code_matches_dense_ree_lower():
 
 
 def test_code_entropy_beyond_the_dense_limit():
-    # a 15-qubit repetition code: Z-type generators Z_i Z_(i+1), so every
-    # nonempty region holds one bit of the logical X-basis mixture
+    # a 15-qubit repetition code: Pi_C / 2 is the even mixture of |0...0>
+    # and |1...1>, so every nonempty region holds one classical bit
     n = 15
     code = validate_code("I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1))
     assert code.k == 1
