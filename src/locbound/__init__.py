@@ -78,10 +78,8 @@ from .separability import (
 )
 from .stabilizer import (
     DistanceResult,
-    Pauli,
     StabilizerCode,
     code_entropy,
-    commutes,
     correctable_region,
     encoding_isometry,
     five_qubit_code,

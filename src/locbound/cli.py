@@ -24,7 +24,6 @@ from . import separability as sep
 from . import verify as ver
 from .circuit import InvariantError, read_circuit_file, validate_embedding
 from .entropy import g_continuity
-from .qstate import ParseError
 from .rand import DEFAULT_SEED
 from .stabilizer import (
     code_entropy,
@@ -104,7 +103,7 @@ def _cmd_code_check(args):
         "command": "code check",
         "n": code.n,
         "k": code.k,
-        "generators": [str(g) for g in code.generators],
+        "generators": list(code.generators),
         "valid": True,
     }
 
@@ -511,7 +510,7 @@ def dispatch(argv: list) -> int:
     try:
         code, report = args.handler(args)
         text = _render(report)
-    except (ParseError, InputError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ParseError and InputError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ArithmeticError as exc:  # finite inputs whose arithmetic leaves float64

@@ -22,9 +22,10 @@ from .circuit import ConnectivityGraph, Embedding, _graph_points, _parse_uint
 from .qstate import ParseError
 
 
-class PartitionInternalError(RuntimeError):
+class PartitionInternalError(ValueError):
     """A cell exceeded the size cap; impossible for valid embeddings with
-    an unclamped cell side, so this indicates bad input."""
+    an unclamped cell side, so this indicates bad input: a spacing
+    violation, or a lam so small that the cell side clamps to 1."""
 
 
 def kappa_default(c: float, dimension: int) -> float:

@@ -1,13 +1,16 @@
-"""Pauli algebra, stabilizer codes, correctability of regions, minimum
-distance, and numeric encoding isometries.
+"""Stabilizer codes on one GF(2) tableau: correctability of regions,
+minimum distance, code entropies and numeric encoding isometries.
 
-Paulis are held in the symplectic representation P = i^e X(x) Z(z) with
-bit vectors x, z and phase exponent e; Y carries e = 1 per qubit so that
-Hermitian strings have e = x.z (mod 2). Correctability is a GF(2) rank
-test on the generator matrix (a region is correctable iff it supports no
-logical operator), and the distance is the smallest region that fails it.
-Entropies of the encoded maximally mixed state are GF(2) ranks too, at any
-n. The dense code projector serves the encoders alone, for n <= 12.
+A generator is its canonical signed string ("XZZXI", "-IZY"): letters over
+I, X, Y, Z with a leading "-" when negative, so it is Hermitian by
+construction. A code holds those strings and the one symplectic matrix
+[X | Z] whose rows are their bit vectors (Aaronson-Gottesman,
+quant-ph/0406196); the sign enters only the dense projector. Validation,
+correctability (a region is correctable iff it supports no logical
+operator) and the distance (the smallest region that fails it) are GF(2)
+linear algebra on that matrix. Entropies of the encoded maximally mixed
+state are GF(2) ranks too, at any n. The dense code projector serves the
+encoders alone, for n <= 12.
 """
 
 from __future__ import annotations
@@ -26,95 +29,29 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _SINGLE = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
 
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
-_PHASES = {0: "", 1: "i", 2: "-", 3: "-i"}
 
-
-class PauliError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Pauli:
-    """n-qubit Pauli operator i^phase_exp * X(x) Z(z)."""
-
-    n: int
-    x: tuple
-    z: tuple
-    phase_exp: int = 0
-
-    def __post_init__(self):
-        if len(self.x) != self.n or len(self.z) != self.n:
-            raise PauliError("bit vector length must equal n")
-
-    @property
-    def symplectic(self) -> np.ndarray:
-        return np.array(self.x + self.z, dtype=np.uint8)
-
-    def is_hermitian(self) -> bool:
-        xz = sum(a & b for a, b in zip(self.x, self.z))
-        return (self.phase_exp - xz) % 2 == 0
-
-    def multiply(self, other: "Pauli") -> "Pauli":
-        """Group product self * other with exact phase tracking."""
-        if self.n != other.n:
-            raise PauliError("length mismatch")
-        # X(x)Z(z) X(x')Z(z') = (-1)^{z.x'} X(x+x') Z(z+z')
-        cross = sum(a & b for a, b in zip(self.z, other.x))
-        phase = (self.phase_exp + other.phase_exp + 2 * cross) % 4
-        x = tuple((a ^ b) for a, b in zip(self.x, other.x))
-        z = tuple((a ^ b) for a, b in zip(self.z, other.z))
-        return Pauli(self.n, x, z, phase)
-
-    def matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix (n <= 12)."""
-        out = np.array([[1.0 + 0j]])
-        extra = 0
-        for xb, zb in zip(self.x, self.z):
-            letter = _BITS_LETTER[(xb, zb)]
-            if letter == "Y":
-                extra += 1  # Y = i X Z
-            out = np.kron(out, _SINGLE[letter])
-        return (1j ** ((self.phase_exp - extra) % 4)) * out
-
-    def __str__(self) -> str:
-        letters = "".join(_BITS_LETTER[(xb, zb)] for xb, zb in zip(self.x, self.z))
-        ys = letters.count("Y")
-        rem = (self.phase_exp - ys) % 4
-        return _PHASES[rem] + letters
-
-    def __repr__(self) -> str:
-        return f"Pauli({str(self)!r})"
-
-
-def parse_pauli(text: str) -> Pauli:
-    """Parse a signed Pauli string such as "XZZXI" or "-IZZ"."""
+def parse_pauli(text: str) -> str:
+    """Canonical form of a signed Pauli string such as "XZZXI", "+YY" or
+    "-IZZ": the letters, with a leading "-" when negative."""
     s = text.strip()
-    phase = 0
+    sign = ""
     if s.startswith(("+", "-")):
-        if s[0] == "-":
-            phase = 2
+        sign = "-" if s[0] == "-" else ""
         s = s[1:].strip()
     if not s:
-        raise PauliError(f"empty Pauli string in {text!r}")
-    x, z = [], []
+        raise ValueError(f"empty Pauli string in {text!r}")
     for ch in s:
-        if ch not in _LETTER_BITS:
-            raise PauliError(f"bad character {ch!r} in Pauli string {text!r}")
-        xb, zb = _LETTER_BITS[ch]
-        x.append(xb)
-        z.append(zb)
-    ys = s.count("Y")
-    return Pauli(len(s), tuple(x), tuple(z), (phase + ys) % 4)
+        if ch not in _SINGLE:
+            raise ValueError(f"bad character {ch!r} in Pauli string {text!r}")
+    return sign + s
 
 
-def commutes(p: Pauli, q: Pauli) -> bool:
-    """Commutation via the symplectic form x_p.z_q + z_p.x_q (mod 2)."""
-    if p.n != q.n:
-        raise PauliError("length mismatch")
-    form = sum(a & d for a, d in zip(p.x, q.z)) + sum(a & d for a, d in zip(p.z, q.x))
-    return form % 2 == 0
+def pauli_matrix(string: str) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of a canonical signed string (n <= 12)."""
+    out = np.array([[-1.0 if string.startswith("-") else 1.0]], dtype=complex)
+    for letter in string.lstrip("-"):
+        out = np.kron(out, _SINGLE[letter])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +93,21 @@ class CodeValidationError(ValueError):
 
 
 class StabilizerCode:
-    """Validated stabilizer code: commuting, independent Hermitian generators.
+    """Validated stabilizer code: commuting, independent generators, held
+    as canonical signed strings and their (r, 2n) symplectic matrix.
 
     Use :func:`validate_code` to construct; the constructor assumes the
     checks already ran.
     """
 
-    def __init__(self, generators: Sequence[Pauli]):
+    def __init__(self, generators: Sequence[str]):
         self.generators = tuple(generators)
-        self.n = self.generators[0].n
+        letters = np.array([list(g.lstrip("-")) for g in self.generators])
+        self.n = letters.shape[1]
         self.k = self.n - len(self.generators)
-        self.symplectic_matrix = np.array(
-            [g.symplectic for g in self.generators], dtype=np.uint8
-        )
+        self.symplectic_matrix = np.hstack(
+            [np.isin(letters, ("X", "Y")), np.isin(letters, ("Y", "Z"))]
+        ).astype(np.uint8)
         self._projector: np.ndarray | None = None
 
     def code_projector(self) -> np.ndarray:
@@ -179,7 +118,7 @@ class StabilizerCode:
             dim = 2 ** self.n
             proj = np.eye(dim, dtype=complex)
             for g in self.generators:
-                proj = proj @ (np.eye(dim) + g.matrix()) / 2
+                proj = proj @ (np.eye(dim) + pauli_matrix(g)) / 2
             self._projector = (proj + proj.conj().T) / 2
         return self._projector
 
@@ -196,46 +135,48 @@ class StabilizerCode:
         return f"StabilizerCode(n={self.n}, k={self.k})"
 
 
-def validate_code(generators: Iterable) -> StabilizerCode:
-    """Validate generators and build the code.
+def validate_code(generators: Iterable[str]) -> StabilizerCode:
+    """Validate signed Pauli strings and build the code.
 
     Rejects non-commuting pairs, dependent generator lists, and lists
     whose group contains -I (detected by phase accumulation on dependent
     products). Dependence is an error, not a silent reduction.
     """
-    gens = [g if isinstance(g, Pauli) else parse_pauli(g) for g in generators]
+    gens = [parse_pauli(g) for g in generators]
     if not gens:
         raise CodeValidationError("empty generator list")
-    n = gens[0].n
-    if any(g.n != n for g in gens):
+    if len({len(g.lstrip("-")) for g in gens}) > 1:
         raise CodeValidationError("generators act on differing qubit counts")
-    for g in gens:
-        if not g.is_hermitian():
-            raise CodeValidationError(f"generator {g} is not Hermitian")
-    for i, j in combinations(range(len(gens)), 2):
-        if not commutes(gens[i], gens[j]):
-            raise CodeValidationError(
-                f"generators {gens[i]} and {gens[j]} do not commute"
-            )
+    code = StabilizerCode(gens)
+    n, mat = code.n, code.symplectic_matrix
+    x, z = mat[:, :n].astype(np.int64), mat[:, n:].astype(np.int64)
+    # symplectic form; argwhere walks the pairs i < j in combinations order
+    clash = np.argwhere(np.triu(x @ z.T + z @ x.T, 1) % 2)
+    if clash.size:
+        i, j = clash[0]
+        raise CodeValidationError(f"generators {gens[i]} and {gens[j]} do not commute")
     # Row-reducing [G | I] leaves the dependencies as the rows whose G part
     # vanishes; their I parts name a basis of the generator subsets whose
     # product is +-I. Products of commuting generators form a group, so -I
-    # lies in it iff some basis product is -I.
-    mat = np.array([g.symplectic for g in gens], dtype=np.uint8)
+    # lies in it iff some basis product is -I. A generator is i^e X(x) Z(z)
+    # with e = 2 [negative] + #Y, and X(x) Z(z) X(x') Z(z') picks up
+    # (-1)^(z.x').
     rref, pivots = _gf2_rref(np.hstack([mat, np.eye(len(gens), dtype=np.uint8)]))
     rank = sum(c < 2 * n for c in pivots)
     subsets = [tuple(np.flatnonzero(row[2 * n:]).tolist()) for row in rref[rank:]]
     if subsets:
+        e = [2 * g.startswith("-") + g.count("Y") for g in gens]
         for subset in subsets:
-            acc = gens[subset[0]]
-            for idx in subset[1:]:
-                acc = acc.multiply(gens[idx])
-            if acc.phase_exp == 2:
+            acc, phase = np.zeros(n, dtype=np.int64), 0
+            for i in subset:
+                phase += e[i] + 2 * int(acc @ x[i])
+                acc ^= z[i]
+            if phase % 4 == 2:
                 raise CodeValidationError("-I is in the generated group")
         raise CodeValidationError(
             f"dependent generators: product of {subsets[0]} is the identity"
         )
-    return StabilizerCode(gens)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +309,7 @@ def parse_code_lines(lines: Iterable[str]) -> StabilizerCode:
             continue
         try:
             gens.append(parse_pauli(text))
-        except PauliError as exc:
+        except ValueError as exc:
             raise ParseError(line_no, str(exc)) from exc
     if not gens:
         raise ParseError(0, "no generators found")

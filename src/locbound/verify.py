@@ -52,6 +52,7 @@ from .stabilizer import (
     _X,
     StabilizerCode,
     code_entropy,
+    correctable_region,
     encoding_isometry,
     four_two_two_code,
     min_distance,
@@ -225,22 +226,19 @@ def verify_sie(
 
 def verify_structure_code(code: StabilizerCode, blocks: Iterable) -> VerificationReport:
     """sum_i ree_lower(Lambda_i : complement) >= k on the encoded maximally
-    mixed state, for any partition of the qubit indices into blocks smaller
-    than the distance.
+    mixed state, for any partition of the qubit indices into correctable
+    blocks (the structure lemma's hypothesis).
 
     Each term is the certified lower bound max(I(A>B), I(B>A), 0), whose
     entropies are exact GF(2) ranks (code_entropy); no dense state is built.
     """
     blocks = [tuple(int(q) for q in block) for block in blocks]
-    d = min_distance(code).at_least
-    seen: list = []
-    for block in blocks:
-        if len(block) >= d:
-            labels = tuple(f"q{q}" for q in block)
-            raise ValueError(f"partition block {labels} has size >= distance {d}")
-        seen.extend(block)
-    if sorted(seen) != list(range(code.n)):
+    if sorted(q for block in blocks for q in block) != list(range(code.n)):
         raise ValueError("blocks must partition the code qubits")
+    for block in blocks:
+        if not correctable_region(code, block):
+            labels = tuple(f"q{q}" for q in block)
+            raise ValueError(f"partition block {labels} is not correctable")
     total = 0.0
     per_block = []
     for block in blocks:
@@ -256,7 +254,6 @@ def verify_structure_code(code: StabilizerCode, blocks: Iterable) -> Verificatio
         {
             "n": code.n,
             "k": code.k,
-            "distance": d,
             "blocks": [[f"q{q}" for q in b] for b in blocks],
             "ree_lower_sum": total,
             "per_block": per_block,

@@ -14,6 +14,7 @@ from locbound.cli import dispatch
 
 FIVE_QUBIT = "data/five_qubit.code"
 FOUR_TWO_TWO = "data/four_two_two.code"
+REPETITION_3 = "data/repetition3.code"
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -169,6 +170,75 @@ def test_byte_identical_reports(capsys):
     _, _, out1 = run(capsys, *argv)
     _, _, out2 = run(capsys, *argv)
     assert out1 == out2
+
+
+SHOR = ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI",
+        "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX")
+
+
+@pytest.mark.parametrize("generators, partition, exit_code, message", [
+    # {0, 1, 3} of Shor's code has size d = 3 but supports no logical operator
+    (SHOR, "0,1,3;2;4;5;6;7;8", 0, ""),
+    (SHOR, "0,1,2;3;4;5;6;7;8",
+     2, "error: partition block ('q0', 'q1', 'q2') is not correctable\n"),
+    # a [[14, 12, 2]] code: beyond the n <= 12 limit of the distance search
+    (("X" * 14, "Z" * 14), ";".join(map(str, range(14))), 0, ""),
+], ids=["shor-correctable-block", "shor-logical-block", "n14"])
+def test_structure_code_tests_blocks_by_correctability(tmp_path, capsys, generators,
+                                                       partition, exit_code, message):
+    path = tmp_path / "gens.code"
+    path.write_text("\n".join(generators) + "\n")
+    code = dispatch(["verify", "structure-code", "--code", str(path),
+                     "--partition", partition])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (exit_code, message)
+    if exit_code == 0:
+        report = json.loads(captured.out)
+        assert report["pass"] and "distance" not in report
+
+
+def _golden(command, **fields):
+    return json.dumps({"schema": 1, "command": command, **fields}, indent=2) + "\n"
+
+
+def _golden_entropy(vn, ci, ci_reverse, total):
+    return _golden("entropy", state="encoded-maximally-mixed", region=[0], vn_entropy=vn,
+                   coherent_info=ci, coherent_info_reverse=ci_reverse, total_entropy=total)
+
+
+# The exact stdout of the stabilizer-layer reports on the shipped code
+# files: integers and exact floats, so independent of the BLAS in use.
+GOLDEN = {
+    "check": (["code", "check", "--file"], {
+        FIVE_QUBIT: _golden("code check", n=5, k=1,
+                            generators=["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"], valid=True),
+        FOUR_TWO_TWO: _golden("code check", n=4, k=2, generators=["XXXX", "ZZZZ"], valid=True),
+        REPETITION_3: _golden("code check", n=3, k=1, generators=["ZZI", "IZZ"], valid=True),
+    }),
+    "distance": (["code", "distance", "--file"], {
+        FIVE_QUBIT: _golden("code distance", n=5, k=1, exact=True, distance=3,
+                            distance_at_least=3),
+        FOUR_TWO_TWO: _golden("code distance", n=4, k=2, exact=True, distance=2,
+                              distance_at_least=2),
+        REPETITION_3: _golden("code distance", n=3, k=1, exact=True, distance=1,
+                              distance_at_least=1),
+    }),
+    "entropy": (["entropy", "--region", "0", "--code"], {
+        FIVE_QUBIT: _golden_entropy(1.0, 1.0, 0.0, 1.0),
+        FOUR_TWO_TWO: _golden_entropy(1.0, 1.0, -1.0, 2.0),
+        REPETITION_3: _golden_entropy(1.0, 0.0, 0.0, 1.0),
+    }),
+}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param([*argv, path], text, id=f"{name}-{Path(path).stem}")
+    for name, (argv, texts) in GOLDEN.items() for path, text in texts.items()
+])
+def test_stabilizer_reports_golden(capsys, argv, expected):
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, expected, "")
 
 
 def test_partition_violation_exits_one(tmp_path, capsys):
@@ -389,22 +459,25 @@ def test_partition_invalid_embedding_exits_two(tmp_path, capsys):
     assert "spacing violation" in captured.err
 
 
-@pytest.mark.parametrize("text, line_no", [
-    ("dim 2\npoint a 0 0\ndim 3\npoint b 0 0 0\n", 3),
-    ("dim 0\npoint a\n", 1),
-    ("dim 2\nc nan\npoint a 0 0\n", 2),
-    ("dim 2\nc inf\npoint a 0 0\n", 2),
-    ("dim 2\npoint a nan 0\n", 2),
-    ("dim 2\npoint a 0 0\npoint b 1 0\nedge a a\n", 4),
-], ids=["second-dim", "dim-zero", "c-nan", "c-inf", "point-nan", "self-loop"])
-def test_embedded_graph_errors_exit_two(tmp_path, capsys, text, line_no):
+@pytest.mark.parametrize("text, lam, message", [
+    ("dim 2\npoint a 0 0\ndim 3\npoint b 0 0 0\n", 4, "line 3:"),
+    ("dim 0\npoint a\n", 4, "line 1:"),
+    ("dim 2\nc nan\npoint a 0 0\n", 4, "line 2:"),
+    ("dim 2\nc inf\npoint a 0 0\n", 4, "line 2:"),
+    ("dim 2\npoint a nan 0\n", 4, "line 2:"),
+    ("dim 2\npoint a 0 0\npoint b 1 0\nedge a a\n", 4, "line 4:"),
+    # unit spacing holds, but at lam = 1 the cell side clamps to 1 and
+    # both points fall in one cell
+    ("dim 2\npoint a 0 0\npoint b 0.9 0.9\n", 1, "cell with 2 > lam = 1 points"),
+], ids=["second-dim", "dim-zero", "c-nan", "c-inf", "point-nan", "self-loop", "clamped-cell"])
+def test_embedded_graph_errors_exit_two(tmp_path, capsys, text, lam, message):
     path = tmp_path / "bad.graph"
     path.write_text(text)
-    code = dispatch(["partition", "--graph", str(path), "--lam", "4"])
+    code = dispatch(["partition", "--graph", str(path), "--lam", str(lam)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"line {line_no}:" in captured.err
+    assert message in captured.err
 
 
 def test_verify_sie_nan_circuit_exits_two(tmp_path, capsys):

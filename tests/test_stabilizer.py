@@ -16,7 +16,6 @@ from locbound.stabilizer import (
     CodeValidationError,
     StabilizerCode,
     code_entropy,
-    commutes,
     correctable_region,
     encoding_isometry,
     five_qubit_code,
@@ -24,6 +23,7 @@ from locbound.stabilizer import (
     min_distance,
     parse_pauli,
     parse_code_lines,
+    pauli_matrix,
     read_code_file,
     repetition_code,
     validate_code,
@@ -65,7 +65,7 @@ def knill_laflamme_oracle(code, region):
         s = ["I"] * code.n
         for q, ch in zip(region, letters):
             s[q] = ch
-        mid = proj @ parse_pauli("".join(s)).matrix() @ proj
+        mid = proj @ pauli_matrix("".join(s)) @ proj
         c = mid.trace() / 2 ** code.k
         if np.abs(mid - c * proj).max() > 1e-9:
             return False
@@ -73,44 +73,37 @@ def knill_laflamme_oracle(code, region):
 
 
 def test_parse_pauli_round_trip():
-    p = parse_pauli("XZZXI")
-    assert p.x == (1, 0, 0, 1, 0) and p.z == (0, 1, 1, 0, 0)
-    assert str(p) == "XZZXI"
-    assert str(parse_pauli("-IZY")) == "-IZY"
-    assert str(parse_pauli("+YY")) == "YY"
-    with pytest.raises(ValueError):
+    assert parse_pauli("XZZXI") == "XZZXI"
+    assert parse_pauli("-IZY") == "-IZY"
+    assert parse_pauli("+YY") == "YY"
+    assert parse_pauli(" - XZ ") == "-XZ"
+    assert validate_code(["XZZXI"]).symplectic_matrix.tolist() == [[1, 0, 0, 1, 0, 0, 1, 1, 0, 0]]
+    assert validate_code(["-IZY"]).symplectic_matrix.tolist() == [[0, 0, 1, 0, 1, 1]]
+    with pytest.raises(ValueError, match="bad character 'Q'"):
         parse_pauli("XQZ")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty Pauli string"):
         parse_pauli("")
+    with pytest.raises(ValueError, match="empty Pauli string"):
+        parse_pauli("-")
 
 
 def test_pauli_matrix_and_phase():
-    y = parse_pauli("Y")
-    assert np.allclose(y.matrix(), np.array([[0, -1j], [1j, 0]]))
-    assert y.is_hermitian()
-    minus_z = parse_pauli("-Z")
-    assert np.allclose(minus_z.matrix(), np.array([[-1, 0], [0, 1]]))
-    # multiplication with exact phases: X * Z = -i Y
-    xz = parse_pauli("X").multiply(parse_pauli("Z"))
-    assert np.allclose(xz.matrix(), parse_pauli("X").matrix() @ parse_pauli("Z").matrix())
-
-
-def test_commutes():
-    assert not commutes(parse_pauli("X"), parse_pauli("Z"))
-    assert commutes(parse_pauli("XX"), parse_pauli("ZZ"))  # two anticommutations cancel
-    assert commutes(parse_pauli("XIX"), parse_pauli("IZI"))
+    y = pauli_matrix("Y")
+    assert np.array_equal(y, np.array([[0, -1j], [1j, 0]]))
+    assert np.array_equal(y, y.conj().T)
+    assert np.array_equal(pauli_matrix("-Z"), np.array([[-1, 0], [0, 1]]))
+    assert np.array_equal(pauli_matrix("-XZ"), -np.kron(pauli_matrix("X"), pauli_matrix("Z")))
 
 
 def test_validate_code_examples():
     code = five_qubit_code()
     assert (code.n, code.k) == (5, 1)
     # independent oracle for the symplectic rank
-    rows = [g.symplectic for g in code.generators]
-    assert gf2_rank_oracle(rows) == 4
+    assert gf2_rank_oracle(list(code.symplectic_matrix)) == 4
 
     rep = repetition_code()
     assert (rep.n, rep.k) == (3, 1)
-    assert gf2_rank_oracle([g.symplectic for g in rep.generators]) == 2
+    assert gf2_rank_oracle(list(rep.symplectic_matrix)) == 2
 
     with pytest.raises(CodeValidationError, match="-I"):
         validate_code(["Z", "-Z"])
@@ -122,6 +115,52 @@ def test_validate_code_examples():
         validate_code(["ZZI", "IZZ", "ZIZ"])
     with pytest.raises(CodeValidationError):
         validate_code([])
+
+
+def dense_validation_oracle(strings):
+    """What validate_code must decide, from dense matrices: the message of
+    the first non-commuting pair, then "-I" when some product of
+    generators is -1, then "dependent" when the GF(2) rank of the bit
+    vectors falls short of the count, else None."""
+    canonical = [s.lstrip("+") for s in strings]
+    mats = [pauli_matrix(s) for s in canonical]
+    for (a, ma), (b, mb) in combinations(zip(canonical, mats), 2):
+        if not np.allclose(ma @ mb, mb @ ma):
+            return f"generators {a} and {b} do not commute"
+    eye = np.eye(len(mats[0]))
+    for mask in product((False, True), repeat=len(mats)):
+        acc = eye
+        for on, m in zip(mask, mats):
+            if on:
+                acc = acc @ m
+        if np.allclose(acc, -eye):
+            return "-I"
+    letters = [s.lstrip("-") for s in canonical]
+    rows = [[ch in "XY" for ch in w] + [ch in "YZ" for ch in w] for w in letters]
+    if gf2_rank_oracle(rows) < len(rows):
+        return "dependent"
+    return None
+
+
+@st.composite
+def signed_generator_lists(draw):
+    n = draw(st.integers(1, 3))
+    string = st.tuples(st.sampled_from(["", "+", "-"]),
+                       st.text(alphabet="IXYZ", min_size=n, max_size=n)).map("".join)
+    return draw(st.lists(string, min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_generator_lists())
+def test_validate_code_matches_dense_oracle(strings):
+    expected = dense_validation_oracle(strings)
+    try:
+        code = validate_code(strings)
+    except CodeValidationError as exc:
+        assert expected is not None and expected in str(exc), (strings, str(exc))
+        return
+    assert expected is None, strings
+    assert code.generators == tuple(s.lstrip("+") for s in strings)
 
 
 def test_min_distance():
@@ -239,7 +278,7 @@ def test_encoding_isometry():
     assert np.abs(iso.conj().T @ iso - np.eye(2)).max() < 1e-10
     # every column sits in the +1 eigenspace of every generator
     for g in code.generators:
-        assert np.abs(g.matrix() @ iso - iso).max() < 1e-10
+        assert np.abs(pauli_matrix(g) @ iso - iso).max() < 1e-10
     # perfect-code check: the encoded maximally entangled state has
     # S(region) = 2 for every two-qubit region
     phi = np.eye(2, dtype=complex).ravel() / np.sqrt(2)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from locbound.circuit import Circuit, ConnectivityGraph, Layer, measure_gate, validate_layer
-from locbound.stabilizer import five_qubit_code, four_two_two_code, repetition_code
+from locbound.stabilizer import (
+    five_qubit_code,
+    four_two_two_code,
+    repetition_code,
+    validate_code,
+)
 from locbound.verify import (
     DepthBoundScenario,
     default_module_corpus,
@@ -78,10 +83,57 @@ def test_verify_structure_code():
     assert report422.passed
     assert abs(report422.parameters["ree_lower_sum"] - 4.0) < 1e-8
 
-    with pytest.raises(ValueError):
-        verify_structure_code(code, [[0, 1, 2], [3, 4]])  # block size >= d
-    with pytest.raises(ValueError):
-        verify_structure_code(code, [[0, 1], [2, 3]])  # not a partition
+    with pytest.raises(ValueError, match=r"\('q0', 'q1', 'q2'\) is not correctable"):
+        verify_structure_code(code, [[0, 1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="partition"):
+        verify_structure_code(code, [[0, 1], [2, 3]])
+
+
+SHOR = ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI",
+        "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX")
+
+
+def toric_generators(side):
+    """Toric code on a side x side torus (Kitaev): qubits on edges, the
+    horizontal edge (r, c) is qubit r*side + c and the vertical one
+    side^2 + r*side + c; one star and one plaquette are dropped as
+    dependent, so k = 2 and d = side."""
+    n = 2 * side * side
+
+    def h(r, c):
+        return (r % side) * side + c % side
+
+    def v(r, c):
+        return side * side + h(r, c)
+
+    def string(qubits, letter):
+        return "".join(letter if q in qubits else "I" for q in range(n))
+
+    cells = [(r, c) for r in range(side) for c in range(side)][:-1]
+    stars = [string({h(r, c), h(r, c - 1), v(r, c), v(r - 1, c)}, "X") for r, c in cells]
+    plaquettes = [string({h(r, c), h(r + 1, c), v(r, c), v(r, c + 1)}, "Z") for r, c in cells]
+    return stars + plaquettes
+
+
+def test_structure_code_blocks_are_tested_by_correctability():
+    # the lemma needs correctable blocks, not blocks below the distance:
+    # {0, 1, 3} of Shor's code (d = 3) supports no logical operator, while
+    # {0, 1, 2} supports X0 X1 X2
+    shor = validate_code(SHOR)
+    rest = [[q] for q in range(4, 9)]
+    report = verify_structure_code(shor, [[0, 1, 3], [2], *rest])
+    assert report.passed
+    assert "distance" not in report.parameters
+    with pytest.raises(ValueError, match=r"\('q0', 'q1', 'q2'\) is not correctable"):
+        verify_structure_code(shor, [[0, 1, 2], [3], *rest])
+
+
+def test_structure_code_beyond_the_dense_limit():
+    toric = validate_code(toric_generators(3))
+    assert (toric.n, toric.k) == (18, 2)
+    report = verify_structure_code(toric, [[q, q + 1] for q in range(0, 18, 2)])
+    assert report.passed
+    assert report.parameters["ree_lower_sum"] >= 2
 
 
 def test_verify_corr_max_entangled():
