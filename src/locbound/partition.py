@@ -12,8 +12,9 @@ test suite, not a theorem.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -53,10 +54,11 @@ def cell_side(lam: int, dimension: int) -> int:
 @dataclass
 class Partition:
     """Disjoint blocks covering the vertex set, with their sizes and
-    boundary sizes. Each block is an ascending int64 array of rows into
-    ``graph.vertices``."""
+    boundary sizes. Row r of ``graph.vertices`` lies in block
+    ``block_id[r]``; ``blocks`` lists each block as an ascending int64
+    array of rows and is built on first read."""
 
-    blocks: tuple
+    block_id: np.ndarray = field(repr=False, compare=False)
     sizes: tuple
     boundary_sizes: tuple
     lam: int
@@ -65,7 +67,13 @@ class Partition:
 
     @property
     def count(self) -> int:
-        return len(self.blocks)
+        return len(self.sizes)
+
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        rows = np.argsort(self.block_id, kind="stable")  # ascending rows within each block
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(rows[s:e] for s, e in zip([0, *ends], ends))
 
 
 @dataclass
@@ -90,19 +98,21 @@ def _boundary_sizes(graph: ConnectivityGraph, block_id: np.ndarray,
     """|dGamma_i| per block: inner vertices with an outside neighbor plus
     outside vertices adjacent to the block (vectorized over edges)."""
     m, bu, bv = graph.m, block_id[graph.eu], block_id[graph.ev]
-    cross = bu != bv
+    cross = np.flatnonzero(bu != bv)  # one index array takes faster than four masks
     eu, ev, bu, bv = graph.eu[cross], graph.ev[cross], bu[cross], bv[cross]
-    # (block, vertex) membership pairs: u and v are inner for their own
-    # blocks and outer for each other's.
-    pairs = np.concatenate([
-        bu * m + eu,  # u inner for block bu
-        bv * m + ev,  # v inner for block bv
-        bu * m + ev,  # v outer for block bu
-        bv * m + eu,  # u outer for block bv
-    ])
+    # inner: each endpoint of a crossing edge, counted once for its own block
+    inner = np.zeros(m, dtype=bool)
+    inner[eu] = True
+    inner[ev] = True
+    # outer: distinct (block, vertex) pairs, v outer for bu and u outer for
+    # bv; such a pair never has block == block_id[vertex], so no inner
+    # vertex is counted twice
+    pairs = np.concatenate([bu * m + ev, bv * m + eu])
     pairs.sort()  # sort-based unique: np.unique's hashing is far slower here
-    uniq = pairs[np.diff(pairs, prepend=-1) != 0]  # pairs are >= 0
-    return np.bincount(uniq // m, minlength=n_blocks).astype(np.int64)
+    first = np.ones(len(pairs), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    return (np.bincount(block_id[inner], minlength=n_blocks)
+            + np.bincount(pairs[first] // m, minlength=n_blocks))
 
 
 def grid_partition(embedding: Embedding, graph: ConnectivityGraph, lam: int,
@@ -120,16 +130,21 @@ def grid_partition(embedding: Embedding, graph: ConnectivityGraph, lam: int,
     m = graph.m
     side = cell_side(lam, dim)
 
-    shifted = pts - pts.min(axis=0, keepdims=True)
-    cells = np.floor(shifted / side).astype(np.int64)
-    # row-major over cells with the first axis fastest: the last axis is
-    # the primary key (per-axis keys, so no combined key can overflow)
-    order = np.lexsort(cells.T)
-    sorted_cells = cells[order]
-    new_cell = np.r_[True, (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)]
-    cell_starts = np.flatnonzero(new_cell)
-    cell_counts = np.diff(np.r_[cell_starts, m])
-    if cell_counts.max(initial=0) > lam:
+    # one row of cell keys per axis; cells go in row-major order with the
+    # first axis fastest, so the last axis is the primary key (per-axis
+    # keys, so no combined key can overflow)
+    axes = np.ascontiguousarray(pts.T)
+    keys = np.floor((axes - axes.min(axis=1, keepdims=True)) / side).astype(np.int64)
+    if keys.max() < 2 ** 16:
+        keys = keys.astype(np.uint16)  # same stable order; numpy radix-sorts 16-bit keys
+    order = np.lexsort(keys)
+    new_cell = np.zeros(m, dtype=bool)
+    new_cell[0] = True
+    for row in np.take(keys, order, axis=1):
+        new_cell[1:] |= row[1:] != row[:-1]
+    bounds = np.append(np.flatnonzero(new_cell), m)  # cell i holds order[bounds[i]:bounds[i+1]]
+    cell_starts, cell_counts = bounds[:-1], np.diff(bounds)
+    if cell_counts.max() > lam:
         raise PartitionInternalError(
             f"cell with {cell_counts.max()} > lam = {lam} points; "
             "embedding violates unit spacing or lam is below the packing regime"
@@ -137,29 +152,30 @@ def grid_partition(embedding: Embedding, graph: ConnectivityGraph, lam: int,
 
     def partition_from_starts(starts, merged, note=""):
         """Blocks are the runs of ``order`` that begin at ``starts``."""
-        ends = np.r_[starts[1:], m]
-        sizes = ends - starts
+        sizes = np.diff(starts, append=m)
         block_id = np.empty(m, dtype=np.int64)
         block_id[order] = np.repeat(np.arange(len(starts)), sizes)
-        rows = np.argsort(block_id, kind="stable")  # ascending rows within each block
-        blocks = tuple(rows[s:e] for s, e in zip(starts.tolist(), ends.tolist()))
-        bsizes = _boundary_sizes(graph, block_id, len(blocks))
-        return Partition(blocks, tuple(sizes.tolist()), tuple(bsizes.tolist()), lam,
+        bsizes = _boundary_sizes(graph, block_id, len(starts))
+        return Partition(block_id, tuple(sizes.tolist()), tuple(bsizes.tolist()), lam,
                          merged, note)
 
-    # greedy merge of consecutive cells while the block stays within lam
-    merged_starts = []
-    acc_size = 0
-    for start, count in zip(cell_starts.tolist(), cell_counts.tolist()):
-        if acc_size and acc_size + count > lam:
-            acc_size = 0
-        if not acc_size:
-            merged_starts.append(start)
-        acc_size += count
+    # greedy merge of consecutive cells while a block stays within lam: the
+    # block that starts at cell i runs up to the first cell that ends past
+    # bounds[i] + lam, where the next block starts (jump[n] = n ends the
+    # walk). Block starts are the orbit of cell 0 under the jump, and each
+    # cell holds 1..lam points, so the jump always advances; pointer
+    # doubling finds the first 2^k starts in k rounds.
+    n_cells = len(cell_starts)
+    jump = np.searchsorted(bounds, bounds + lam, side="right") - 1
+    first_cells = np.zeros(1, dtype=np.int64)
+    while first_cells[-1] < n_cells:
+        first_cells = np.concatenate([first_cells, jump[first_cells]])
+        jump = jump[jump]
+    first_cells = first_cells[first_cells < n_cells]
 
-    partition = partition_from_starts(np.array(merged_starts, dtype=np.int64), merged=True)
+    partition = partition_from_starts(cell_starts[first_cells], merged=True)
     budget = boundary_budget(lam, embedding.c, dim, kappa)
-    if len(merged_starts) < len(cell_starts) and max(partition.boundary_sizes) > budget:
+    if len(first_cells) < n_cells and max(partition.boundary_sizes) > budget:
         return partition_from_starts(
             cell_starts, merged=False,
             note="merging disabled: merged blocks would break the boundary bound",

@@ -89,7 +89,13 @@ def _gf2_rank(mat: np.ndarray) -> int:
 
 
 class CodeValidationError(ValueError):
-    pass
+    """An invalid generator list. ``rows`` are the 0-based positions of the
+    generators at fault, and ``template`` is the message with ``{rows}``
+    where it names them, so a file parser can name lines instead."""
+
+    def __init__(self, template: str, rows: tuple = ()):
+        super().__init__(template.format(rows=rows))
+        self.template, self.rows = template, rows
 
 
 class StabilizerCode:
@@ -145,8 +151,12 @@ def validate_code(generators: Iterable[str]) -> StabilizerCode:
     gens = [parse_pauli(g) for g in generators]
     if not gens:
         raise CodeValidationError("empty generator list")
-    if len({len(g.lstrip("-")) for g in gens}) > 1:
-        raise CodeValidationError("generators act on differing qubit counts")
+    widths = [len(g.lstrip("-")) for g in gens]
+    odd = next((i for i, w in enumerate(widths) if w != widths[0]), None)
+    if odd is not None:
+        raise CodeValidationError(
+            f"generators act on differing qubit counts: {gens[odd]} acts on "
+            f"{widths[odd]} qubits, {gens[0]} on {widths[0]}", (odd,))
     code = StabilizerCode(gens)
     n, mat = code.n, code.symplectic_matrix
     x, z = mat[:, :n].astype(np.int64), mat[:, n:].astype(np.int64)
@@ -154,7 +164,8 @@ def validate_code(generators: Iterable[str]) -> StabilizerCode:
     clash = np.argwhere(np.triu(x @ z.T + z @ x.T, 1) % 2)
     if clash.size:
         i, j = clash[0]
-        raise CodeValidationError(f"generators {gens[i]} and {gens[j]} do not commute")
+        raise CodeValidationError(f"generators {gens[i]} and {gens[j]} do not commute",
+                                  (int(i), int(j)))
     # Row-reducing [G | I] leaves the dependencies as the rows whose G part
     # vanishes; their I parts name a basis of the generator subsets whose
     # product is +-I. Products of commuting generators form a group, so -I
@@ -172,10 +183,9 @@ def validate_code(generators: Iterable[str]) -> StabilizerCode:
                 phase += e[i] + 2 * int(acc @ x[i])
                 acc ^= z[i]
             if phase % 4 == 2:
-                raise CodeValidationError("-I is in the generated group")
+                raise CodeValidationError("-I is in the generated group", subset)
         raise CodeValidationError(
-            f"dependent generators: product of {subsets[0]} is the identity"
-        )
+            "dependent generators: product of {rows} is the identity", subsets[0])
     return code
 
 
@@ -302,7 +312,9 @@ def encoding_isometry(code: StabilizerCode) -> np.ndarray:
 
 
 def parse_code_lines(lines: Iterable[str]) -> StabilizerCode:
-    gens = []
+    """Parse one signed Pauli string per line. A whole-code error is
+    reported at the last line it involves and names generators by line."""
+    gens, line_nos = [], []
     for line_no, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -311,12 +323,14 @@ def parse_code_lines(lines: Iterable[str]) -> StabilizerCode:
             gens.append(parse_pauli(text))
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from exc
+        line_nos.append(line_no)
     if not gens:
         raise ParseError(0, "no generators found")
     try:
         return validate_code(gens)
     except CodeValidationError as exc:
-        raise ParseError(0, str(exc)) from exc
+        at = tuple(line_nos[i] for i in exc.rows)
+        raise ParseError(max(at, default=0), exc.template.format(rows=f"lines {at}")) from exc
 
 
 def read_code_file(path) -> StabilizerCode:

@@ -14,6 +14,7 @@ from locbound.circuit import (
 )
 from locbound.partition import (
     PartitionInternalError,
+    boundary_budget,
     cell_side,
     check_guarantees,
     grid_partition,
@@ -120,15 +121,18 @@ def test_grid_sweep_small():
             lam *= 2
 
 
-def _reference_blocks(points, lam):
+def _reference_blocks(points, lam, merge=True):
     """Cells in row-major order (first axis fastest) by a Python sort on
-    per-axis cell tuples, greedily merged while a block stays within lam;
-    each block as its sorted rows."""
+    per-axis cell tuples, greedily merged while a block stays within lam
+    (each cell its own block when merge is False); each block as its
+    sorted rows."""
     side = cell_side(lam, points.shape[1])
     cells = np.floor((points - points.min(axis=0)) / side).astype(np.int64)
     groups: dict = {}
     for row in sorted(range(len(points)), key=lambda r: (tuple(cells[r][::-1]), r)):
         groups.setdefault(tuple(cells[row][::-1]), []).append(row)
+    if not merge:
+        return [sorted(grp) for grp in groups.values()]
     blocks, acc = [], []
     for grp in groups.values():
         if acc and len(acc) + len(grp) > lam:
@@ -138,20 +142,65 @@ def _reference_blocks(points, lam):
     return blocks + [sorted(acc)]
 
 
+def _boundary_of(g, block):
+    return len(boundary(g, [g.vertices[r] for r in block]))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_grid_partition_matches_reference(dim):
     rng = np.random.default_rng(dim)
+    c = 1.5
+    rollbacks = 0
     for trial in range(20):
         # distinct lattice points at spacing >= 1, with a huge offset on one
-        # axis so a combined cell key would not fit in int64 at lam = 1
+        # axis so a combined cell key would not fit in int64 at lam = 1 (nor
+        # a per-axis key in 16 bits)
         pts = np.unique(rng.integers(0, 12, size=(40, dim)), axis=0).astype(float)
         pts[:, -1] *= 2.0 ** 40 if trial % 4 == 0 else 1.0
         rng.shuffle(pts)
-        g = ConnectivityGraph([str(i) for i in range(len(pts))], [])
-        emb = Embedding(pts)
+        labels = [str(i) for i in range(len(pts))]
+        dist = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+        g = ConnectivityGraph(labels, [(labels[i], labels[j])
+                                       for i, j in np.argwhere(np.triu(dist <= c, 1))])
+        emb = Embedding(pts, c=c)
+        kappa = 2.0 if trial % 2 else None  # a tight budget on odd trials forces rollbacks
         for lam in (1, 2, 5, 16, 64):
-            p = grid_partition(emb, g, lam)
-            assert [b.tolist() for b in p.blocks] == _reference_blocks(pts, lam)
+            p = grid_partition(emb, g, lam, kappa=kappa)
+            blocks = [b.tolist() for b in p.blocks]
+            merged = _reference_blocks(pts, lam)
+            cells = _reference_blocks(pts, lam, merge=False)
+            # the rollback rule: keep the cells when merging merged some and
+            # a merged block breaks the boundary budget
+            roll_back = (len(merged) < len(cells) and max(_boundary_of(g, b) for b in merged)
+                         > boundary_budget(lam, c, dim, kappa))
+            rollbacks += roll_back
+            assert p.merged is not roll_back
+            assert blocks == (cells if roll_back else merged)
+            assert p.boundary_sizes == tuple(_boundary_of(g, b) for b in blocks)
+            assert p.sizes == tuple(map(len, blocks))
+            assert p.count == len(blocks)
+    assert 0 < rollbacks < 100  # both the merged and the rolled-back path ran
+
+
+def test_rollback_keeps_cells():
+    g, e = grid_graph((8, 8))
+    lam = 4  # cells are single points, merged four to a row segment
+    p = grid_partition(e, g, lam, kappa=0.5)  # budget 0.5 * 4^(1/2) = 1
+    assert not p.merged
+    assert p.note == "merging disabled: merged blocks would break the boundary bound"
+    assert [b.tolist() for b in p.blocks] == _reference_blocks(e.points, lam, merge=False)
+    assert len(_reference_blocks(e.points, lam)) < p.count
+    gu = check_guarantees(p, e, lam, kappa=0.5, dense=True)
+    assert gu.count_note == "not applicable (merging disabled)"
+    assert p.boundary_sizes == tuple(_boundary_of(g, b) for b in p.blocks)
+
+
+def test_blocks_built_on_first_read():
+    g, e = grid_graph((6, 6))
+    p = grid_partition(e, g, 4)
+    assert p.count == 9 and "blocks" not in vars(p)  # count reads the sizes
+    assert p.blocks is p.blocks  # built once, then cached
+    assert tuple(map(len, p.blocks)) == p.sizes
 
 
 def test_coordinate_magnitude_bound():

@@ -320,6 +320,22 @@ def test_code_file_format(tmp_path):
         parse_code_lines(["# nothing"])
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["XX", "# two qubits", "", "XZZ", "ZZ"],
+     "line 4: generators act on differing qubit counts: XZZ acts on 3 qubits, XX on 2"),
+    (["ZZI", "", "IZZ", "# third", "ZIZ"],
+     "line 5: dependent generators: product of lines (1, 3, 5) is the identity"),
+    (["XX", "", "ZI"], "line 3: generators XX and ZI do not commute"),
+    (["Z", "#", "Z", "-Z"], "line 4: -I is in the generated group"),
+], ids=["mixed-length", "dependent", "non-commuting", "minus-identity"])
+def test_code_file_errors_name_lines(lines, message):
+    # whole-code errors sit at the last line they involve and name
+    # generators by file line, not by list position
+    with pytest.raises(ParseError) as err:
+        parse_code_lines(lines)
+    assert str(err.value) == message
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(
     st.text(alphabet="IXYZ+-# ", max_size=8),
