@@ -88,22 +88,24 @@ def _ree_lower(rho: DensityMatrix, a: tuple, b: tuple) -> float:
 def _decode(theta, terms, da, db):
     """Parameters -> (softmax weights p, unit factors a_hat, b_hat, and the
     factor norms |a|, |b| the tangential gradient divides by)."""
-    t, na, nb = terms, terms * da, terms * db
+    t, na = terms, terms * da
     w = theta[:t]
-    a = (theta[t : t + na] + 1j * theta[t + na : t + 2 * na]).reshape(t, da)
-    b = (theta[t + 2 * na : t + 2 * na + nb] + 1j * theta[t + 2 * na + nb :]).reshape(t, db)
-    ra = np.linalg.norm(a, axis=1)
-    rb = np.linalg.norm(b, axis=1)
-    ra = np.where(ra < 1e-30, 1.0, ra)
-    rb = np.where(rb < 1e-30, 1.0, rb)
+    xa = theta[t : t + 2 * na].reshape(2, t, da)  # real and imaginary parts
+    xb = theta[t + 2 * na :].reshape(2, t, db)
+    ra = np.sqrt((xa * xa).sum(axis=(0, 2)))
+    rb = np.sqrt((xb * xb).sum(axis=(0, 2)))
+    ra += ra < 1e-30  # a zero factor is divided by 1
+    rb += rb < 1e-30
     ew = np.exp(w - w.max())
-    return ew / ew.sum(), a / ra[:, None], b / rb[:, None], ra, rb
+    a = (xa[0] + 1j * xa[1]) / ra[:, None]
+    b = (xb[0] + 1j * xb[1]) / rb[:, None]
+    return ew / ew.sum(), a, b, ra, rb
 
 
 def _assemble(p, ah, bh):
     """sigma = sum_t p_t |a_t b_t><a_t b_t| (Hermitian-symmetrized) and the
     product vectors a_t (x) b_t as rows."""
-    c = np.einsum("ti,tj->tij", ah, bh).reshape(len(p), -1)
+    c = (ah[:, :, None] * bh[:, None, :]).reshape(len(p), -1)
     sigma = (c.T * p) @ c.conj()
     return (sigma + sigma.conj().T) / 2, c
 
@@ -119,44 +121,35 @@ def _objective_and_grad(theta, rho_mat, terms, da, db, tr_rho_log_rho):
     sigma, c = _assemble(p, ah, bh)
 
     lam, v = np.linalg.eigh(sigma)
-    lam_c = np.clip(lam, _EIG_FLOOR, None)
-    rho_t = v.conj().T @ rho_mat @ v
-    diag_r = np.diag(rho_t).real
-    f = tr_rho_log_rho - float((diag_r * np.log2(lam_c)).sum())
-
-    # Daleckii-Krein divided differences of ln on sigma's spectrum
+    lam_c = np.maximum(lam, _EIG_FLOOR)
     log_l = np.log(lam_c)
-    dl = lam_c[:, None] - lam_c[None, :]
-    num = log_l[:, None] - log_l[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(np.abs(dl) > 1e-14, num / np.where(dl == 0, 1.0, dl), 0.0)
-    same = np.abs(dl) <= 1e-14
-    inv = 1.0 / lam_c
-    phi = np.where(same, (inv[:, None] + inv[None, :]) / 2, phi)
+    rho_t = v.conj().T @ rho_mat @ v
+    f = tr_rho_log_rho - float(rho_t.diagonal().real @ log_l) / _LN2
 
-    m_tilde = rho_t * phi
-    m = v @ m_tilde @ v.conj().T  # d tr(rho ln sigma)[dsigma] = tr(M dsigma)
-    m = (m + m.conj().T) / 2
+    # Daleckii-Krein divided differences of ln on sigma's spectrum; a pair
+    # closer than 1e-14 keeps the mean of 1/lambda, the derivative's limit
+    dl = lam_c[:, None] - lam_c[None, :]
+    inv = 1.0 / lam_c
+    phi = (inv[:, None] + inv[None, :]) / 2
+    np.divide(log_l[:, None] - log_l[None, :], dl, out=phi, where=np.abs(dl) > 1e-14)
+    m = v @ (rho_t * phi) @ v.conj().T  # d tr(rho ln sigma)[dsigma] = tr(M dsigma)
+
+    # row t of mc is M |a_t b_t>; every factor gradient contracts it once
+    mc = (c @ m.T).reshape(terms, da, db)
+    ah_c = ah.conj()
+    qa = np.einsum("tj,tij->ti", bh.conj(), mc)  # <b_t| M |a_t b_t>, on A
+    rb_v = np.einsum("ti,tij->tj", ah_c, mc)  # <a_t| M |a_t b_t>, on B
+    cmc = np.einsum("ti,ti->t", ah_c, qa).real  # <a_t b_t| M |a_t b_t>
 
     # weights (softmax chain rule)
-    cm = c.conj() @ m  # (T, d)
-    gamma = -np.einsum("ti,ti->t", cm, c).real / _LN2
-    grad_w = p * (gamma - float((p * gamma).sum()))
+    gamma = cmc / -_LN2
+    grad_w = p * (gamma - p @ gamma)
 
     # factors: tangential gradient through normalization
-    m4 = m.reshape(da, db, da, db)
-    q = np.einsum("tj,ijkl,tl->tik", bh.conj(), m4, bh)  # (T, dA, dA)
-    r = np.einsum("ti,ijkl,tk->tjl", ah.conj(), m4, ah)  # (T, dB, dB)
-    qa = np.einsum("tik,tk->ti", q, ah)
-    rb_v = np.einsum("tjl,tl->tj", r, bh)
-    qbar = np.einsum("ti,ti->t", ah.conj(), qa).real
-    rbar = np.einsum("tj,tj->t", bh.conj(), rb_v).real
     coef = -2.0 * p / _LN2
-    ga = coef[:, None] * (qa - qbar[:, None] * ah) / ra[:, None]
-    gb = coef[:, None] * (rb_v - rbar[:, None] * bh) / rb[:, None]
-
-    grad = _pack(grad_w, ga, gb)
-    return f, grad
+    ga = (coef / ra)[:, None] * (qa - cmc[:, None] * ah)
+    gb = (coef / rb)[:, None] * (rb_v - cmc[:, None] * bh)
+    return f, _pack(grad_w, ga, gb)
 
 
 def _schmidt_terms(vec, da, db):
@@ -191,8 +184,6 @@ def _initial_theta(restart, rng, rho_mat, terms, da, db):
         t = 0
         for i in range(da):
             for j in range(db):
-                if t >= terms:
-                    break
                 av = np.zeros(da, dtype=complex)
                 bv = np.zeros(db, dtype=complex)
                 av[i] = 1.0

@@ -561,8 +561,6 @@ _BLOCKS = st.one_of(
     st.lists(_REGION, max_size=4).map(";".join),
     st.sampled_from(["0,1;2,3;4", "0;1;2;3", "0;1;2", ";", "0,1;;2"]),
 )
-_SMALL_CODE_FILE = st.sampled_from([str(ROOT / "data" / name)
-                                    for name in ("four_two_two.code", "repetition3.code")])
 _COORD = st.one_of(
     st.integers(-4, 4).map(str),
     st.sampled_from(["0.5", "4294967296", str(2 ** 52), str(2 ** 53), "1e300", "-1e300",
@@ -602,9 +600,9 @@ _CODE_ARGV = st.one_of(
     _cat(st.just(["verify", "corr-max"]), _flag("--code", _CODE_FILE),
          _flag("--states", st.sampled_from(["1", "2"]))),
 )
-# the REE search costs about 0.3 s per call on a five-qubit cut, so only the
-# smaller codes, at a budget of one restart of three iterations
-_REE_ARGV = _cat(st.just(["ree"]), _flag("--code", _SMALL_CODE_FILE), _flag("--region", _REGION),
+# one restart of three iterations: about 0.03 s per call on a five-qubit cut
+# with one BLAS thread, 0.07 s with two
+_REE_ARGV = _cat(st.just(["ree"]), _flag("--code", _CODE_FILE), _flag("--region", _REGION),
                  st.just(["--restarts", "1", "--iterations", "3"]))
 
 # the verify subcommands, with every count drawn from small values or

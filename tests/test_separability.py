@@ -11,7 +11,10 @@ from locbound.qstate import (
 )
 from locbound.rand import random_density, random_pure, random_unitary
 from locbound.separability import (
+    _assemble,
+    _decode,
     _objective_and_grad,
+    _pack,
     ree_bracket,
     ree_lower,
     ree_upper,
@@ -167,20 +170,43 @@ def test_budget_monotone_and_deterministic():
     assert big == again
 
 
-def test_gradient_matches_finite_differences():
+def _uniform_product_theta(terms, da, db):
+    """Every term a computational product state |i j>, each of the da*db
+    states taken equally often at equal weight: sigma is exactly I/d, so
+    every eigenvalue pair of sigma is degenerate."""
+    d = da * db
+    a = np.zeros((terms, da), dtype=complex)
+    b = np.zeros((terms, db), dtype=complex)
+    for t in range(terms):
+        i, j = divmod(t % d, db)
+        a[t, i] = b[t, j] = 1.0
+    return _pack(np.zeros(terms), a, b)
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 4), (4, 2)], ids=["2x2", "2x4", "4x2"])
+@pytest.mark.parametrize("uniform", [False, True], ids=["random", "uniform"])
+def test_gradient_matches_finite_differences(da, db, uniform):
     rng = np.random.default_rng(7)
-    rho = random_density(rng, Q2).matrix
-    terms, da, db = 4, 2, 2
-    theta = rng.standard_normal(terms * (1 + 2 * da + 2 * db))
+    rho = random_density(rng, RegisterLayout.of(("a", da), ("b", db))).matrix
+    terms = (da * db) ** 2  # as in the search
+    if uniform:
+        theta = _uniform_product_theta(terms, da, db)
+        p, ah, bh, _, _ = _decode(theta, terms, da, db)
+        assert np.array_equal(_assemble(p, ah, bh)[0], np.eye(da * db) / (da * db))
+    else:
+        theta = rng.standard_normal(terms * (1 + 2 * da + 2 * db))
     evals = np.clip(np.linalg.eigvalsh(rho), 0, None)
     pos = evals[evals > 1e-12]
     tr_log = float((pos * np.log2(pos)).sum())
     f0, grad = _objective_and_grad(theta, rho, terms, da, db, tr_log)
+    # three coordinates from each block of theta: weights, Re a, Im a, Re b, Im b
+    starts = np.cumsum([0, terms, terms * da, terms * da, terms * db, terms * db])
+    picks = [rng.choice(np.arange(lo, hi), size=3, replace=False)
+             for lo, hi in zip(starts[:-1], starts[1:])]
     h = 1e-6
-    for idx in rng.choice(len(theta), size=12, replace=False):
+    for idx in np.concatenate(picks):
         bump = theta.copy()
         bump[idx] += h
         f1, _ = _objective_and_grad(bump, rho, terms, da, db, tr_log)
         fd = (f1 - f0) / h
-        assert abs(fd - grad[idx]) < 5e-5 * max(1.0, abs(fd))
-
+        assert abs(fd - grad[idx]) < 5e-5 * max(1.0, abs(fd)), (idx, fd, grad[idx])
