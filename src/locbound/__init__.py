@@ -33,7 +33,6 @@ from .circuit import (
     logical_error_rate,
     measure_gate,
     noise_apply,
-    read_circuit_file,
     reset_gate,
     simulate_module,
     target_fidelity,
@@ -49,13 +48,13 @@ from .entropy import (
     relative_entropy,
     vn_entropy,
 )
+from .files import read_circuit_file, read_code_file, read_embedded_graph_file
 from .partition import (
     Partition,
     PartitionGuarantee,
     check_guarantees,
     grid_partition,
     kappa_default,
-    read_embedded_graph_file,
 )
 from .qstate import (
     ClassicalQuantumState,
@@ -86,7 +85,6 @@ from .stabilizer import (
     four_two_two_code,
     min_distance,
     parse_pauli,
-    read_code_file,
     repetition_code,
     validate_code,
 )

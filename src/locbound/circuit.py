@@ -47,7 +47,6 @@ from scipy.spatial import cKDTree
 from .qstate import (
     _SLICE,
     ClassicalQuantumState,
-    ParseError,
     PureState,
     Register,
     RegisterLayout,
@@ -300,7 +299,12 @@ def apply_operator(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int
 
 
 class CircuitError(ValueError):
-    pass
+    """An invalid circuit or module. ``layers`` are the 0-based positions
+    of the layers at fault, so a file parser can name their lines."""
+
+    def __init__(self, message: str, layers: tuple = ()):
+        super().__init__(message)
+        self.layers = layers
 
 
 class InvariantError(RuntimeError):
@@ -435,10 +439,11 @@ class Circuit:
     def __init__(self, graph, layers):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "layers", tuple(layers))
-        violations = [f"layer {i}: {v}" for i, layer in enumerate(self.layers)
+        violations = [(i, v) for i, layer in enumerate(self.layers)
                       for v in validate_layer(graph, layer)]
         if violations:
-            raise CircuitError("; ".join(violations))
+            raise CircuitError("; ".join(f"layer {i}: {v}" for i, v in violations),
+                               tuple(dict.fromkeys(i for i, _ in violations)))
 
     @property
     def depth(self) -> int:
@@ -714,133 +719,3 @@ def logical_error_rate(module: EcModule) -> float:
     """delta = 1 - F(recovered state on R + data qubits, encoded target)."""
     fid = target_fidelity(module, simulate_module(module), module.target_state())
     return min(max(1.0 - fid, 0.0), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Circuit file format
-
-
-def _parse_complex(tok: str, line_no: int) -> complex:
-    try:
-        value = complex(tok)
-    except ValueError:
-        raise ParseError(line_no, f"bad complex number {tok!r}") from None
-    if not np.isfinite(value):
-        raise ParseError(line_no, f"non-finite complex number {tok!r}")
-    return value
-
-
-def _parse_uint(tok: str) -> int | None:
-    """A non-negative decimal integer token, or None."""
-    return int(tok) if tok.isascii() and tok.isdigit() else None
-
-
-def parse_circuit_lines(lines: Iterable[str]) -> Circuit:
-    """Line-oriented circuit format.
-
-    ``qubits m`` then ``edge u v`` lines, then ``layer`` blocks whose gate
-    lines are one of::
-
-        u2 <16 complex entries, row-major> on <u> <v>
-        meas <q> -> <label>
-        kraus <count> on <q...> : <count * (2^w)^2 complex entries>
-    """
-    m = None
-    edges = []
-    layers: list = []
-    current: list | None = None
-    for line_no, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        toks = text.split()
-        head = toks[0]
-        if head == "qubits":
-            if m is not None:
-                raise ParseError(line_no, "duplicate qubits line")
-            m = _parse_uint(toks[1]) if len(toks) == 2 else None
-            if m is None:
-                raise ParseError(line_no, "expected: qubits <m>")
-            if m > MAX_QUBITS:
-                raise ParseError(
-                    line_no,
-                    f"circuit files limited to {MAX_QUBITS} qubits (dense state vector); got {m}",
-                )
-        elif head == "edge":
-            if m is None:
-                raise ParseError(line_no, "edge before qubits line")
-            if len(toks) != 3:
-                raise ParseError(line_no, "expected: edge <u> <v>")
-            for tok in toks[1:3]:
-                q = _parse_uint(tok)
-                if q is None or q >= m:
-                    raise ParseError(
-                        line_no, f"edge vertex {tok!r} outside 0..{m - 1}"
-                    )
-            if toks[1] == toks[2]:
-                raise ParseError(line_no, f"self-loop at {toks[1]}")
-            edges.append((toks[1], toks[2]))
-        elif head == "layer":
-            if m is None:
-                raise ParseError(line_no, "layer before qubits line")
-            if current is not None:
-                layers.append(Layer(current))
-            current = []
-        elif head == "u2":
-            if current is None:
-                raise ParseError(line_no, "gate outside a layer block")
-            if len(toks) != 1 + 16 + 3 or toks[17] != "on":
-                raise ParseError(
-                    line_no, "expected: u2 <16 entries> on <u> <v>"
-                )
-            entries = [_parse_complex(t, line_no) for t in toks[1:17]]
-            current.append(Unitary((toks[18], toks[19]), np.array(entries).reshape(4, 4)))
-        elif head == "meas":
-            if current is None:
-                raise ParseError(line_no, "gate outside a layer block")
-            if len(toks) != 4 or toks[2] != "->":
-                raise ParseError(line_no, "expected: meas <q> -> <label>")
-            current.append(measure_gate(toks[1], toks[3]))
-        elif head == "kraus":
-            if current is None:
-                raise ParseError(line_no, "gate outside a layer block")
-            if len(toks) < 5 or toks[2] != "on" or ":" not in toks:
-                raise ParseError(
-                    line_no, "expected: kraus <count> on <q...> : <entries>"
-                )
-            try:
-                count = int(toks[1])
-            except ValueError:
-                raise ParseError(line_no, "bad kraus count") from None
-            sep = toks.index(":")
-            qubits = toks[3:sep]
-            if not qubits:
-                raise ParseError(line_no, "kraus gate needs at least one qubit")
-            dim = 2 ** len(qubits)
-            entries = [_parse_complex(t, line_no) for t in toks[sep + 1:]]
-            if len(entries) != count * dim * dim:
-                raise ParseError(
-                    line_no,
-                    f"expected {count * dim * dim} entries, found {len(entries)}",
-                )
-            ops = [
-                np.array(entries[i * dim * dim:(i + 1) * dim * dim]).reshape(dim, dim)
-                for i in range(count)
-            ]
-            current.append(KrausGate(tuple(qubits), ops))
-        else:
-            raise ParseError(line_no, f"unknown directive {head!r}")
-    if m is None:
-        raise ParseError(0, "missing qubits line")
-    if current is not None:
-        layers.append(Layer(current))
-    graph = ConnectivityGraph([str(i) for i in range(m)], edges)
-    try:
-        return Circuit(graph, layers)
-    except CircuitError as exc:
-        raise ParseError(0, str(exc)) from None
-
-
-def read_circuit_file(path) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_circuit_lines(fh)

@@ -22,15 +22,15 @@ from . import bounds as bnd
 from . import partition as part
 from . import separability as sep
 from . import verify as ver
-from .circuit import InvariantError, read_circuit_file, validate_embedding
+from .circuit import InvariantError, validate_embedding
 from .entropy import g_continuity
+from .files import read_circuit_file, read_code_file, read_embedded_graph_file
 from .rand import DEFAULT_SEED
 from .stabilizer import (
     code_entropy,
     correctable_region,
     encoding_isometry,
     min_distance,
-    read_code_file,
 )
 
 SCHEMA = 1
@@ -196,7 +196,7 @@ def _cmd_ree(args):
 
 
 def _cmd_partition(args):
-    graph, emb = part.read_embedded_graph_file(args.graph)
+    graph, emb = read_embedded_graph_file(args.graph)
     violations = validate_embedding(emb, graph)
     if violations:
         raise InputError(violations[0])

@@ -15,12 +15,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .circuit import ConnectivityGraph, Embedding, _graph_points, _parse_uint
-from .qstate import ParseError
+from .circuit import ConnectivityGraph, Embedding, _graph_points
 
 
 class PartitionInternalError(ValueError):
@@ -36,6 +34,8 @@ def kappa_default(c: float, dimension: int) -> float:
 
 def boundary_budget(lam: int, c: float, dimension: int, kappa: float | None = None) -> float:
     k = kappa_default(c, dimension) if kappa is None else kappa
+    if not k > 0:
+        raise ValueError(f"boundary constant kappa must be positive, got {k:g}")
     return k * lam ** ((dimension - 1) / dimension)
 
 
@@ -218,89 +218,3 @@ def check_guarantees(partition: Partition, embedding: Embedding, lam: int,
         boundary_budget=budget,
         count=partition.count,
     )
-
-
-# ---------------------------------------------------------------------------
-# Embedded-graph file format: dim/c/point/edge lines
-
-
-def _parse_finite(tok: str, line_no: int, what: str) -> float:
-    try:
-        value = float(tok)
-    except ValueError:
-        raise ParseError(line_no, f"bad {what} {tok!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(line_no, f"non-finite {what} {tok!r}")
-    return value
-
-
-# Above 2^52 in magnitude, float64 cannot hold points one unit apart.
-MAX_COORDINATE = 2.0 ** 52
-
-
-def _parse_coordinate(tok: str, line_no: int) -> float:
-    value = _parse_finite(tok, line_no, "coordinate")
-    if abs(value) > MAX_COORDINATE:
-        raise ParseError(line_no, f"coordinate {tok!r} exceeds 2^52 in magnitude")
-    return value
-
-
-def parse_embedded_graph_lines(lines: Iterable[str]) -> tuple:
-    """Parse ``dim D``, ``c <value>``, ``point label x y [z]`` and
-    ``edge u v`` lines into (graph, embedding); points keep file order."""
-    dim = None
-    c = 1.0
-    labels: list = []
-    seen: set = set()
-    rows: list = []
-    edges: list = []
-    for line_no, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        toks = text.split()
-        head = toks[0]
-        if head == "dim":
-            if dim is not None:
-                raise ParseError(line_no, "duplicate dim line")
-            dim = _parse_uint(toks[1]) if len(toks) == 2 else None
-            if not dim:
-                raise ParseError(line_no, "expected: dim <D> with D >= 1")
-        elif head == "c":
-            if len(toks) != 2:
-                raise ParseError(line_no, "expected: c <value>")
-            c = _parse_finite(toks[1], line_no, "c value")
-        elif head == "point":
-            if dim is None:
-                raise ParseError(line_no, "point before dim line")
-            if len(toks) != 2 + dim:
-                raise ParseError(
-                    line_no, f"expected: point <label> and {dim} coordinates"
-                )
-            if toks[1] in seen:
-                raise ParseError(line_no, f"duplicate point {toks[1]!r}")
-            rows.append([_parse_coordinate(t, line_no) for t in toks[2:]])
-            labels.append(toks[1])
-            seen.add(toks[1])
-        elif head == "edge":
-            if len(toks) != 3:
-                raise ParseError(line_no, "expected: edge <u> <v>")
-            if toks[1] not in seen or toks[2] not in seen:
-                raise ParseError(
-                    line_no, f"edge references unknown point ({toks[1]}, {toks[2]})"
-                )
-            if toks[1] == toks[2]:
-                raise ParseError(line_no, f"self-loop at {toks[1]}")
-            edges.append((toks[1], toks[2]))
-        else:
-            raise ParseError(line_no, f"unknown directive {head!r}")
-    if dim is None:
-        raise ParseError(0, "missing dim line")
-    if not labels:
-        raise ParseError(0, "no points")
-    return ConnectivityGraph(labels, edges), Embedding(np.array(rows, dtype=float), c=c)
-
-
-def read_embedded_graph_file(path) -> tuple:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_embedded_graph_lines(fh)

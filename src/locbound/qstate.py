@@ -29,14 +29,6 @@ NEGLIGIBLE = 1e-14  # a classical-quantum branch of weight <= this is dropped
 _SLICE = 2 ** 14  # complex entries one step of a dense pass touches (256 KiB, an L2 share)
 
 
-class ParseError(ValueError):
-    """A malformed line in a code, circuit or embedded-graph file."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 def _is_power_of_two(d: int) -> bool:
     return d >= 1 and (d & (d - 1)) == 0
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qstate import DensityMatrix, ParseError, RegisterLayout
+from .qstate import DensityMatrix, RegisterLayout
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -305,37 +305,6 @@ def encoding_isometry(code: StabilizerCode) -> np.ndarray:
     if len(cols) != want:
         raise RuntimeError("projector rank below 2^k; generators inconsistent")
     return np.column_stack(cols)
-
-
-# ---------------------------------------------------------------------------
-# Code file format: one signed Pauli string per line, '#' comments
-
-
-def parse_code_lines(lines: Iterable[str]) -> StabilizerCode:
-    """Parse one signed Pauli string per line. A whole-code error is
-    reported at the last line it involves and names generators by line."""
-    gens, line_nos = [], []
-    for line_no, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        try:
-            gens.append(parse_pauli(text))
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from exc
-        line_nos.append(line_no)
-    if not gens:
-        raise ParseError(0, "no generators found")
-    try:
-        return validate_code(gens)
-    except CodeValidationError as exc:
-        at = tuple(line_nos[i] for i in exc.rows)
-        raise ParseError(max(at, default=0), exc.template.format(rows=f"lines {at}")) from exc
-
-
-def read_code_file(path) -> StabilizerCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_code_lines(fh)
 
 
 # Standard small codes used throughout the tests and demos.

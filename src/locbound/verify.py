@@ -131,13 +131,13 @@ def _cut_entropy(vec: np.ndarray, dims, positions) -> float:
     return _spectrum_entropy(s ** 2)
 
 
-def default_cut_family(graph: ConnectivityGraph, rng, extra_random: int = 5) -> tuple:
-    """Singletons, vertex-order prefixes, and a few random proper subsets."""
+def default_cut_family(graph: ConnectivityGraph, rng) -> tuple:
+    """Singletons, vertex-order prefixes, and five random proper subsets."""
     verts = graph.vertices
     m = len(verts)
     family = [(v,) for v in verts]
     family.extend(tuple(verts[: j + 1]) for j in range(m - 1))
-    for _ in range(extra_random):
+    for _ in range(5):
         size = int(rng.integers(1, m))
         picks = rng.choice(m, size=size, replace=False)
         family.append(tuple(verts[i] for i in sorted(picks)))
@@ -170,7 +170,6 @@ def verify_sie(
     qubits: int = 8,
     layers: int = 100,
     circuit: Circuit | None = None,
-    cut_family: Sequence | None = None,
 ) -> VerificationReport:
     """Per layer and cut U: entropy increment <= 3 |dU| + 1e-9.
 
@@ -194,7 +193,7 @@ def verify_sie(
         )
     if any(not isinstance(g, Unitary) for layer in circuit.layers for g in layer.gates):
         raise ValueError("verify_sie requires unitary-only layers")
-    cuts = tuple(cut_family) if cut_family is not None else default_cut_family(graph, rng)
+    cuts = default_cut_family(graph, rng)
     bounds3 = {cut: 3 * len(boundary(graph, cut)) for cut in cuts}
     positions = {cut: [graph.index[v] for v in cut] for cut in cuts}
 

@@ -23,7 +23,6 @@ from locbound.circuit import (
     logical_error_rate,
     measure_gate,
     noise_apply,
-    parse_circuit_lines,
     simulate_module,
     validate_embedding,
     validate_layer,
@@ -32,10 +31,10 @@ from locbound.circuit import (
 from locbound.qstate import (
     ClassicalQuantumState,
     DensityMatrix,
-    ParseError,
     PureState,
     RegisterLayout,
 )
+from locbound.files import ParseError, parse_circuit_lines, read_circuit_file
 from locbound.rand import random_density, random_kraus_channel, random_unitary
 from locbound.verify import repetition_module
 
@@ -255,6 +254,10 @@ def test_simulate_module_refuses_bad_conditional():
         Circuit(g, layers)
     assert str(err.value) == ("layer 1: locality violation: (0, 2) not an edge; "
                               "layer 1: qubit '1' used by two gates in one layer")
+    assert err.value.layers == (1,)
+    with pytest.raises(CircuitError) as err:
+        Circuit(g, [layers[1], layers[0], layers[1]])
+    assert err.value.layers == (0, 2)
 
 
 def test_module_refuses_round_on_another_graph():
@@ -587,8 +590,6 @@ def test_circuit_file_round_trip(tmp_path):
     ]) + "\n"
     path = tmp_path / "c.circuit"
     path.write_text(text)
-    from locbound.circuit import read_circuit_file
-
     circ = read_circuit_file(path)
     assert circ.graph.m == 3
     assert circ.depth == 2
@@ -642,11 +643,44 @@ _IDENTITY4 = "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1"
     (["qubits 1", "layer", "kraus 1 on 0 : 1 0 0 nan"], 3),
     (["qubits 1", "layer", "kraus 1 on 0 : 1 -infj 0 1"], 3),
     (["qubits 2", "edge 0 1", "edge 0 0"], 3),
-], ids=["u2-nan", "u2-inf", "u2-nanj", "kraus-nan", "kraus-infj", "self-loop"])
+    # a vertex is one of the labels 0..m-1, as a gate qubit is
+    (["qubits 2", "edge 01 1"], 2),
+    (["qubits 2", "edge 00 1"], 2),
+], ids=["u2-nan", "u2-inf", "u2-nanj", "kraus-nan", "kraus-infj", "self-loop",
+        "edge-01", "edge-00"])
 def test_circuit_parser_names_bad_line(lines, line_no):
     with pytest.raises(ParseError) as err:
         parse_circuit_lines(lines)
     assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_kraus_count_at_least_one(count):
+    with pytest.raises(ParseError, match="^line 3: bad kraus count$"):
+        parse_circuit_lines(["qubits 1", "layer", f"kraus {count} on 0 :"])
+
+
+_NOT_UNITARY4 = " ".join(["1"] * 16)
+
+
+@pytest.mark.parametrize("lines, line_no", [
+    (["qubits 3", "edge 0 1", "layer", f"u2 {_IDENTITY4} on 0 2"], 3),
+    (["qubits 3", "edge 0 1", "edge 1 2", "layer",
+      f"u2 {_IDENTITY4} on 0 1", f"u2 {_IDENTITY4} on 1 2"], 4),
+    (["qubits 2", "edge 0 1", "layer", f"u2 {_IDENTITY4} on 0 7"], 3),
+    (["qubits 2", "edge 0 1", "layer", f"u2 {_NOT_UNITARY4} on 0 1"], 3),
+    (["qubits 1", "layer", "kraus 1 on 0 : 1 0 0 0"], 2),
+    (["# two layers", "qubits 2", "edge 0 1", "layer", f"u2 {_IDENTITY4} on 0 1", "",
+      "# the second one acts on a missing qubit", "layer", f"u2 {_IDENTITY4} on 0 5"], 8),
+], ids=["non-local", "qubit-twice", "unknown-qubit", "non-unitary", "kraus-incomplete",
+        "second-layer"])
+def test_circuit_parser_names_bad_layer(lines, line_no):
+    # a layer the Circuit refuses is reported at its layer line, with the
+    # Circuit's message
+    with pytest.raises(ParseError) as err:
+        parse_circuit_lines(lines)
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: layer ")
 
 
 def _words(*parts):
@@ -654,7 +688,7 @@ def _words(*parts):
         lambda ws: " ".join(w if isinstance(w, str) else " ".join(w) for w in ws))
 
 
-_QUBIT = st.sampled_from(["0", "1", "2"])
+_QUBIT = st.sampled_from(["0", "1", "2", "01", "00"])
 _ENTRY = st.sampled_from(["0", "1", "1j", "0.5", "nan", "inf", "nanj", "x"])
 _CIRCUIT_LINE = st.one_of(
     _words(st.just("qubits"), st.sampled_from(["1", "2", "\u00b2"])),

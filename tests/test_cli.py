@@ -447,6 +447,22 @@ def test_non_positive_geometry_constants_exit_two(capsys, argv):
     assert "positive" in captured.err
 
 
+@pytest.mark.parametrize("c, flags, message", [
+    ("-5", [], "line 2: c value '-5' must be positive"),
+    ("1", ["--kappa", "-1"], "kappa must be positive"),
+    ("1", ["--kappa", "0"], "kappa must be positive"),
+], ids=["c-negative", "kappa-negative", "kappa-0"])
+def test_non_positive_partition_constants_exit_two(tmp_path, capsys, c, flags, message):
+    # a non-positive boundary constant makes a negative or zero budget
+    path = tmp_path / "line.graph"
+    path.write_text(f"dim 1\nc {c}\npoint a 0\npoint b 1\n")
+    code = dispatch(["partition", "--graph", str(path), "--lam", "2", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_partition_invalid_embedding_exits_two(tmp_path, capsys):
     path = tmp_path / "coincident.graph"
     path.write_text("dim 2\nc 1\npoint a 0 0\npoint b 0 0\nedge a b\n")
@@ -624,7 +640,7 @@ _VERIFY_ARGV = st.one_of(
 @st.composite
 def _graph_text(draw):
     dim = draw(st.integers(1, 3))
-    lines = [f"dim {dim}", f"c {draw(st.sampled_from(['1', '2', '1e300']))}"]
+    lines = [f"dim {dim}", f"c {draw(st.sampled_from(['1', '2', '1e300', '0', '-1']))}"]
     count = draw(st.integers(1, 6))
     for i in range(count):
         # mostly a unit-spaced line along the first axis, so that many

@@ -12,6 +12,7 @@ from locbound.circuit import (
     grid_graph,
     validate_embedding,
 )
+from locbound.files import ParseError, parse_embedded_graph_lines, read_embedded_graph_file
 from locbound.partition import (
     PartitionInternalError,
     boundary_budget,
@@ -19,10 +20,7 @@ from locbound.partition import (
     check_guarantees,
     grid_partition,
     kappa_default,
-    parse_embedded_graph_lines,
-    read_embedded_graph_file,
 )
-from locbound.qstate import ParseError
 
 
 def test_four_by_four():
@@ -287,4 +285,4 @@ def test_parse_embedded_graph_lines_accepts_or_reports(head, lines):
     except ParseError:
         return
     assert emb.points.shape == (graph.m, emb.dimension)
-    assert np.isfinite(emb.points).all() and np.isfinite(emb.c)
+    assert np.isfinite(emb.points).all() and np.isfinite(emb.c) and emb.c > 0

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from locbound.circuit import grid_graph
 from locbound.entropy import vn_entropy
+from locbound.files import ParseError, parse_code_lines, read_code_file
 from locbound.partition import grid_partition
-from locbound.qstate import DensityMatrix, ParseError, RegisterLayout, trace_distance
+from locbound.qstate import DensityMatrix, RegisterLayout, trace_distance
 from locbound.stabilizer import (
     FIVE_QUBIT_GENERATORS,
     FOUR_TWO_TWO_GENERATORS,
@@ -22,9 +23,7 @@ from locbound.stabilizer import (
     four_two_two_code,
     min_distance,
     parse_pauli,
-    parse_code_lines,
     pauli_matrix,
-    read_code_file,
     repetition_code,
     validate_code,
 )
