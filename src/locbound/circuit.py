@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .qstate import (
     _SLICE,
@@ -183,6 +182,8 @@ def validate_embedding(embedding: Embedding, graph: ConnectivityGraph) -> list:
     row, then to its first partner, which fixes the pair a spacing
     violation names.
     """
+    from scipy.spatial import cKDTree  # on first use: scipy triples `import locbound`
+
     pts = _graph_points(embedding, graph)
     violations = []
     if graph.m > 1:

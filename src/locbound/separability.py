@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .entropy import _check_partition, relative_entropy, vn_entropy
 from .qstate import DensityMatrix
@@ -198,6 +197,8 @@ def _initial_theta(restart, rng, rho_mat, terms, da, db):
 
 
 def _run_restart(restart, seed, rho_mat, terms, da, db, tr_rho_log_rho, iterations):
+    from scipy.optimize import minimize  # on first use: scipy triples `import locbound`
+
     rng = rng_from(seed)
     theta0 = _initial_theta(restart, rng, rho_mat, terms, da, db)
     res = minimize(

@@ -186,6 +186,10 @@ def verify_sie(
         graph, _ = grid_graph(shape)
         circuit = Circuit(graph, [random_unitary_layer(graph, rng) for _ in range(layers)])
     graph = circuit.graph
+    if graph.m < 2:
+        raise ValueError(
+            f"verify_sie needs at least 2 qubits (a proper cut); circuit has {graph.m}"
+        )
     if graph.m > MAX_QUBITS:
         raise ValueError(
             f"verify_sie limited to {MAX_QUBITS} qubits (dense state vector); "

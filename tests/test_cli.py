@@ -540,6 +540,79 @@ def test_verify_sie_circuit_qubit_limit(tmp_path):
     assert "limited to 12 qubits" in proc.stderr
 
 
+@pytest.mark.parametrize("qubits", [0, 1])
+def test_verify_sie_circuit_needs_two_qubits(tmp_path, capsys, qubits):
+    # no proper cut exists, so the cut family would be empty
+    path = tmp_path / "narrow.circuit"
+    path.write_text(f"qubits {qubits}\n")
+    code = dispatch(["verify", "sie", "--circuit", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: verify_sie needs at least 2 qubits (a proper cut); "
+                            f"circuit has {qubits}\n")
+
+
+_COLD_RUN = """
+import contextlib, io, json, sys
+import locbound
+from locbound.cli import dispatch
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(dispatch(argv))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def cold_dispatch(*argvs):
+    """Exit codes of dispatching each argv in turn in one fresh interpreter,
+    and the scipy modules loaded by then."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _COLD_RUN, json.dumps(argvs)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout)
+    return out["codes"], out["scipy"]
+
+
+def test_scipy_free_commands_load_no_scipy():
+    # scipy is imported inside the two functions that use it, so the import
+    # and every command that neither searches for an REE upper bound nor
+    # validates an embedding stay free of it
+    argvs = [
+        ["code", "check", "--file", FIVE_QUBIT],
+        ["code", "distance", "--file", FIVE_QUBIT],
+        ["code", "correctable", "--file", FIVE_QUBIT, "--region", "0,1"],
+        ["code", "encode", "--file", FOUR_TWO_TWO],
+        ["entropy", "--code", FIVE_QUBIT, "--region", "0,1"],
+        ["bound", "overhead", "--m", "100", "--k", "10", "--p", "0.25",
+         "--delta", "0.00390625", "--depth", "1"],
+        ["bound", "encoding", "--k", "2", "--d", "3", "--m", "8"],
+        ["bound", "syndrome", "--k", "15", "--d", "2", "--m", "1", "--dim", "1"],
+        ["verify", "sie", "--qubits", "4", "--layers", "5"],
+        ["verify", "structure-code", "--code", FIVE_QUBIT, "--partition", "0,1;2,3;4"],
+        ["verify", "corr-max", "--code", FIVE_QUBIT, "--states", "2"],
+        ["verify", "depth-bound"],
+        ["verify", "overhead"],
+    ]
+    codes, scipy_modules = cold_dispatch(*argvs)
+    assert codes == [0] * len(argvs)
+    assert scipy_modules == []
+
+
+def test_scipy_users_run_cold(tmp_path):
+    # each deferred scipy import runs on the first call of a fresh interpreter
+    codes, scipy_modules = cold_dispatch(["ree", "--code", FOUR_TWO_TWO, "--region", "0",
+                                          "--restarts", "1", "--iterations", "20"])
+    assert codes == [0] and "scipy.optimize" in scipy_modules
+
+    path = tmp_path / "line.graph"
+    path.write_text("dim 1\npoint a 0\npoint b 1\npoint c 2\nedge a b\nedge b c\n")
+    codes, scipy_modules = cold_dispatch(["partition", "--graph", str(path), "--lam", "2"])
+    assert codes == [0] and "scipy.spatial" in scipy_modules
+
+
 def test_internal_invariant_failure_exits_three(monkeypatch, capsys):
     # a noise channel that loses trace is a fault of the package, not of the
     # input: exit 3 with a one-line message and no report
