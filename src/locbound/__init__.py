@@ -32,10 +32,10 @@ from .circuit import (
     grid_graph,
     logical_error_rate,
     measure_gate,
+    module_fidelity,
     noise_apply,
     reset_gate,
     simulate_module,
-    target_fidelity,
     validate_embedding,
     validate_layer,
 )

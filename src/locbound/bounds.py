@@ -127,8 +127,6 @@ def overhead_floor(inputs: BoundInputs) -> BoundReport:
     satisfiability verdict against the actual m/k.
     """
     f = inputs.f
-    if f <= 0.0:
-        raise ValueError("f = log_p(delta) must be positive")
     if inputs.depth > 0.0:
         term1 = f ** (1.0 / inputs.dim) / (3.0 * inputs.c1 * inputs.c2 * inputs.depth)
     else:

@@ -45,6 +45,7 @@ import numpy as np
 
 from .qstate import (
     _SLICE,
+    MAX_QUBITS,
     ClassicalQuantumState,
     PureState,
     Register,
@@ -54,7 +55,6 @@ from .qstate import (
 )
 
 TRACE_TOL = 1e-9
-MAX_QUBITS = 12  # dense simulation: circuit files, verify_sie, simulate_module
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +633,7 @@ class EcModule:
         return PureState(RegisterLayout(regs), enc.ravel(), validate=False)
 
 
-def with_reference(state: PureState) -> PureState:
+def _with_reference(state: PureState) -> PureState:
     """``state`` with a trivial reference register R (dimension 1) in
     front, unless it already has an R."""
     if "R" in state.layout:
@@ -648,7 +648,7 @@ def _initial_cq_state(module: EcModule, input_state) -> ClassicalQuantumState:
     if input_state is None:
         prepared = module.target_state()
     elif isinstance(input_state, PureState):
-        prepared = with_reference(input_state)
+        prepared = _with_reference(input_state)
     else:
         raise CircuitError("input_state must be a PureState on R + data qubits")
     want = ("R",) + module.data_qubits
@@ -703,20 +703,28 @@ def simulate_module(
     return state
 
 
-def target_fidelity(module: EcModule, state: ClassicalQuantumState,
-                    target: PureState) -> float:
-    """<t|rho|t>, where rho is the branch average of ``state`` reduced to
-    R + data qubits and t is ``target`` on those registers, both in data
-    order: the ancillas and the classical record are traced out."""
+def module_fidelity(
+    module: EcModule,
+    input_state: PureState | None = None,
+    target: PureState | None = None,
+    erased: tuple | None = None,
+) -> float:
+    """<t|rho|t> clamped to [0, 1], where rho is the output of
+    ``simulate_module(module, input_state, erased)`` averaged over the
+    record and reduced to R + data qubits, and t is ``target`` (default:
+    the module's encoded target). An input or a target without R gets a
+    trivial one. This is the only code that reads a fidelity off a module.
+    """
+    state = simulate_module(module, input_state, erased)
+    t = module.target_state() if target is None else _with_reference(target)
     data = set(module.data_qubits)
     keep = ("R",) + tuple(v for v in module.graph.vertices if v in data)
     want = ("R",) + module.data_qubits
     rho = state.average_state().reduced(keep).permuted(want)
-    t = target.permuted(want).vector
-    return float(np.real(t.conj() @ rho.matrix @ t))
+    t = t.permuted(want).vector
+    return min(max(float(np.real(t.conj() @ rho.matrix @ t)), 0.0), 1.0)
 
 
 def logical_error_rate(module: EcModule) -> float:
     """delta = 1 - F(recovered state on R + data qubits, encoded target)."""
-    fid = target_fidelity(module, simulate_module(module), module.target_state())
-    return min(max(1.0 - fid, 0.0), 1.0)
+    return 1.0 - module_fidelity(module)

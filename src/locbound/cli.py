@@ -177,8 +177,8 @@ def _cmd_ree(args):
     code = read_code_file(args.code)
     region = _parse_region(args.region, code.n)
     labels = [f"q{q}" for q in region]
-    if 2 ** code.n > 64:
-        raise InputError("ree limited to total dimension <= 64 (n <= 6 qubits)")
+    if 2 ** code.n > sep.MAX_REE_DIM:
+        raise InputError(f"ree limited to total dimension <= {sep.MAX_REE_DIM} (n <= 6 qubits)")
     rho = code.encoded_maximally_mixed()
     bracket = sep.ree_bracket(
         rho, labels, restarts=args.restarts, iterations=args.iterations, seed=args.seed

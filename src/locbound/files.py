@@ -13,7 +13,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .circuit import (
-    MAX_QUBITS,
     Circuit,
     CircuitError,
     ConnectivityGraph,
@@ -23,6 +22,7 @@ from .circuit import (
     Unitary,
     measure_gate,
 )
+from .qstate import MAX_QUBITS
 from .stabilizer import CodeValidationError, StabilizerCode, parse_pauli, validate_code
 
 # Above 2^52 in magnitude, float64 cannot hold points one unit apart.

@@ -26,6 +26,7 @@ HERM_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 NEGLIGIBLE = 1e-14  # a classical-quantum branch of weight <= this is dropped
+MAX_QUBITS = 12  # dense states: circuit files, verify_sie, simulate_module, code_projector
 _SLICE = 2 ** 14  # complex entries one step of a dense pass touches (256 KiB, an L2 share)
 
 

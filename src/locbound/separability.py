@@ -26,6 +26,7 @@ from .rand import DEFAULT_SEED, rng_from
 DEFAULT_RESTARTS = 20
 DEFAULT_ITERATIONS = 2000
 STOP_MARGIN = 5e-4  # ree_bracket stops restarting once upper <= lower + this
+MAX_REE_DIM = 64  # total dimension the ensemble search accepts
 
 _LN2 = np.log(2.0)
 _EIG_FLOOR = 1e-18
@@ -179,18 +180,11 @@ def _initial_theta(restart, rng, rho_mat, terms, da, db):
             a[t] = av
             b[t] = bv
     elif restart == 1:
-        # computational product basis: sigma ~ maximally mixed
-        t = 0
-        for i in range(da):
-            for j in range(db):
-                av = np.zeros(da, dtype=complex)
-                bv = np.zeros(db, dtype=complex)
-                av[i] = 1.0
-                bv[j] = 1.0
-                a[t] = av
-                b[t] = bv
-                w[t] = 0.0
-                t += 1
+        # computational product basis, term t = (i, j) in row-major order:
+        # sigma ~ maximally mixed
+        a[:da * db] = np.repeat(np.eye(da), db, axis=0)
+        b[:da * db] = np.tile(np.eye(db), (da, 1))
+        w[:da * db] = 0.0
     else:
         w = rng.standard_normal(terms)
     return _pack(w, a, b)
@@ -237,10 +231,12 @@ def ree_upper(
 def _ree_upper_bracket(rho, a_labels, b_labels, restarts, iterations, seed,
                        stop_at) -> ReeBracket:
     """The ensemble search on a resolved cut (a_labels, b_labels)."""
-    if rho.dim > 64:
-        raise ValueError("ree_upper supports total dimension <= 64")
+    if rho.dim > MAX_REE_DIM:
+        raise ValueError(f"ree_upper supports total dimension <= {MAX_REE_DIM}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     rho_p = rho.permuted(list(a_labels) + list(b_labels))
     da = rho_p.layout.subset(a_labels).dim
     db = rho_p.layout.subset(b_labels).dim
@@ -248,8 +244,7 @@ def _ree_upper_bracket(rho, a_labels, b_labels, restarts, iterations, seed,
     rho_mat = rho_p.matrix
     tr_rho_log_rho = -vn_entropy(rho_p)
 
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = root.spawn(restarts)
+    seeds = np.random.SeedSequence(seed).spawn(restarts)
 
     best_val = np.inf
     best_ens = None

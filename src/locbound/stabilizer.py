@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qstate import DensityMatrix, RegisterLayout
+from .qstate import MAX_QUBITS, DensityMatrix, RegisterLayout
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -118,8 +118,8 @@ class StabilizerCode:
 
     def code_projector(self) -> np.ndarray:
         """Dense projector onto the +1 joint eigenspace of the generators."""
-        if self.n > 12:
-            raise ValueError("dense code projector limited to n <= 12")
+        if self.n > MAX_QUBITS:
+            raise ValueError(f"dense code projector limited to n <= {MAX_QUBITS}")
         if self._projector is None:
             dim = 2 ** self.n
             proj = np.eye(dim, dtype=complex)
@@ -234,6 +234,8 @@ def min_distance(code: StabilizerCode, cap: int | None = None) -> DistanceResult
     """
     if code.n > 12:
         raise ValueError("exhaustive distance search limited to n <= 12")
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be >= 0")
     cap = code.n if cap is None else min(cap, code.n)
     for weight in range(1, cap + 1):
         if not all(_correctable(code, r) for r in combinations(range(code.n), weight)):

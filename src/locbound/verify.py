@@ -20,7 +20,6 @@ import numpy as np
 
 from .bounds import BoundInputs, depth_bound_rhs, overhead_floor
 from .circuit import (
-    MAX_QUBITS,
     Circuit,
     Conditional,
     ConnectivityGraph,
@@ -32,13 +31,18 @@ from .circuit import (
     grid_graph,
     logical_error_rate,
     measure_gate,
+    module_fidelity,
     reset_gate,
-    simulate_module,
-    target_fidelity,
-    with_reference,
 )
 from .entropy import _spectrum_entropy, coherent_info, cond_mutual_info, g_slack, vn_entropy
-from .qstate import DensityMatrix, PureState, RegisterLayout, fidelity
+from .qstate import (
+    MAX_QUBITS,
+    DensityMatrix,
+    PureState,
+    RegisterLayout,
+    fidelity,
+    max_entangled_state,
+)
 from .rand import (
     DEFAULT_SEED,
     random_density,
@@ -344,22 +348,14 @@ def verify_depth_bound(
     for sc in scenarios:
         module = sc.module
         gamma = tuple(str(g) for g in sc.gamma)
-        target = module.target_state() if sc.target is None else with_reference(sc.target)
         data = module.data_qubits
         lam = tuple(q for q in gamma if q in set(data))
+        degenerate = not lam or set(lam) == set(data)
+        if not degenerate and sc.target is None:
+            raise ValueError(f"scenario {sc.name}: nontrivial cuts need a pure target on A'")
 
-        out = simulate_module(module, input_state=sc.input_state)
-        delta = min(max(1.0 - target_fidelity(module, out, target), 0.0), 1.0)
-
-        if not lam or set(lam) == set(data):
-            e_r = 0.0  # degenerate cut
-        else:
-            if sc.target is None and module.k > 0:
-                raise ValueError(
-                    f"scenario {sc.name}: nontrivial cuts need a pure target on A'"
-                )
-            reduced = target.reduced(data)
-            e_r = vn_entropy(reduced, lam)
+        delta = 1.0 - module_fidelity(module, sc.input_state, sc.target)
+        e_r = 0.0 if degenerate else vn_entropy(sc.target, lam)
         lhs = 3.0 * module.depth * len(boundary(module.graph, gamma))
         rhs = depth_bound_rhs(e_r, delta, module.p, len(gamma), len(lam))
         checker.check(rhs, lhs)
@@ -367,9 +363,8 @@ def verify_depth_bound(
         # proof step: the fully erased branch stays close to the target
         eps = delta / module.p ** len(gamma) if module.p > 0 else np.inf
         if np.isfinite(eps):
-            erased = simulate_module(module, input_state=sc.input_state,
+            fid_er = module_fidelity(module, sc.input_state, sc.target,
                                      erased=(gamma, len(module.rounds) - 1))
-            fid_er = target_fidelity(module, erased, target)
             checker.check(1.0 - eps, fid_er + SLACK_EXACT)
         details.append(
             {"scenario": sc.name, "delta": delta, "ree_target": e_r,
@@ -541,14 +536,8 @@ def isolated_pair_module(p: float) -> EcModule:
     )
 
 
-def _bell_pair_state() -> PureState:
-    lay = RegisterLayout.qubits("0", "1")
-    v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    return PureState(lay, v, validate=False)
-
-
 def default_depth_bound_scenarios() -> list:
-    bell = _bell_pair_state()
+    bell = max_entangled_state(1, "0", "1")
     return [
         DepthBoundScenario("trivial-gamma-all", trivial_module(0.5), gamma=("0",)),
         DepthBoundScenario(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from locbound.bounds import (
     BoundInputs,
@@ -128,6 +130,17 @@ def test_bound_inputs_validation():
         BoundInputs(m=2, k=1, depth=1.0, p=0.5, delta=1.0, dim=2)
     inputs = BoundInputs(m=2, k=1, depth=1.0, p=0.25, delta=0.25 ** 3, dim=3)
     assert abs(inputs.f - 3.0) < 1e-12
+
+
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@given(_OPEN_UNIT, _OPEN_UNIT)
+def test_valid_inputs_have_positive_f(p, delta):
+    # 0 < p, delta < 1 makes ln delta and ln p negative and nonzero, so
+    # overhead_floor needs no check of its own on f
+    f = BoundInputs(m=2, k=1, depth=1.0, p=p, delta=delta, dim=2).f
+    assert 0.0 < f < math.inf
 
 
 def test_reports_are_reproducible():

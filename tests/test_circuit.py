@@ -22,6 +22,7 @@ from locbound.circuit import (
     grid_graph,
     logical_error_rate,
     measure_gate,
+    module_fidelity,
     noise_apply,
     simulate_module,
     validate_embedding,
@@ -33,13 +34,16 @@ from locbound.qstate import (
     DensityMatrix,
     PureState,
     RegisterLayout,
+    fidelity,
+    max_entangled_state,
 )
 from locbound.files import ParseError, parse_circuit_lines, read_circuit_file
 from locbound.rand import random_density, random_kraus_channel, random_unitary
-from locbound.verify import repetition_module
+from locbound.verify import default_module_corpus, repetition_module, swap_module
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+BELL = max_entangled_state(1, "0", "1")  # R-less, on qubits "0" and "1"
 
 
 def cq_pure(layout, vec):
@@ -476,6 +480,57 @@ def test_erased_variant_reduced_state():
     out = simulate_module(mod, erased=(("0",), 0))
     red = out.average_state().reduced(["0"])
     assert np.abs(red.matrix - np.eye(2) / 2).max() < 1e-12
+
+
+def _oracle_fidelity(module, state, target_vector):
+    """F(rho, t) by qstate.fidelity, with rho the branch sum of ``state``
+    normalized, its ancillas traced out and its registers put in R + data
+    order by one einsum; ``target_vector`` is t in that order."""
+    labels, dims = state.layout.labels, state.layout.dims
+    mat = sum(m for _, m in state.branches)
+    mat = mat / np.trace(mat).real
+    want = ("R",) + module.data_qubits
+    rows = [chr(ord("a") + i) for i in range(len(labels))]
+    cols = [rows[i] if lab not in want else chr(ord("A") + i) for i, lab in enumerate(labels)]
+    out = [rows[labels.index(w)] for w in want] + [cols[labels.index(w)] for w in want]
+    rho = np.einsum("".join(rows + cols) + "->" + "".join(out), mat.reshape(dims * 2))
+    layout = RegisterLayout.of(*((w, dims[labels.index(w)]) for w in want))
+    d = layout.dim
+    target = DensityMatrix.from_vector(layout, target_vector)
+    return fidelity(DensityMatrix(layout, rho.reshape(d, d), validate=False), target)
+
+
+def _shuffled_data_module():
+    # data qubits listed in the order 2, 0, 1 on the line 0 - 1 - 2 - 3,
+    # a random (so asymmetric) encoder, and an entangling layer between
+    # data and the ancilla 3
+    g = ConnectivityGraph(["0", "1", "2", "3"], [("0", "1"), ("1", "2"), ("2", "3")])
+    rng = np.random.default_rng(4)
+    u = random_unitary(rng, 4)
+    circ = Circuit(g, [Layer([Unitary(("0", "1"), CNOT), Unitary(("2", "3"), u)]),
+                       Layer([Unitary(("2", "3"), u.conj().T)])])
+    enc = random_unitary(rng, 8)[:, :2]
+    return EcModule(g, rounds=[circ, circ], data_qubits=("2", "0", "1"), encoder=enc, p=0.05)
+
+
+@pytest.mark.parametrize("case", [
+    *((mod.name + f"-p{mod.p}", mod, None, None, None)
+      for mod in default_module_corpus() if mod.k > 0),  # k = 0 has no encoded target
+    ("swap-bell", swap_module(0.25), BELL, BELL, None),
+    ("swap-bell-erased", swap_module(0.25), BELL, BELL, (("0",), 0)),
+    ("repetition-erased", repetition_module(0.1, rounds=2), None, None, (("d0", "a0"), 1)),
+    ("shuffled-data", _shuffled_data_module(), None, None, None),
+    ("shuffled-data-erased", _shuffled_data_module(), None, None, (("0", "3"), 0)),
+], ids=lambda case: case[0])
+def test_module_fidelity_matches_dense_oracle(case):
+    _, module, input_state, target, erased = case
+    state = simulate_module(module, input_state, erased)
+    t = module.target_state() if target is None else target
+    t = t.permuted([lab for lab in ("R",) + module.data_qubits if lab in t.layout])
+    expected = _oracle_fidelity(module, state, t.vector)
+    assert abs(module_fidelity(module, input_state, target, erased) - expected) < 1e-12
+    if input_state is None and erased is None:
+        assert logical_error_rate(module) == 1.0 - module_fidelity(module)
 
 
 @pytest.mark.parametrize("j", [5, 1, -1])

@@ -341,7 +341,11 @@ def test_bound_overhead_depth_zero_is_strict_json(capsys):
     (["ree", "--code", FOUR_TWO_TWO, "--region", "0", "--restarts", "0"], ">= 1"),
     (["verify", "sie", "--qubits", "1"], "2..8"),
     (["verify", "sie", "--qubits", "9"], "2..8"),
-], ids=["trials", "states", "layers", "restarts", "qubits-1", "qubits-9"])
+    (["ree", "--code", FOUR_TWO_TWO, "--region", "0", "--restarts", "1", "--iterations", "0"],
+     "iterations must be >= 1"),
+    (["code", "distance", "--file", FIVE_QUBIT, "--cap", "-1"], "cap must be >= 0"),
+], ids=["trials", "states", "layers", "restarts", "qubits-1", "qubits-9", "iterations",
+        "cap"])
 def test_vacuous_requests_exit_two(capsys, argv, message):
     code = dispatch(argv)
     captured = capsys.readouterr()
