@@ -27,10 +27,15 @@ Dense passes go one slice at a time. An operator or a noise channel
 mixes no row factor outside its support, so a matrix is processed one
 slice of fixed non-support row factors at a time, at most _SLICE
 entries (qstate) or else the smallest slice that holds the support,
-through slice-sized scratch. A matrix of one slice runs as one
-whole-array step. Branch matrices of a ClassicalQuantumState are
-read-only, so a writable matrix belongs to the running channel step: the
-step copies a branch at most once and then updates it in place.
+through slice-sized scratch. A gate's data movement comes from a gather
+plan, built on first use and cached per (dims, support, ndim): one take
+of the slice's rows, support first, for the row-side product; one take
+that reorders that product for the column side; one take back into
+place. An unkeyed KrausGate runs as one pass of its superoperator
+sum_i K_i (x) conj(K_i) over the (row support, column support) pair.
+Branch matrices of a ClassicalQuantumState are read-only, so a writable
+matrix belongs to the running channel step: the step copies a branch at
+most once and then updates it in place.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .qstate import (
     Register,
     RegisterLayout,
     _hermitize,
-    max_entangled_state,
 )
 
 TRACE_TOL = 1e-9
@@ -227,30 +231,127 @@ def grid_graph(shape: Sequence[int]) -> tuple:
 # Operator application on labelled registers
 
 
-def _slices(dims: Sequence[int], keep: Sequence[int], ndim: int) -> list:
-    """Indices into the ``dims * ndim``-shaped view of an array, one per
-    slice: leading row factors outside ``keep`` are fixed, one at a time,
-    until a slice has at most _SLICE entries or none is left to fix. Row
-    factors in ``keep`` and every column factor stay whole. An array of at
-    most _SLICE entries is one slice, ``...``."""
-    n = len(dims)
+def _fixed_factors(dims: Sequence[int], keep: Sequence[int], ndim: int) -> list:
+    """The row factors a slice fixes: leading row factors outside ``keep``,
+    one at a time, until a slice of the ``dims * ndim``-shaped view has at
+    most _SLICE entries or none is left to fix. Row factors in ``keep`` and
+    every column factor stay whole."""
     size = math.prod(dims) ** ndim
     fixed = []
-    for p in range(n):
+    for p in range(len(dims)):
         if size <= _SLICE:
             break
         if p not in keep:
             fixed.append(p)
             size //= dims[p]
+    return fixed
+
+
+def _slices(dims: Sequence[int], keep: Sequence[int], ndim: int) -> list:
+    """Indices into the ``dims * ndim``-shaped view of an array, one per
+    slice of fixed row factors (see _fixed_factors). An array of at most
+    _SLICE entries is one slice, ``...``."""
+    fixed = _fixed_factors(dims, keep, ndim)
     if not fixed:
         return [...]
     out = []
     for values in itertools.product(*(range(dims[p]) for p in fixed)):
-        idx = [slice(None)] * (n * ndim)
+        idx = [slice(None)] * (len(dims) * ndim)
         for p, v in zip(fixed, values):
             idx[p] = slice(v, v + 1)
         out.append(tuple(idx))
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _gather_plan(dims: tuple, positions: tuple, ndim: int, channel: bool) -> tuple:
+    """How to bring the support of an operator on ``positions`` in front of
+    each slice and back, for a state vector (``ndim`` 1) or a density
+    matrix (``ndim`` 2). The operand of a product lists the axes it
+    contracts first and every other axis after them in its own order, as
+    np.tensordot does. Rows take the operator, then columns take its
+    conjugate, or, for a ``channel``, its superoperator takes the row and
+    column supports at once.
+
+    A slice is the rows ``offset + rows`` of the ``(d, cols)`` view of the
+    array, for each ``offset`` in ``offsets``; its positions count its
+    entries in row-major order over its rows in ascending order and the
+    columns. Returns (offsets, rows, mid, back, spread):
+    - rows: the slice's rows, support first, the first product's operand;
+    - mid: the last product's operand, as entries of the one before, or
+      None for a vector;
+    - back: slice position p holds entry back[p] of the last product;
+    - spread: the slice's rows in ascending order, or None if consecutive.
+    Built on first use; every array is as large as one slice at most, the
+    indices int32 (a slice of a MAX_QUBITS density matrix has fewer than
+    2^31 entries)."""
+    n = len(dims)
+    fixed = _fixed_factors(dims, positions, ndim)
+    row_ids = np.arange(math.prod(dims)).reshape(dims)[
+        tuple(slice(0, 1) if p in fixed else slice(None) for p in range(n))]
+    strides = [math.prod(dims[p + 1:]) for p in fixed]
+    offsets = tuple(sum(v * s for v, s in zip(values, strides))
+                    for values in itertools.product(*(range(dims[p]) for p in fixed)))
+    others = [p for p in range(n) if p not in positions]
+    cols = list(range(n, n * ndim))
+    rows = row_ids.transpose(list(positions) + others).ravel()
+    shape = row_ids.shape + tuple(dims) * (ndim - 1)
+    label = np.arange(math.prod(shape), dtype=np.int32).reshape(shape)
+    got = label.transpose(list(positions) + others + cols).ravel()
+    mid = None
+    if ndim == 2:
+        front = [p + n for p in positions]
+        if channel:
+            front = list(positions) + front
+        want = label.transpose(front + [a for a in range(2 * n) if a not in front]).ravel()
+        where = np.empty_like(got)
+        where[got] = np.arange(got.size, dtype=np.int32)
+        mid, got = where[want], want
+    back = np.empty_like(got)
+    back[got] = np.arange(got.size, dtype=np.int32)
+    spread = row_ids.ravel()
+    if spread[-1] - spread[0] == spread.size - 1:
+        spread = None
+    for a in (rows, mid, back, spread):
+        if a is not None:
+            a.flags.writeable = False  # every caller shares the cached plan
+    return offsets, rows, mid, back, spread
+
+
+def _sliced_products(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int],
+                     ops: Sequence[np.ndarray], channel: bool,
+                     out: np.ndarray | None) -> np.ndarray:
+    """Run the products ``ops`` over each slice of ``arr`` by its gather
+    plan: one take of the slice's rows, support first; ``np.dot`` with
+    each op, the plan's ``mid`` take before the last; one write-back, a
+    take straight into the result when the slice's rows are consecutive
+    (always so for a one-slice array), else into scratch and then onto the
+    slice's rows. ``out`` as in apply_operator."""
+    d = math.prod(dims)
+    offsets, rows, mid, back, spread = _gather_plan(tuple(dims), tuple(positions),
+                                                    arr.ndim, channel)
+    dtype = np.result_type(arr, *ops)
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    src = arr.reshape((d,) * arr.ndim).reshape(d, -1).astype(dtype, copy=False)
+    res = np.empty_like(src, order="C") if out is None else out.reshape(src.shape)
+    n_rows = len(rows)
+    scratch = np.empty((2, n_rows * src.shape[1]), dtype)
+    for offset in offsets:
+        x, y = scratch
+        src[offset:].take(rows, axis=0, out=x.reshape(n_rows, -1), mode="clip")
+        for i, op in enumerate(ops):
+            if mid is not None and i == len(ops) - 1:
+                x.take(mid, out=y, mode="clip")
+                x, y = y, x
+            np.dot(op, x.reshape(len(op), -1), out=y.reshape(len(op), -1))
+            x, y = y, x
+        if spread is None:
+            x.take(back, out=res[offset:offset + n_rows].reshape(-1), mode="clip")
+        else:
+            x.take(back, out=y, mode="clip")
+            res[offset:][spread] = y.reshape(n_rows, -1)
+    return res.reshape(arr.shape) if out is None else out
 
 
 def apply_operator(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int],
@@ -260,39 +361,22 @@ def apply_operator(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int
     K acts on the tensor factors at ``positions``, listed in K's own
     factor order (any order, not necessarily sorted). K rho K^dag mixes no
     row factor outside K's support, so the work goes one slice of fixed
-    non-support row factors at a time (see _slices), through two
-    slice-sized scratch buffers, into ``out``: a C-contiguous array of the
+    non-support row factors at a time (see _sliced_products), through
+    slice-sized scratch, into ``out``: a C-contiguous array of the
     result's shape, which may be ``arr`` itself, or a new array if None.
     """
-    positions = list(positions)
-    w = len(positions)
-    n = len(dims)
     gate_dims = tuple(dims[p] for p in positions)
     dg = op.shape[0]
     k = op.reshape(gate_dims * 2).reshape(dg, dg)  # as np.tensordot forms it: same gemm
-    t = arr.reshape(tuple(dims) * arr.ndim)
-    slices = _slices(dims, positions, arr.ndim)
-    shape = t[slices[0]].shape
-    dtype = np.result_type(op, arr)
-    if out is not None and not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    res = np.empty(t.shape, dtype) if out is None else out.reshape(t.shape)
-    scratch = np.empty((2, dg, math.prod(shape) // dg), dtype)
-    # rows take K, columns take conj(K): (K rho K^dag)_ij = K_ia rho_ab conj(K_jb);
-    # each side is np.tensordot(K, s, (K's columns, axes)) moved back into place
-    sides = []
-    for side, kt in enumerate((k, k.conj())[:arr.ndim]):
-        axes = [p + side * n for p in positions]
-        order = axes + [a for a in range(len(shape)) if a not in axes]
-        sides.append((kt, axes, order, [shape[a] for a in order]))
-    for idx in slices:
-        s = t[idx]
-        for kt, axes, order, moved in sides:
-            np.copyto(scratch[0].reshape(moved), s.transpose(order))
-            np.dot(kt, scratch[0], out=scratch[1])
-            s = np.moveaxis(scratch[1].reshape(moved), range(w), axes)
-        res[idx] = s
-    return res.reshape(arr.shape) if out is None else out
+    return _sliced_products(arr, dims, positions, (k, k.conj())[:arr.ndim], False, out)
+
+
+def apply_channel(mat: np.ndarray, dims: Sequence[int], positions: Sequence[int],
+                  superop: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_i K_i mat K_i^dag in one pass of ``superop`` (see
+    KrausGate.superoperator) over the (row support, column support) index
+    pair of each slice; ``positions`` and ``out`` as in apply_operator."""
+    return _sliced_products(mat, dims, positions, (superop,), True, out)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +435,13 @@ class KrausGate:
         object.__setattr__(self, "qubits", tuple(str(q) for q in qubits))
         object.__setattr__(self, "operators", tuple(np.asarray(k, dtype=complex) for k in operators))
         object.__setattr__(self, "key", key)
+
+    @functools.cached_property
+    def superoperator(self) -> np.ndarray:
+        """S = sum_i K_i (x) conj(K_i), so that the channel's output is
+        (sum_i K_i rho K_i^dag)_ij = sum_ab S_(ij),(ab) rho_ab; built on
+        first use."""
+        return sum(np.kron(k, k.conj()) for k in self.operators)
 
 
 def reset_gate(qubit: str) -> KrausGate:
@@ -454,13 +545,14 @@ class Circuit:
 def _branch_apply_gate(record, mat, dims, positions, gate):
     """Apply one gate to one branch; yields (record, matrix). A keyed
     KrausGate yields (record + ((key, i),), K_i mat K_i^dag) for every i,
-    unnormalized, so each trace is that branch's weight. A writable
+    unnormalized, so each trace is that branch's weight; an unkeyed one
+    yields its whole channel, in one pass of its superoperator. A writable
     C-contiguous ``mat`` belongs to the running step and takes the last
     result in place; any other is never written."""
-    def apply(op, in_place=True):
+    def apply(op, in_place=True, kernel=apply_operator):
         owned = mat.flags.writeable and mat.flags.c_contiguous
         out = mat if in_place and owned else None
-        return apply_operator(mat, dims, positions, op, out=out)
+        return kernel(mat, dims, positions, op, out=out)
 
     if isinstance(gate, Conditional):
         last = dict(record)
@@ -471,10 +563,7 @@ def _branch_apply_gate(record, mat, dims, positions, gate):
     elif not isinstance(gate, KrausGate):
         raise CircuitError(f"unknown gate type {type(gate).__name__}")
     elif gate.key is None:
-        acc = np.zeros_like(mat, order="C")
-        for k in gate.operators:
-            acc += apply(k, in_place=False)
-        yield record, acc
+        yield record, apply(gate.superoperator, kernel=apply_channel)
     else:
         final = len(gate.operators) - 1
         for i, k in enumerate(gate.operators):
@@ -627,7 +716,7 @@ class EcModule:
     def target_state(self) -> PureState:
         """(I_R (x) U)(Phi_RL) on registers R + data qubits (data order)."""
         dk = self.encoder.shape[1]
-        phi = max_entangled_state(self.k, "R", "L").vector.reshape(dk, dk)
+        phi = np.eye(dk, dtype=complex) / np.sqrt(dk)  # Phi_RL; R is trivial at k = 0
         enc = (self.encoder @ phi.T).T  # rows: R index, cols: code index
         regs = [Register("R", dk)] + [Register(q, 2) for q in self.data_qubits]
         return PureState(RegisterLayout(regs), enc.ravel(), validate=False)

@@ -16,6 +16,7 @@ make no full-size temporary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -254,7 +255,7 @@ class ClassicalQuantumState:
         """One branch with the empty record."""
         return cls(dm.layout, [((), dm.matrix)])
 
-    @property
+    @functools.cached_property
     def total_weight(self) -> float:
         return float(sum(mat.trace().real for _, mat in self.branches))
 

@@ -514,8 +514,7 @@ def _shuffled_data_module():
 
 
 @pytest.mark.parametrize("case", [
-    *((mod.name + f"-p{mod.p}", mod, None, None, None)
-      for mod in default_module_corpus() if mod.k > 0),  # k = 0 has no encoded target
+    *((mod.name + f"-p{mod.p}", mod, None, None, None) for mod in default_module_corpus()),
     ("swap-bell", swap_module(0.25), BELL, BELL, None),
     ("swap-bell-erased", swap_module(0.25), BELL, BELL, (("0",), 0)),
     ("repetition-erased", repetition_module(0.1, rounds=2), None, None, (("d0", "a0"), 1)),
@@ -531,6 +530,13 @@ def test_module_fidelity_matches_dense_oracle(case):
     assert abs(module_fidelity(module, input_state, target, erased) - expected) < 1e-12
     if input_state is None and erased is None:
         assert logical_error_rate(module) == 1.0 - module_fidelity(module)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 1.0])
+def test_k_zero_module_targets_its_encoder_column(p):
+    # k = 0: the target is the encoder's one column |00> with a trivial R,
+    # kept iff neither qubit's noise leaves |0> (probability p/2 each)
+    assert abs(logical_error_rate(swap_module(p)) - (1 - (1 - p / 2) ** 2)) < 1e-15
 
 
 @pytest.mark.parametrize("j", [5, 1, -1])

@@ -4,11 +4,17 @@ apply_operator, _depolarize_matrix and _hermitize work one slice or tile
 of at most _SLICE entries at a time. They must agree bit for bit with
 the whole-array bodies they replaced (kept here as oracles) on matrices
 of several slices, and _hermitize on one tile or less too, and apply_operator to 1e-12 with an np.kron embedding.
-Each channel step must stay near one state of memory above its input.
+apply_channel must agree with the sum of two-sided applies it replaced.
+Each channel step must stay near one state of memory above its input,
+and importing the package builds no gather plan or superoperator.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ from locbound.circuit import (
     Unitary,
     _depolarize_matrix,
     _slices,
+    apply_channel,
     apply_layer,
     apply_operator,
     noise_apply,
@@ -35,6 +42,7 @@ from locbound.rand import random_density, random_unitary
 # qubit counts whose density matrices span several slices (4 and 16 at 2^14)
 HALF = math.ceil(math.log2(_SLICE) / 2)
 SLICED = (HALF + 1, HALF + 2)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def whole_array_apply(arr, dims, positions, op):
@@ -182,6 +190,56 @@ def test_fortran_ordered_branch_keeps_every_gate(n):
     full = kron_embed(u, n, [1, n - 1])
     expect = full @ sum(k @ f_rho @ k.conj().T for k in ks) @ full.conj().T
     assert np.abs(got["F"] - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", (5,) + SLICED)
+def test_one_pass_channel_matches_two_sided_applies(n):
+    # one slice at n = 5, several above; last, first, unsorted and
+    # non-adjacent supports; a new array, a given buffer, in place, and an
+    # F-ordered input
+    rng = np.random.default_rng(10 + n)
+    dims = (2,) * n
+    rho = _density(n, 4 * n)
+    f_rho = np.asarray(rho.conj().T)
+    assert f_rho.flags.f_contiguous and not f_rho.flags.c_contiguous
+    for positions in ([n - 1], [0], [3, 0], [0, n - 1]):
+        assert (len(_slices(dims, positions, 2)) > 1) == (n in SLICED)
+        dg = 2 ** len(positions)
+        iso = random_unitary(rng, 3 * dg)[:, :dg]  # three Kraus operators of a channel
+        gate = KrausGate([str(q) for q in positions], iso.reshape(3, dg, dg))
+        two_sided = sum(apply_operator(rho, dims, positions, k) for k in gate.operators)
+        ks = [kron_embed(k, n, positions) for k in gate.operators]
+        full = sum(k @ rho @ k.conj().T for k in ks)
+        for where, mat in (("new", rho), ("buffer", rho), ("in place", rho.copy()),
+                           ("F-ordered", f_rho)):
+            out = {"buffer": np.empty_like(rho), "in place": mat}.get(where)
+            got = apply_channel(mat, dims, positions, gate.superoperator, out=out)
+            assert out is None or got is out
+            assert np.abs(got - two_sided).max() < 1e-12, (positions, where)
+            assert np.abs(got - full).max() < 1e-12, (positions, where)
+
+
+_IMPORT_GUARD = """
+import sys
+ran = set()
+def watch(frame, event, arg):
+    if event == "call" and frame.f_code.co_name in ("_gather_plan", "superoperator"):
+        ran.add(frame.f_code.co_name)
+sys.setprofile(watch)
+import locbound
+sys.setprofile(None)
+from locbound.circuit import _gather_plan
+print(sorted(ran), _gather_plan.cache_info().currsize)
+"""
+
+
+def test_import_builds_no_plan_or_superoperator():
+    # plans and superoperators are built on first use, so `import locbound`
+    # (and so every process start) pays for none of them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["[]", "0"]
 
 
 def test_in_place_kernels_refuse_non_c_contiguous_targets():

@@ -233,6 +233,13 @@ def test_classical_quantum_state():
     with pytest.raises(ValueError, match="at least one branch"):
         ClassicalQuantumState(Q1, [])
 
+    # weighed once, on first read: a channel step's finish weighs its
+    # result, and the next step reads that sum as its starting weight
+    assert "total_weight" in vars(cq)
+    fresh = ClassicalQuantumState(Q1, cq.branches)
+    assert "total_weight" not in vars(fresh)
+    assert fresh.total_weight == cq.total_weight and "total_weight" in vars(fresh)
+
     merged = ClassicalQuantumState(
         Q1, [((("s", 0),), 0.5 * zero), ((("s", 0),), 0.5 * one),
              ((("s", 1),), NEGLIGIBLE * one)]
