@@ -4,7 +4,8 @@ rates, and consistency with the memory-overhead floor."""
 
 import numpy as np
 
-from locbound import BoundInputs, logical_error_rate, overhead_floor, simulate_module
+from locbound import (BoundInputs, Circuit, EcModule, apply_layer, logical_error_rate,
+                      overhead_floor, simulate_module)
 from locbound.verify import repetition_module, trivial_module
 
 print("=== trivial one-qubit module: delta = 3p/4 exactly ===")
@@ -21,14 +22,23 @@ for p in (0.02, 0.05, 0.1):
               f"delta={delta:.6f}")
 
 print("\n=== classical record branches of one noisy round ===")
-# a record is the tuple of (key, outcome) pairs written so far
+# apply_layer alone keeps every write: a record is the tuple of (key,
+# outcome) pairs written so far. Run one round's noise (a module with no
+# gates) and then its layers up to the syndrome measurement.
 mod = repetition_module(0.1, rounds=1)
-out = simulate_module(mod)
+idle = EcModule(mod.graph, rounds=[Circuit(mod.graph, [])], data_qubits=mod.data_qubits,
+                encoder=mod.encoder, p=mod.p)
+out = simulate_module(idle)
+for layer in mod.rounds[0].layers[:-1]:
+    out = apply_layer(out, layer)
 # a branch matrix is unnormalized: its trace is the branch weight; ties at
 # the printed precision go by record, so last-ulp differences cannot reorder
 weighted = sorted((-round(mat.trace().real, 4), record) for record, mat in out.branches)
 for neg_weight, record in weighted[:4]:
     print(f"  weight {-neg_weight:.4f}  record {record}  syndrome {dict(record)}")
+# simulate_module forgets an outcome once no later gate reads it, so the
+# whole module, corrections included, ends in one branch with record ()
+print("  simulate_module records:", [record for record, _ in simulate_module(mod).branches])
 
 print("\n=== erased-round variant: the region really is forgotten ===")
 erased = simulate_module(mod, erased=(("d0", "d1"), 0))

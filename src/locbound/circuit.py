@@ -17,11 +17,15 @@ trace the branch weight. A keyed KrausGate (a measurement is one, see
 measure_gate) appends (key, i) for its i-th operator and never divides by
 the outcome probability; a Conditional reads the last outcome of each of
 its keys (None if unwritten) and applies the unitary its table gives for
-that outcome tuple, or nothing. Noise is a rate p on a list of qubits
-plus an erased region at rate 1. Every channel is evaluated by exact
-arithmetic on density matrices (never by sampling); one finish step
-re-symmetrizes each branch, merges equal records, drops branches of
-weight <= NEGLIGIBLE and checks that the total weight is kept.
+that outcome tuple, or nothing. simulate_module keeps less: after each
+layer a record holds only the last outcome of each key that a later
+Conditional still reads, so a branch splits at a measurement, merges
+once its outcomes are dead, and a module ends in one branch with record
+(). Noise is a rate p on a list of qubits plus an erased region at rate
+1. Every channel is evaluated by exact arithmetic on density matrices
+(never by sampling); one finish step re-symmetrizes each branch, merges
+equal records, drops branches of weight <= NEGLIGIBLE and checks that the
+total weight is kept.
 
 Dense passes go one slice at a time. An operator or a noise channel
 mixes no row factor outside its support, so a matrix is processed one
@@ -570,10 +574,20 @@ def _branch_apply_gate(record, mat, dims, positions, gate):
             yield record + ((gate.key, i),), apply(k, in_place=i == final)
 
 
-def _finish(layout, items, before: float) -> ClassicalQuantumState:
+def _last_outcomes(record: tuple, keys: tuple) -> tuple:
+    """The record that holds only the last outcome of each of ``keys`` that
+    ``record`` wrote, in ``keys`` order."""
+    last = dict(record)
+    return tuple((k, last[k]) for k in keys if k in last)
+
+
+def _finish(layout, items, before: float, live: tuple | None = None) -> ClassicalQuantumState:
     """The finish step of every channel: re-symmetrize each (record, matrix)
-    item, merge equal records, drop branches of weight <= NEGLIGIBLE, and
-    check that the total weight stays ``before``."""
+    item, reduce each record to the ``live`` keys if given (see
+    _last_outcomes), merge equal records, drop branches of weight <=
+    NEGLIGIBLE, and check that the total weight stays ``before``."""
+    if live is not None:
+        items = ((_last_outcomes(rec, live), mat) for rec, mat in items)
     state = ClassicalQuantumState(layout, ((rec, _hermitize(mat)) for rec, mat in items)).merged()
     total = state.total_weight
     if not abs(total - before) <= TRACE_TOL:
@@ -581,8 +595,11 @@ def _finish(layout, items, before: float) -> ClassicalQuantumState:
     return state
 
 
-def apply_layer(state: ClassicalQuantumState, layer: Layer) -> ClassicalQuantumState:
-    """One separable channel step, then the finish step."""
+def apply_layer(state: ClassicalQuantumState, layer: Layer,
+                live: tuple | None = None) -> ClassicalQuantumState:
+    """One separable channel step, then the finish step. Each record keeps
+    every write, unless ``live`` names the keys whose last outcome is
+    still read later: then it keeps just those (see _finish)."""
     layout = state.layout
     dims = layout.dims
     items = state.branches
@@ -590,7 +607,7 @@ def apply_layer(state: ClassicalQuantumState, layer: Layer) -> ClassicalQuantumS
         positions = layout.positions(gate.qubits)
         items = [out for rec, mat in items
                  for out in _branch_apply_gate(rec, mat, dims, positions, gate)]
-    return _finish(layout, items, state.total_weight)
+    return _finish(layout, items, state.total_weight, live)
 
 
 # ---------------------------------------------------------------------------
@@ -766,6 +783,23 @@ def _initial_cq_state(module: EcModule, input_state) -> ClassicalQuantumState:
     return ClassicalQuantumState.from_density(full.to_density())
 
 
+def _live_keys(layers: Sequence[Layer]) -> list:
+    """For each layer, the keys whose last outcome after it some later
+    Conditional reads: read before a keyed KrausGate writes them again.
+    One walk back over the gates of every round; each tuple in a fixed
+    order."""
+    live: dict = {}  # an ordered set
+    out = []
+    for layer in reversed(layers):
+        out.append(tuple(live))
+        for gate in reversed(layer.gates):
+            if isinstance(gate, Conditional):
+                live.update(dict.fromkeys(gate.keys))
+            elif isinstance(gate, KrausGate) and gate.key is not None:
+                live.pop(gate.key, None)
+    return out[::-1]
+
+
 def simulate_module(
     module: EcModule,
     input_state: PureState | None = None,
@@ -776,7 +810,11 @@ def simulate_module(
     ``erased=(region, round_index)`` substitutes the erase-then-depolarize
     channel N_Gamma for the product depolarizing noise at that round; the
     branch is computed exactly, never sampled; j must lie in 0..J-1.
-    Output lives on R + A with classical branch records.
+    Output lives on R + A. Each layer's finish step keeps, per record, only
+    the last outcome of each key that a later Conditional still reads
+    (_live_keys) and sums over the rest, so the module ends in one branch
+    with record (). That is exact: a Conditional reads only the last
+    outcome of its keys, and the record is traced out in the end.
     """
     J = len(module.rounds)
     if erased is not None and not 0 <= erased[1] < J:
@@ -784,11 +822,12 @@ def simulate_module(
     if module.m + module.k > MAX_QUBITS:
         raise CircuitError(f"simulation limited to about {MAX_QUBITS} total qubits")
     state = _initial_cq_state(module, input_state)
+    live = iter(_live_keys([layer for circ in module.rounds for layer in circ.layers]))
     for j, circ in enumerate(module.rounds):
         region = erased[0] if erased is not None and erased[1] == j else ()
         state = noise_apply(state, module.p, module.graph.vertices, region)
         for layer in circ.layers:
-            state = apply_layer(state, layer)
+            state = apply_layer(state, layer, next(live))
     return state
 
 

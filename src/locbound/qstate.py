@@ -270,10 +270,17 @@ class ClassicalQuantumState:
 
     def merged(self) -> "ClassicalQuantumState":
         """Sum the matrices of branches with equal records; drop branches of
-        weight <= NEGLIGIBLE."""
+        weight <= NEGLIGIBLE. A record's sum is a copy of its first matrix,
+        made when a second one arrives, that the rest add into in place."""
         acc: dict = {}
         for record, mat in self.branches:
-            acc[record] = acc[record] + mat if record in acc else mat
+            have = acc.get(record)
+            if have is None:
+                acc[record] = mat
+                continue
+            if not have.flags.writeable:  # a branch matrix, not yet a sum of ours
+                have = acc[record] = have.copy()
+            np.add(have, mat, out=have)
         kept = [(rec, mat) for rec, mat in acc.items() if mat.trace().real > NEGLIGIBLE]
         return ClassicalQuantumState(self.layout, kept)
 

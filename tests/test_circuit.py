@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locbound import circuit
 from locbound.circuit import (
     Circuit,
     CircuitError,
@@ -24,10 +25,12 @@ from locbound.circuit import (
     measure_gate,
     module_fidelity,
     noise_apply,
+    reset_gate,
     simulate_module,
     validate_embedding,
     validate_layer,
     _depolarize_matrix,
+    _initial_cq_state,
 )
 from locbound.qstate import (
     ClassicalQuantumState,
@@ -43,6 +46,7 @@ from locbound.verify import default_module_corpus, repetition_module, swap_modul
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
 BELL = max_entangled_state(1, "0", "1")  # R-less, on qubits "0" and "1"
 
 
@@ -530,6 +534,104 @@ def test_module_fidelity_matches_dense_oracle(case):
     assert abs(module_fidelity(module, input_state, target, erased) - expected) < 1e-12
     if input_state is None and erased is None:
         assert logical_error_rate(module) == 1.0 - module_fidelity(module)
+
+
+def _full_record_run(module, erased=None):
+    """The module's rounds by noise_apply and apply_layer alone, so every
+    record keeps every write and nothing merges across outcomes."""
+    state = _initial_cq_state(module, None)
+    for j, circ in enumerate(module.rounds):
+        region = erased[0] if erased is not None and erased[1] == j else ()
+        state = noise_apply(state, module.p, module.graph.vertices, region)
+        for layer in circ.layers:
+            state = apply_layer(state, layer)
+    return state
+
+
+def _delta_of(module, state):
+    """1 - <t|rho|t> for the module's target t, with rho the record average
+    of ``state`` on R + data qubits."""
+    want = ("R",) + module.data_qubits
+    keep = ("R",) + tuple(v for v in module.graph.vertices if v in module.data_qubits)
+    rho = state.average_state().reduced(keep).permuted(want).matrix
+    t = module.target_state().permuted(want).vector
+    return 1.0 - float(np.real(t.conj() @ rho @ t))
+
+
+def _memory(p, rounds, key, lag=0):
+    """repetition_module's memory, except that round j measures into keys
+    key(j, 0) and key(j, 1) and corrects by the outcomes of round j - lag;
+    a round j < lag only resets its ancillas."""
+    base = repetition_module(p, rounds)
+    circuits = []
+    for j in range(rounds):
+        last = [reset_gate("a0"), reset_gate("a1")]
+        if j >= lag:
+            keys = (key(j - lag, 0), key(j - lag, 1))
+            last += [Conditional(("d0",), keys, {(1, 0): X}),
+                     Conditional(("d1",), keys, {(1, 1): X}),
+                     Conditional(("d2",), keys, {(0, 1): X})]
+        layers = base.rounds[0].layers[:3] + (
+            Layer([measure_gate("a0", key(j, 0)), measure_gate("a1", key(j, 1))]),
+            Layer(last))
+        circuits.append(Circuit(base.graph, layers))
+    return EcModule(base.graph, rounds=circuits, data_qubits=base.data_qubits,
+                    encoder=base.encoder, p=p, name="memory")
+
+
+def _rewritten_key_module(p):
+    """Key s written by b, then by b and a in one layer, then read: only
+    a's outcome, the last, decides the flip of the data qubit d."""
+    g = ConnectivityGraph(["d", "a", "b"], [("d", "a"), ("a", "b")])
+    circ = Circuit(g, [
+        Layer([Unitary(("a",), H)]),
+        Layer([measure_gate("b", "s")]),
+        Layer([measure_gate("b", "s"), measure_gate("a", "s")]),
+        Layer([Conditional(("d",), ("s",), {(1,): X})]),
+    ])
+    return EcModule(g, rounds=[circ], data_qubits=("d",),
+                    encoder=np.eye(2, dtype=complex), p=p, name="rewritten-key")
+
+
+@pytest.mark.parametrize("case", [
+    *((f"repetition-J{j}-p{p}", repetition_module(p, j), None)
+      for j in range(1, 6) for p in (0.0, 0.02, 0.1, 0.25)),
+    ("repetition-erased", repetition_module(0.1, rounds=2), (("d0", "a0"), 1)),
+    ("keys-reused", _memory(0.1, 3, lambda j, i: f"s{i}"), None),
+    ("keys-read-a-round-later", _memory(0.1, 3, lambda j, i: f"r{j}s{i}", lag=1), None),
+    ("key-written-twice", _rewritten_key_module(0.1), None),
+], ids=lambda case: case[0])
+def test_forgotten_outcomes_match_full_records(case):
+    # simulate_module sums over each outcome once no later gate reads it;
+    # by linearity that is the full-record run averaged over its records
+    _, module, erased = case
+    state = simulate_module(module, erased=erased)
+    oracle = _full_record_run(module, erased)
+    assert [rec for rec, _ in state.branches] == [()]
+    assert np.abs(state.average_state().matrix - oracle.average_state().matrix).max() < 1e-12
+    delta = 1.0 - module_fidelity(module, erased=erased)
+    assert abs(delta - _delta_of(module, oracle)) < 1e-13
+
+
+def test_repetition_memory_holds_at_most_four_branches(monkeypatch):
+    counts = []
+    inner = circuit.apply_layer
+
+    def counted(state, layer, *args, **kwargs):
+        out = inner(state, layer, *args, **kwargs)
+        counts.append((len(state.branches), len(out.branches)))
+        return out
+
+    monkeypatch.setattr(circuit, "apply_layer", counted)
+    state = simulate_module(repetition_module(0.1, rounds=5))
+    assert [rec for rec, _ in state.branches] == [()]
+    assert len(counts) == 25 and max(max(pair) for pair in counts) == 4
+
+
+def test_long_memory_error_rate_nondecreasing_in_rounds():
+    # 4^20 full records would not fit; forgetting keeps each round at 4 branches
+    deltas = [logical_error_rate(repetition_module(0.05, rounds=j)) for j in range(1, 21)]
+    assert all(a <= b for a, b in zip(deltas, deltas[1:]))
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 1.0])

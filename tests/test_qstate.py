@@ -247,3 +247,17 @@ def test_classical_quantum_state():
     assert len(merged.branches) == 1  # a branch of weight NEGLIGIBLE is dropped
     assert merged.branches[0][0] == (("s", 0),)
     assert np.allclose(merged.branches[0][1], np.eye(2) / 2)
+
+
+def test_merged_adds_in_order_without_writing_a_branch():
+    # a record's sum is built in place in a copy of its first matrix: the
+    # same bits as (a + b) + c, and the branch matrices stay as they were
+    rng = np.random.default_rng(7)
+    a, b, c, d = (w * random_density(rng, Q2).matrix for w in (0.1, 0.2, 0.3, 0.4))
+    cq = ClassicalQuantumState(Q2, [((("s", 0),), a), ((("s", 1),), d),
+                                    ((("s", 0),), b), ((("s", 0),), c)])
+    before = [mat.copy() for _, mat in cq.branches]
+    merged = dict(cq.merged().branches)
+    assert np.array_equal(merged[(("s", 0),)], (a + b) + c)
+    assert merged[(("s", 1),)] is cq.branches[1][1]
+    assert all(np.array_equal(mat, old) for (_, mat), old in zip(cq.branches, before))
