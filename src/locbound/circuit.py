@@ -23,9 +23,16 @@ Conditional still reads, so a branch splits at a measurement, merges
 once its outcomes are dead, and a module ends in one branch with record
 (). Noise is a rate p on a list of qubits plus an erased region at rate
 1. Every channel is evaluated by exact arithmetic on density matrices
-(never by sampling); one finish step re-symmetrizes each branch, merges
-equal records, drops branches of weight <= NEGLIGIBLE and checks that the
-total weight is kept.
+(never by sampling); one finish step merges equal records, drops
+branches of weight <= NEGLIGIBLE and checks that the total weight is
+kept. It does not re-symmetrize: average_state does that once, where a
+state leaves as a DensityMatrix.
+
+simulate_module folds each round's noise into the round's first layer: a
+Unitary or an unkeyed KrausGate on at most two qubits, one of them at a
+rate above 0, runs as the one superoperator S_gate . S_noise, and
+noise_apply runs only on the qubits left over. noise_apply and
+apply_layer stay the unfused path.
 
 Dense passes go one slice at a time. An operator or a noise channel
 mixes no row factor outside its support, so a matrix is processed one
@@ -59,7 +66,6 @@ from .qstate import (
     PureState,
     Register,
     RegisterLayout,
-    _hermitize,
 )
 
 TRACE_TOL = 1e-9
@@ -448,14 +454,22 @@ class KrausGate:
         return sum(np.kron(k, k.conj()) for k in self.operators)
 
 
+def _shared_operators(*mats) -> tuple:
+    """Complex read-only arrays of ``mats``, which every gate built from
+    them shares (KrausGate keeps a complex array as it is)."""
+    out = tuple(np.array(m, dtype=complex) for m in mats)
+    for m in out:
+        m.flags.writeable = False
+    return out
+
+
+_RESET_OPERATORS = _shared_operators([[1, 0], [0, 0]], [[0, 1], [0, 0]])
+_BASIS_PROJECTORS = _shared_operators([[1, 0], [0, 0]], [[0, 0], [0, 1]])
+
+
 def reset_gate(qubit: str) -> KrausGate:
     """Reset to |0>: Kraus {|0><0|, |0><1|}; separable and single-qubit."""
-    k0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    k1 = np.array([[0, 1], [0, 0]], dtype=complex)
-    return KrausGate((qubit,), (k0, k1))
-
-
-_BASIS_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    return KrausGate((qubit,), _RESET_OPERATORS)
 
 
 def measure_gate(qubit: str, key: str) -> KrausGate:
@@ -564,10 +578,10 @@ def _branch_apply_gate(record, mat, dims, positions, gate):
         yield record, mat if u is None else apply(u)
     elif isinstance(gate, Unitary):
         yield record, apply(gate.matrix)
+    elif isinstance(gate, _NoisyGate) or isinstance(gate, KrausGate) and gate.key is None:
+        yield record, apply(gate.superoperator, kernel=apply_channel)
     elif not isinstance(gate, KrausGate):
         raise CircuitError(f"unknown gate type {type(gate).__name__}")
-    elif gate.key is None:
-        yield record, apply(gate.superoperator, kernel=apply_channel)
     else:
         final = len(gate.operators) - 1
         for i, k in enumerate(gate.operators):
@@ -582,13 +596,14 @@ def _last_outcomes(record: tuple, keys: tuple) -> tuple:
 
 
 def _finish(layout, items, before: float, live: tuple | None = None) -> ClassicalQuantumState:
-    """The finish step of every channel: re-symmetrize each (record, matrix)
-    item, reduce each record to the ``live`` keys if given (see
-    _last_outcomes), merge equal records, drop branches of weight <=
-    NEGLIGIBLE, and check that the total weight stays ``before``."""
+    """The finish step of every channel: reduce each record of the (record,
+    matrix) items to the ``live`` keys if given (see _last_outcomes), merge
+    equal records, drop branches of weight <= NEGLIGIBLE, and check that
+    the total weight stays ``before``. Matrices are not re-symmetrized
+    here; average_state does that once, where a state leaves."""
     if live is not None:
         items = ((_last_outcomes(rec, live), mat) for rec, mat in items)
-    state = ClassicalQuantumState(layout, ((rec, _hermitize(mat)) for rec, mat in items)).merged()
+    state = ClassicalQuantumState(layout, items).merged()
     total = state.total_weight
     if not abs(total - before) <= TRACE_TOL:
         raise InvariantError(f"trace not preserved: total weight {before!r} -> {total!r}")
@@ -672,6 +687,56 @@ def noise_apply(state: ClassicalQuantumState, p: float, qubits: Sequence[str],
 
     items = ((rec, noisy(mat)) for rec, mat in state.branches)
     return _finish(layout, items, state.total_weight)
+
+
+@functools.lru_cache(maxsize=256)
+def _noise_superoperator(rates: tuple) -> np.ndarray:
+    """The superoperator of depolarizing noise at rate rates[i] on the i-th
+    qubit of a support, in KrausGate.superoperator's index order: rows
+    (i, j), columns (a, b), each a multi-index over the support. One qubit
+    at rate r: S_(ij),(ab) = (1 - r) [i=a][j=b] + r/2 [i=j][a=b]. Built on
+    first use; read-only, as every caller shares it."""
+    vec_eye = np.eye(2).ravel()
+    t = np.ones(())
+    for r in rates:
+        one = (1.0 - r) * np.eye(4) + r / 2 * np.outer(vec_eye, vec_eye)
+        t = np.multiply.outer(t, one.reshape(2, 2, 2, 2))
+    n = len(rates)
+    axes = [4 * q + part for part in range(4) for q in range(n)]  # (i..., j..., a..., b...)
+    out = t.transpose(axes).reshape(4 ** n, 4 ** n).astype(complex)
+    out.flags.writeable = False
+    return out
+
+
+class _NoisyGate:
+    """A gate with its qubits' noise folded in: the superoperator
+    S_gate . S_noise, which runs in one pass (see _fold_noise). A plain
+    class, as a dataclass adds about 0.5 ms to every import."""
+
+    __slots__ = ("qubits", "superoperator")
+
+    def __init__(self, qubits: tuple, superoperator: np.ndarray):
+        self.qubits, self.superoperator = qubits, superoperator
+
+
+def _fold_noise(layer: Layer, rates: dict) -> Layer:
+    """``layer`` with the noise ``rates`` (qubit -> rate) folded into each
+    gate that can take it: a Unitary or an unkeyed KrausGate on at most
+    two qubits, one of them at a rate above 0, becomes one superoperator,
+    S_gate . S_noise, with S_gate = U (x) conj(U) for a Unitary. The folded
+    qubits leave ``rates``; every other gate is kept as it is."""
+    gates = []
+    for gate in layer.gates:
+        if (isinstance(gate, Unitary) or isinstance(gate, KrausGate) and gate.key is None) \
+                and len(gate.qubits) <= 2 and any(rates[q] > 0.0 for q in gate.qubits):
+            noise = _noise_superoperator(tuple(rates.pop(q) for q in gate.qubits))
+            if isinstance(gate, Unitary):
+                s = np.kron(gate.matrix, gate.matrix.conj())
+            else:
+                s = gate.superoperator
+            gate = _NoisyGate(gate.qubits, s @ noise)
+        gates.append(gate)
+    return Layer(gates)
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +875,9 @@ def simulate_module(
     ``erased=(region, round_index)`` substitutes the erase-then-depolarize
     channel N_Gamma for the product depolarizing noise at that round; the
     branch is computed exactly, never sampled; j must lie in 0..J-1.
-    Output lives on R + A. Each layer's finish step keeps, per record, only
+    Output lives on R + A. Each round's noise folds into the gates of its
+    first layer that can take it (_fold_noise), and noise_apply runs on the
+    qubits left over, if any. Each layer's finish step keeps, per record, only
     the last outcome of each key that a later Conditional still reads
     (_live_keys) and sums over the rest, so the module ends in one branch
     with record (). That is exact: a Conditional reads only the last
@@ -821,12 +888,21 @@ def simulate_module(
         raise ValueError(f"erased round {erased[1]} is outside 0..{J - 1} (J = {J})")
     if module.m + module.k > MAX_QUBITS:
         raise CircuitError(f"simulation limited to about {MAX_QUBITS} total qubits")
+    region = set() if erased is None else set(map(str, erased[0]))
+    if not region <= module.graph.index.keys():
+        raise ValueError("erase region must be a subset of the noise qubits")
     state = _initial_cq_state(module, input_state)
     live = iter(_live_keys([layer for circ in module.rounds for layer in circ.layers]))
     for j, circ in enumerate(module.rounds):
-        region = erased[0] if erased is not None and erased[1] == j else ()
-        state = noise_apply(state, module.p, module.graph.vertices, region)
-        for layer in circ.layers:
+        erase = region if erased is not None and erased[1] == j else set()
+        rates = {q: 1.0 if q in erase else module.p for q in module.graph.vertices}
+        layers = list(circ.layers)
+        if layers:
+            layers[0] = _fold_noise(layers[0], rates)
+        noisy = [q for q, rate in rates.items() if rate > 0.0]
+        if noisy:
+            state = noise_apply(state, module.p, noisy, erase.intersection(noisy))
+        for layer in layers:
             state = apply_layer(state, layer, next(live))
     return state
 

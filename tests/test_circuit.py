@@ -227,6 +227,14 @@ def test_measure_gate_is_keyed_projective_kraus():
     assert [np.diag(k).real.tolist() for k in gate.operators] == [[1, 0], [0, 1]]
 
 
+def test_reset_and_measure_gates_share_read_only_operators():
+    # a module holds many of these gates; one complex array per operator
+    # serves them all, and none of them can write it
+    for a, b in [(reset_gate("0"), reset_gate("1")), (measure_gate("0", "s"), measure_gate("1", "t"))]:
+        assert all(x is y for x, y in zip(a.operators, b.operators))
+        assert all(k.dtype == complex and not k.flags.writeable for k in a.operators)
+
+
 def test_validate_layer_conditional_table():
     g = ConnectivityGraph(["0", "1"], [("0", "1")])
     good = Conditional(("0",), ("s",), {(1,): np.array([[0, 1], [1, 0]])})
@@ -613,6 +621,97 @@ def test_forgotten_outcomes_match_full_records(case):
     assert abs(delta - _delta_of(module, oracle)) < 1e-13
 
 
+def _mixed_first_layer_module(p):
+    """Two rounds on the line d0-a-d1-b-m-c-i whose first layer holds a
+    two-qubit Unitary (d0, a), an unkeyed two-qubit KrausGate (d1, b), a
+    Conditional on c that reads the last round's outcome, a measurement
+    of m, and the idle qubit i."""
+    rng = np.random.default_rng(11)
+    verts = ["d0", "a", "d1", "b", "m", "c", "i"]
+    g = ConnectivityGraph(verts, list(zip(verts, verts[1:])))
+    kraus = random_kraus_channel(rng, 4, n_kraus=3)
+    rounds = [Circuit(g, [
+        Layer([Unitary(("d0", "a"), random_unitary(rng, 4)), KrausGate(("d1", "b"), kraus),
+               Conditional(("c",), ("s",), {(1,): X}), measure_gate("m", "s")]),
+        Layer([Unitary(("m",), H), Unitary(("a", "d1"), random_unitary(rng, 4)),
+               Unitary(("c", "i"), random_unitary(rng, 4))]),
+        Layer([Unitary(("b", "m"), CNOT)]),
+    ]) for _ in range(2)]
+    enc = np.zeros((4, 2), dtype=complex)
+    enc[0, 0] = enc[3, 1] = 1.0
+    return EcModule(g, rounds=rounds, data_qubits=("d0", "d1"), encoder=enc, p=p,
+                    name="mixed-first-layer")
+
+
+@pytest.mark.parametrize("erased", [None, (("a", "d1", "m", "i"), 1)], ids=["plain", "erased"])
+@pytest.mark.parametrize("p", [0.0, 0.1, 1.0])
+def test_folded_noise_matches_unfused_run(p, erased):
+    # simulate_module folds each round's noise into the first layer's gates
+    # on at most two qubits; noise_apply then apply_layer is the oracle.
+    # The erased region spans folded (a, d1) and unfolded (m, i) qubits.
+    module = _mixed_first_layer_module(p)
+    state = simulate_module(module, erased=erased)
+    oracle = _full_record_run(module, erased)
+    assert np.abs(state.average_state().matrix - oracle.average_state().matrix).max() < 1e-12
+    delta = 1.0 - module_fidelity(module, erased=erased)
+    assert abs(delta - _delta_of(module, oracle)) < 1e-12
+
+
+def test_fold_rule():
+    # a Unitary or an unkeyed KrausGate on at most two qubits, one of them
+    # noisy, takes its qubits' noise; every other gate keeps its own
+    g = ConnectivityGraph(list("abcdefghij"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")])
+    kept = [Unitary(("a", "b", "c"), np.eye(8)), measure_gate("f", "s"),
+            Conditional(("g",), ("s",), {(1,): X}), Unitary(("h",), H)]
+    folded = [Unitary(("d", "e"), CNOT), KrausGate(("i",), reset_gate("i").operators)]
+    layer = Circuit(g, [Layer(kept + folded)]).layers[0]
+    rates = dict.fromkeys(g.vertices, 0.1)
+    rates["h"] = 0.0
+    out = circuit._fold_noise(layer, rates)
+    assert out.gates[:4] == layer.gates[:4]
+    assert [gate.qubits for gate in out.gates[4:]] == [("d", "e"), ("i",)]
+    assert not any(isinstance(gate, (Unitary, KrausGate)) for gate in out.gates[4:])
+    assert sorted(rates) == ["a", "b", "c", "f", "g", "h", "j"]
+
+
+def test_noiseless_round_folds_nothing(monkeypatch):
+    # at p = 0 no gate takes a noise superoperator and noise_apply never
+    # runs, so the module runs exactly the layers it holds
+    def fail(*args):
+        raise AssertionError("no noise at p = 0")
+
+    monkeypatch.setattr(circuit, "_noise_superoperator", fail)
+    monkeypatch.setattr(circuit, "noise_apply", fail)
+    module = _mixed_first_layer_module(0.0)
+    assert 1.0 - module_fidelity(module) == _delta_of(module, _full_record_run(module))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.2, 1.0])
+def test_mirror_module_matches_closed_form(p):
+    # five-qubit code on the first row of a 2 x 3 grid, then Haar gates on
+    # the rungs and their inverses: only the noise on the data acts, and a
+    # Pauli error keeps fidelity 1 iff it is one of the 16 stabilizers
+    from locbound.stabilizer import encoding_isometry, five_qubit_code
+
+    rng = np.random.default_rng(5)
+    g, _ = grid_graph((2, 3))
+    gates = [Unitary((str(c), str(c + 3)), random_unitary(rng, 4)) for c in range(3)]
+    undo = [Unitary(u.qubits, u.matrix.conj().T) for u in gates]
+    module = EcModule(g, rounds=[Circuit(g, [Layer(gates), Layer(undo)])],
+                      data_qubits=tuple("01234"),
+                      encoder=encoding_isometry(five_qubit_code()), p=p)
+    keep = 1.0 - 0.75 * p
+    assert abs(logical_error_rate(module) - (1.0 - (keep ** 5 + 15 * keep * (p / 4) ** 4))) < 1e-12
+
+
+def test_lost_trace_in_a_folded_gate_is_an_invariant_failure(monkeypatch):
+    # the folded channel passes the same finish-step check as noise_apply
+    noise = circuit._noise_superoperator
+    monkeypatch.setattr(circuit, "_noise_superoperator", lambda rates: 0.5 * noise(rates))
+    with pytest.raises(circuit.InvariantError, match="trace not preserved"):
+        simulate_module(repetition_module(0.1, rounds=1))
+
+
 def test_repetition_memory_holds_at_most_four_branches(monkeypatch):
     counts = []
     inner = circuit.apply_layer
@@ -649,6 +748,12 @@ def test_simulate_module_refuses_an_erased_round_that_does_not_exist(j):
         simulate_module(mod, erased=(("d0", "d1"), j))
 
 
+def test_simulate_module_refuses_an_erased_qubit_off_the_graph():
+    # the region is checked before any round runs, folded or not
+    with pytest.raises(ValueError, match="erase region must be a subset of the noise qubits"):
+        simulate_module(repetition_module(0.1, 1), erased=(("d0", "zz"), 0))
+
+
 def test_circuit_and_module_fields_are_frozen():
     # reassigning a field would bypass the checks made on construction
     g = ConnectivityGraph(["0", "1"], [("0", "1")])
@@ -673,7 +778,7 @@ def test_simulation_size_cap():
     mod = EcModule(g, rounds=[Circuit(g, [])],
                    data_qubits=tuple(str(i) for i in range(12)),
                    encoder=enc, p=0.1)
-    with pytest.raises(Exception):
+    with pytest.raises(CircuitError, match="limited to about 12"):
         simulate_module(mod)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from locbound import separability
 from locbound.entropy import relative_entropy, vn_entropy
 from locbound.qstate import (
     DensityMatrix,
@@ -210,3 +211,45 @@ def test_gradient_matches_finite_differences(da, db, uniform):
         f1, _ = _objective_and_grad(bump, rho, terms, da, db, tr_log)
         fd = (f1 - f0) / h
         assert abs(fd - grad[idx]) < 5e-5 * max(1.0, abs(fd)), (idx, fd, grad[idx])
+
+
+def test_search_runs_on_one_blas_thread_and_restores_counts(monkeypatch):
+    # small products run faster on one OpenBLAS thread; the caller's
+    # counts come back once the bracket is done
+    counts = separability._openblas_thread_counts()
+    if not counts:
+        pytest.skip("no OpenBLAS copy of numpy or scipy found")
+    old = [get() for get, _ in counts]
+    seen = []
+    restart = separability._run_restart
+
+    def watched(*args):
+        seen.append([get() for get, _ in counts])
+        return restart(*args)
+
+    monkeypatch.setattr(separability, "_run_restart", watched)
+    try:
+        for _, put in counts:
+            put(2)
+        ree_bracket(random_density(np.random.default_rng(3), Q2, rank=2), ["a"],
+                    restarts=2, iterations=20)
+        assert seen == [[1] * len(counts)] * 2
+        assert [get() for get, _ in counts] == [2] * len(counts)
+    finally:
+        for (_, put), n in zip(counts, old):
+            put(n)
+
+
+def test_missing_blas_library_or_symbol_is_skipped(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(separability, "_OPENBLAS", (
+            ("numpy", "numpy.libs/libscipy_openblas64_-*.so", "_no_such_suffix"),
+            ("numpy", "no_such_dir/*.so", ""),
+            ("no_such_package_for_locbound", "*.so", ""),
+        ))
+        separability._openblas_thread_counts.cache_clear()
+        try:
+            assert separability._openblas_thread_counts() == ()
+            assert ree_upper(bell_state(), ["a"], restarts=1, iterations=5)[0] >= 0.0
+        finally:
+            separability._openblas_thread_counts.cache_clear()
