@@ -28,11 +28,12 @@ branches of weight <= NEGLIGIBLE and checks that the total weight is
 kept. It does not re-symmetrize: average_state does that once, where a
 state leaves as a DensityMatrix.
 
-simulate_module folds each round's noise into the round's first layer: a
-Unitary or an unkeyed KrausGate on at most two qubits, one of them at a
-rate above 0, runs as the one superoperator S_gate . S_noise, and
-noise_apply runs only on the qubits left over. noise_apply and
-apply_layer stay the unfused path.
+simulate_module fuses each round (_fuse_round): a Unitary or an unkeyed
+KrausGate on at most two qubits takes in the noise and the earlier such
+gates on its qubits that no other gate has touched since, and runs them
+all as one superoperator; a keyed KrausGate, a Conditional or a larger
+gate is a barrier on its qubits. noise_apply runs only on the noise no
+gate took in. noise_apply and apply_layer stay the unfused path.
 
 Dense passes go one slice at a time. An operator or a noise channel
 mixes no row factor outside its support, so a matrix is processed one
@@ -450,8 +451,16 @@ class KrausGate:
     def superoperator(self) -> np.ndarray:
         """S = sum_i K_i (x) conj(K_i), so that the channel's output is
         (sum_i K_i rho K_i^dag)_ij = sum_ab S_(ij),(ab) rho_ab; built on
-        first use."""
-        return sum(np.kron(k, k.conj()) for k in self.operators)
+        first use. Every reset_gate shares one read-only S."""
+        if list(map(id, self.operators)) == list(map(id, _RESET_OPERATORS)):
+            return _reset_superoperator()
+        return sum(map(_pair_product, self.operators))
+
+
+def _pair_product(k: np.ndarray) -> np.ndarray:
+    """K (x) conj(K), by one broadcast product."""
+    d = len(k)
+    return (k[:, None, :, None] * k.conj()[None, :, None, :]).reshape(d * d, d * d)
 
 
 def _shared_operators(*mats) -> tuple:
@@ -465,6 +474,15 @@ def _shared_operators(*mats) -> tuple:
 
 _RESET_OPERATORS = _shared_operators([[1, 0], [0, 0]], [[0, 1], [0, 0]])
 _BASIS_PROJECTORS = _shared_operators([[1, 0], [0, 0]], [[0, 0], [0, 1]])
+
+
+@functools.cache
+def _reset_superoperator() -> np.ndarray:
+    """The superoperator of reset_gate, built on first use; read-only, as
+    every reset shares it."""
+    out = sum(map(_pair_product, _RESET_OPERATORS))
+    out.flags.writeable = False
+    return out
 
 
 def reset_gate(qubit: str) -> KrausGate:
@@ -578,7 +596,7 @@ def _branch_apply_gate(record, mat, dims, positions, gate):
         yield record, mat if u is None else apply(u)
     elif isinstance(gate, Unitary):
         yield record, apply(gate.matrix)
-    elif isinstance(gate, _NoisyGate) or isinstance(gate, KrausGate) and gate.key is None:
+    elif isinstance(gate, _FusedGate) or isinstance(gate, KrausGate) and gate.key is None:
         yield record, apply(gate.superoperator, kernel=apply_channel)
     elif not isinstance(gate, KrausGate):
         raise CircuitError(f"unknown gate type {type(gate).__name__}")
@@ -708,10 +726,10 @@ def _noise_superoperator(rates: tuple) -> np.ndarray:
     return out
 
 
-class _NoisyGate:
-    """A gate with its qubits' noise folded in: the superoperator
-    S_gate . S_noise, which runs in one pass (see _fold_noise). A plain
-    class, as a dataclass adds about 0.5 ms to every import."""
+class _FusedGate:
+    """Gates and noise of one round fused into one channel: the
+    superoperator that runs in one pass (see _fuse_round). A plain class,
+    as a dataclass adds about 0.5 ms to every import."""
 
     __slots__ = ("qubits", "superoperator")
 
@@ -719,24 +737,92 @@ class _NoisyGate:
         self.qubits, self.superoperator = qubits, superoperator
 
 
-def _fold_noise(layer: Layer, rates: dict) -> Layer:
-    """``layer`` with the noise ``rates`` (qubit -> rate) folded into each
-    gate that can take it: a Unitary or an unkeyed KrausGate on at most
-    two qubits, one of them at a rate above 0, becomes one superoperator,
-    S_gate . S_noise, with S_gate = U (x) conj(U) for a Unitary. The folded
-    qubits leave ``rates``; every other gate is kept as it is."""
-    gates = []
-    for gate in layer.gates:
-        if (isinstance(gate, Unitary) or isinstance(gate, KrausGate) and gate.key is None) \
-                and len(gate.qubits) <= 2 and any(rates[q] > 0.0 for q in gate.qubits):
-            noise = _noise_superoperator(tuple(rates.pop(q) for q in gate.qubits))
-            if isinstance(gate, Unitary):
-                s = np.kron(gate.matrix, gate.matrix.conj())
-            else:
-                s = gate.superoperator
-            gate = _NoisyGate(gate.qubits, s @ noise)
-        gates.append(gate)
-    return Layer(gates)
+def _fusable(gate) -> bool:
+    """A Unitary or an unkeyed KrausGate on at most two qubits: a fixed
+    channel that reads and writes no key. Every other gate is a barrier on
+    its qubits."""
+    return (isinstance(gate, Unitary) or isinstance(gate, KrausGate) and gate.key is None) \
+        and len(gate.qubits) <= 2
+
+
+def _gate_superoperator(gate) -> np.ndarray:
+    """U (x) conj(U) for a Unitary, else the gate's own superoperator."""
+    if isinstance(gate, Unitary):
+        return _pair_product(gate.matrix)
+    return gate.superoperator
+
+
+@functools.lru_cache(maxsize=16)
+def _embed_index(positions: tuple, n: int) -> np.ndarray:
+    """Where each entry of the superoperator of a channel on the qubits at
+    ``positions`` of an ``n``-qubit support (identity on the rest) sits in
+    the inner superoperator's entries, raveled, with one zero appended: the
+    (4^n, 4^n) array of indices into that vector. Built on first use."""
+    k = len(positions)
+    inner = np.arange(16 ** k).reshape((2,) * 4 * k)  # axes (i..., j..., a..., b...)
+    others = [q for q in range(n) if q not in positions]
+    out = np.full((2,) * 4 * n, 16 ** k)  # 16^k: the appended zero
+    for idx in itertools.product(range(2), repeat=4 * n):
+        parts = i, j, a, b = [idx[t * n:(t + 1) * n] for t in range(4)]
+        if all(i[q] == a[q] and j[q] == b[q] for q in others):
+            out[idx] = inner[tuple(part[q] for part in parts for q in positions)]
+    out = out.reshape(4 ** n, 4 ** n)
+    out.flags.writeable = False
+    return out
+
+
+def _embedded(superop: np.ndarray, qubits: tuple, support: tuple) -> np.ndarray:
+    """``superop``, a channel on ``qubits``, as a channel on ``support``
+    (which holds them): the identity on the rest, every factor in
+    ``support`` order."""
+    if qubits == support:
+        return superop
+    index = _embed_index(tuple(support.index(q) for q in qubits), len(support))
+    return np.append(superop, 0.0)[index]
+
+
+def _fuse_round(layers: Sequence[Layer], rates: dict) -> tuple:
+    """Fuse a round's noise, ``rates`` (qubit -> rate), and its small
+    unkeyed gates into as few channel passes as the rule below allows.
+    Returns (gate lists, one per layer, some maybe empty; the qubits whose
+    noise no gate took in, which noise_apply runs at the round's start).
+
+    Each qubit at a rate above 0 starts with a pending one-qubit noise
+    block; each gate, in order, becomes the latest block on its qubits. A
+    fusable gate g (see _fusable) takes in each latest block B on its
+    qubits whose support lies inside g's and that is still the latest block
+    on all of B's qubits, so no gate between B and g touches B's qubits and
+    moving B to g is exact. g then runs as one superoperator, S_g . S_B...
+    (the B's act on disjoint qubits), at its own position, and each B
+    leaves its layer. A gate that takes in nothing is kept as it is."""
+    # noise not yet taken in; a qubit's is pending while no gate touched it
+    noise = {q: r for q, r in rates.items() if r > 0.0}
+    latest: dict = {}  # qubit -> (layer, slot) of its latest block, None after a barrier
+    out = [list(layer.gates) for layer in layers]
+    for i, gates in enumerate(out):
+        for slot, gate in enumerate(gates):
+            qubits = gate.qubits
+            if not _fusable(gate):
+                latest.update(dict.fromkeys(qubits))
+                continue
+            taken = []
+            for at in dict.fromkeys(latest.get(q) for q in qubits):
+                if at is not None:
+                    inner = out[at[0]][at[1]].qubits
+                    if set(inner) <= set(qubits) and all(latest[x] == at for x in inner):
+                        taken.append(at)
+            here = tuple(noise.pop(q) if q in noise and q not in latest else 0.0
+                         for q in qubits)
+            if taken or any(here):
+                s = _gate_superoperator(gate)
+                if any(here):
+                    s = s @ _noise_superoperator(here)
+                for at in taken:
+                    inner, out[at[0]][at[1]] = out[at[0]][at[1]], None
+                    s = s @ _embedded(_gate_superoperator(inner), inner.qubits, qubits)
+                gates[slot] = _FusedGate(qubits, s)
+            latest.update(dict.fromkeys(qubits, (i, slot)))
+    return [[g for g in gates if g is not None] for gates in out], list(noise)
 
 
 # ---------------------------------------------------------------------------
@@ -875,13 +961,25 @@ def simulate_module(
     ``erased=(region, round_index)`` substitutes the erase-then-depolarize
     channel N_Gamma for the product depolarizing noise at that round; the
     branch is computed exactly, never sampled; j must lie in 0..J-1.
-    Output lives on R + A. Each round's noise folds into the gates of its
-    first layer that can take it (_fold_noise), and noise_apply runs on the
-    qubits left over, if any. Each layer's finish step keeps, per record, only
-    the last outcome of each key that a later Conditional still reads
-    (_live_keys) and sums over the rest, so the module ends in one branch
-    with record (). That is exact: a Conditional reads only the last
-    outcome of its keys, and the record is traced out in the end.
+    Output lives on R + A.
+
+    Each round is fused first (_fuse_round). Every qubit at a rate above
+    0, the erased rate 1 included, starts the round with a pending noise
+    block. Walking the gates in order, a Unitary or an unkeyed KrausGate
+    on at most two qubits takes in each latest block on its qubits whose
+    support lies inside its own and that is still the latest block on all
+    of its qubits, and runs with them as one superoperator pass at its own
+    position. A keyed KrausGate, a Conditional and a gate on three or more
+    qubits are barriers: nothing fuses across them on their qubits.
+    noise_apply runs at the round's start on the noise no gate took in,
+    and a layer that fusion empties is skipped: it held only keyless
+    channels, so its live keys equal the previous layer's.
+
+    Each layer's finish step keeps, per record, only the last outcome of
+    each key that a later Conditional still reads (_live_keys) and sums
+    over the rest, so the module ends in one branch with record (). That
+    is exact: a Conditional reads only the last outcome of its keys, and
+    the record is traced out in the end.
     """
     J = len(module.rounds)
     if erased is not None and not 0 <= erased[1] < J:
@@ -896,14 +994,13 @@ def simulate_module(
     for j, circ in enumerate(module.rounds):
         erase = region if erased is not None and erased[1] == j else set()
         rates = {q: 1.0 if q in erase else module.p for q in module.graph.vertices}
-        layers = list(circ.layers)
-        if layers:
-            layers[0] = _fold_noise(layers[0], rates)
-        noisy = [q for q, rate in rates.items() if rate > 0.0]
+        layers, noisy = _fuse_round(circ.layers, rates)
         if noisy:
             state = noise_apply(state, module.p, noisy, erase.intersection(noisy))
-        for layer in layers:
-            state = apply_layer(state, layer, next(live))
+        for gates in layers:
+            keys = next(live)
+            if gates:
+                state = apply_layer(state, Layer(gates), keys)
     return state
 
 

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locbound import circuit
@@ -233,6 +233,10 @@ def test_reset_and_measure_gates_share_read_only_operators():
     for a, b in [(reset_gate("0"), reset_gate("1")), (measure_gate("0", "s"), measure_gate("1", "t"))]:
         assert all(x is y for x, y in zip(a.operators, b.operators))
         assert all(k.dtype == complex and not k.flags.writeable for k in a.operators)
+    # and every reset shares one read-only superoperator
+    a, b = reset_gate("0"), reset_gate("1")
+    assert a.superoperator is b.superoperator and not a.superoperator.flags.writeable
+    assert np.array_equal(a.superoperator, KrausGate(("0",), a.operators[::-1]).superoperator)
 
 
 def test_validate_layer_conditional_table():
@@ -657,21 +661,216 @@ def test_folded_noise_matches_unfused_run(p, erased):
     assert abs(delta - _delta_of(module, oracle)) < 1e-12
 
 
-def test_fold_rule():
-    # a Unitary or an unkeyed KrausGate on at most two qubits, one of them
-    # noisy, takes its qubits' noise; every other gate keeps its own
-    g = ConnectivityGraph(list("abcdefghij"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")])
-    kept = [Unitary(("a", "b", "c"), np.eye(8)), measure_gate("f", "s"),
-            Conditional(("g",), ("s",), {(1,): X}), Unitary(("h",), H)]
-    folded = [Unitary(("d", "e"), CNOT), KrausGate(("i",), reset_gate("i").operators)]
-    layer = Circuit(g, [Layer(kept + folded)]).layers[0]
-    rates = dict.fromkeys(g.vertices, 0.1)
-    rates["h"] = 0.0
-    out = circuit._fold_noise(layer, rates)
-    assert out.gates[:4] == layer.gates[:4]
-    assert [gate.qubits for gate in out.gates[4:]] == [("d", "e"), ("i",)]
-    assert not any(isinstance(gate, (Unitary, KrausGate)) for gate in out.gates[4:])
-    assert sorted(rates) == ["a", "b", "c", "f", "g", "h", "j"]
+# weighted towards fusable gates and towards layers that reuse or cut an
+# earlier layer's supports, the shapes that fusion chains through
+_KINDS = {1: ["idle", "unitary", "unitary", "kraus", "keyed", "measure", "reset", "conditional"],
+          2: ["idle", "unitary", "unitary", "unitary", "kraus", "keyed", "conditional"],
+          3: ["idle", "unitary"]}
+
+
+@st.composite
+def _small_modules(draw):
+    """(module, erased): 2-4 vertices on a complete graph, 1-3 rounds of
+    1-3 layers of Haar unitaries, Kraus gates with or without a key,
+    measurements, resets and Conditionals on keys s0 and s1; at most three
+    keyed gates, so that the full-record oracle stays small."""
+    verts = [str(v) for v in range(draw(st.sampled_from([2, 2, 3, 4])))]
+    g = ConnectivityGraph(verts, itertools.combinations(verts, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    keyed = 0
+    rounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        layers, partitions = [], []
+        for _ in range(draw(st.sampled_from([1, 2, 3, 3, 3]))):
+            reuse = "fresh"
+            if partitions:
+                reuse = draw(st.sampled_from(["fresh", "again", "again", "cut"]))
+            if reuse == "again":  # an earlier layer's supports
+                supports = draw(st.sampled_from(partitions))
+            elif reuse == "cut":  # the last qubit of each, the rest idle
+                supports = [qubits[-1:] for qubits in draw(st.sampled_from(partitions))]
+            else:
+                free, supports = draw(st.permutations(verts)), []
+                while free:
+                    size = draw(st.sampled_from([s for s in (1, 2, 2, 3) if s <= len(free)]))
+                    supports.append(tuple(free[:size]))
+                    free = free[size:]
+            partitions.append(supports)
+            gates = []
+            for qubits in supports:
+                size = len(qubits)
+                kind = draw(st.sampled_from(_KINDS[size]))
+                if kind in ("keyed", "measure"):
+                    keyed += 1
+                    if keyed > 3:
+                        kind = "unitary"
+                key = draw(st.sampled_from(["s0", "s1"]))
+                dim = 2 ** size
+                if kind == "unitary":
+                    gates.append(Unitary(qubits, random_unitary(rng, dim)))
+                elif kind in ("kraus", "keyed"):
+                    ops = random_kraus_channel(rng, dim, n_kraus=draw(st.integers(1, 2)))
+                    gates.append(KrausGate(qubits, ops, key if kind == "keyed" else None))
+                elif kind == "measure":
+                    gates.append(measure_gate(qubits[0], key))
+                elif kind == "reset":
+                    gates.append(reset_gate(qubits[0]))
+                elif kind == "conditional":
+                    keys = draw(st.sampled_from([("s0",), ("s1",), ("s0", "s1")]))
+                    outcomes = itertools.product((0, 1, None), repeat=len(keys))
+                    gates.append(Conditional(qubits, keys, {
+                        o: random_unitary(rng, dim) for o in outcomes if rng.random() < 0.5}))
+            layers.append(Layer(gates))
+        rounds.append(Circuit(g, layers))
+    data = verts[:2]
+    encoder = random_unitary(rng, 2 ** len(data))[:, :2]
+    module = EcModule(g, rounds=rounds, data_qubits=data, encoder=encoder,
+                      p=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
+    erased = draw(st.none() | st.tuples(
+        st.lists(st.sampled_from(verts), min_size=1, unique=True),
+        st.integers(0, len(rounds) - 1)))
+    return module, erased
+
+
+def _overlap_module():
+    """B on (0, 1), then C on 1, then g on (0, 1): g may take in C but not
+    B, which C follows on qubit 1."""
+    g = ConnectivityGraph(["0", "1"], [("0", "1")])
+    rng = np.random.default_rng(8)
+    layers = [Layer([Unitary(("0", "1"), random_unitary(rng, 4))]),
+              Layer([Unitary(("1",), random_unitary(rng, 2))]),
+              Layer([Unitary(("0", "1"), random_unitary(rng, 4))])]
+    return EcModule(g, rounds=[Circuit(g, layers)], data_qubits=("0", "1"),
+                    encoder=random_unitary(rng, 4)[:, :2], p=0.05)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_modules())
+@example((_overlap_module(), None))
+def test_fused_rounds_match_full_record_run_on_random_modules(case):
+    # fusion moves only fixed keyless channels, each past gates that touch
+    # none of its qubits; noise_apply then apply_layer is the oracle
+    module, erased = case
+    state = simulate_module(module, erased=erased)
+    oracle = _full_record_run(module, erased)
+    assert np.abs(state.average_state().matrix - oracle.average_state().matrix).max() < 1e-12
+    delta = 1.0 - module_fidelity(module, erased=erased)
+    assert abs(delta - _delta_of(module, oracle)) < 1e-12
+
+
+_TRIANGLE = ConnectivityGraph(list("abc"), [("a", "b"), ("b", "c"), ("a", "c")])
+
+
+def _fuse(layers, p=0.0):
+    """_fuse_round on ``layers`` (gate lists on _TRIANGLE) at rate p on every
+    qubit."""
+    circ = Circuit(_TRIANGLE, [Layer(gates) for gates in layers])
+    return circuit._fuse_round(circ.layers, dict.fromkeys(_TRIANGLE.vertices, p))
+
+
+def _haar(seed, dim):
+    return random_unitary(np.random.default_rng(seed), dim)
+
+
+def _fused_matches_unfused(layers, p):
+    # the fused round, noise_apply on what is left first, is the round run
+    # by noise_apply and apply_layer, on a random state of a, b, c
+    layout = RegisterLayout.qubits(*"abc")
+    state = ClassicalQuantumState.from_density(random_density(np.random.default_rng(3), layout))
+    fused, left = _fuse(layers, p)
+    ours = noise_apply(state, p, left)
+    for gates in fused:
+        ours = apply_layer(ours, Layer(gates))
+    oracle = noise_apply(state, p, _TRIANGLE.vertices)
+    for gates in layers:
+        oracle = apply_layer(oracle, Layer(gates))
+    assert np.abs(ours.average_state().matrix - oracle.average_state().matrix).max() < 1e-13
+
+
+@pytest.mark.parametrize("p", [0.0, 0.2])
+def test_same_support_chain_fuses_into_one_block(p):
+    # three layers on {a, b}, listed in either order, and the noise on a
+    # and b become one superoperator in the last layer
+    chain = [[Unitary(("a", "b"), _haar(1, 4))],
+             [KrausGate(("b", "a"), random_kraus_channel(np.random.default_rng(2), 4))],
+             [Unitary(("a", "b"), _haar(3, 4))]]
+    layers, left = _fuse(chain, p)
+    assert layers[:2] == [[], []] and left == (["c"] if p else [])
+    (fused,) = layers[2]
+    assert isinstance(fused, circuit._FusedGate) and fused.qubits == ("a", "b")
+    _fused_matches_unfused(chain, p)
+
+
+def test_block_moved_past_an_overlapping_gate_is_not_taken():
+    # B on {a, b}, then C on {b}, then g on {a, b}: B is no longer the
+    # latest block on b, so g takes in C but not B
+    b, c = Unitary(("a", "b"), _haar(1, 4)), Unitary(("b",), H)
+    g = Unitary(("a", "b"), _haar(2, 4))
+    layers, _ = _fuse([[b], [c], [g]])
+    assert layers[0] == [b] and layers[1] == []
+    assert isinstance(layers[2][0], circuit._FusedGate)
+    _fused_matches_unfused([[b], [c], [g]], 0.0)
+    _fused_matches_unfused([[b], [c], [g]], 0.3)
+
+
+@pytest.mark.parametrize("qubit, lifted", [("a", lambda u: np.kron(u, np.eye(2))),
+                                           ("b", lambda u: np.kron(np.eye(2), u))],
+                         ids=["first", "second"])
+def test_one_qubit_unitary_lifts_into_a_two_qubit_gate(qubit, lifted):
+    one, two = _haar(1, 2), _haar(2, 4)
+    layers, _ = _fuse([[Unitary((qubit,), one)], [Unitary(("a", "b"), two)]])
+    assert layers[0] == []
+    (fused,) = layers[1]
+    expected = circuit._pair_product(two @ lifted(one))
+    assert np.abs(fused.superoperator - expected).max() < 1e-14
+
+
+@pytest.mark.parametrize("barrier", [measure_gate("a", "s"),
+                                     Conditional(("a",), ("s",), {(1,): X})],
+                         ids=["measurement", "conditional"])
+def test_keyed_and_conditional_gates_block_fusion_on_their_qubit(barrier):
+    # nothing crosses the barrier on a; the noise on a stays at the round's
+    # start, while g takes in the noise on b
+    first, g = Unitary(("a",), H), Unitary(("a", "b"), CNOT)
+    layers, left = _fuse([[first], [barrier], [g]])
+    assert layers[:2] == [[first], [barrier]] and layers[2][0] is g
+    layers, left = _fuse([[barrier], [g]], 0.1)
+    assert layers[0] == [barrier] and sorted(left) == ["a", "c"]
+    assert layers[1][0].qubits == ("a", "b") and layers[1][0] is not g
+    _fused_matches_unfused([[barrier], [g]], 0.1)
+
+
+def test_three_qubit_gate_is_kept_as_a_barrier():
+    # a gate on three qubits takes in nothing, and nothing after it takes
+    # in a block from before it
+    one, big = Unitary(("a",), H), Unitary(("a", "b", "c"), _haar(1, 8))
+    after = Unitary(("b", "c"), CNOT)
+    layers, left = _fuse([[one], [big], [after]], 0.1)
+    assert isinstance(layers[0][0], circuit._FusedGate)  # took in the noise on a
+    assert layers[1] == [big] and layers[2] == [after]
+    assert sorted(left) == ["b", "c"]
+    _fused_matches_unfused([[one], [big], [after]], 0.1)
+
+
+def test_mirror_module_runs_one_channel_pass_per_pair(monkeypatch):
+    # Haar gates on the five rungs of a 2 x 5 grid, then their inverses:
+    # each pair's noise, gate and inverse run as one superoperator pass
+    calls = {"apply_channel": 0, "apply_operator": 0}
+    for name in calls:
+        def counted(*args, inner=getattr(circuit, name), name=name, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(circuit, name, counted)
+    rng = np.random.default_rng(5)
+    g, _ = grid_graph((2, 5))
+    gates = [Unitary((str(c), str(c + 5)), random_unitary(rng, 4)) for c in range(5)]
+    undo = [Unitary(u.qubits, u.matrix.conj().T) for u in gates]
+    module = EcModule(g, rounds=[Circuit(g, [Layer(gates), Layer(undo)])],
+                      data_qubits=("0",), encoder=np.eye(2, 1), p=0.1)
+    # k = 0, the data qubit in |0>: only its own noise acts, and keeps |0>
+    # with probability 1 - p/2
+    assert abs(logical_error_rate(module) - 0.05) < 1e-12
+    assert calls == {"apply_channel": 5, "apply_operator": 0}
 
 
 def test_noiseless_round_folds_nothing(monkeypatch):
