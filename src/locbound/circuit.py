@@ -40,11 +40,12 @@ mixes no row factor outside its support, so a matrix is processed one
 slice of fixed non-support row factors at a time, at most _SLICE
 entries (qstate) or else the smallest slice that holds the support,
 through slice-sized scratch. A gate's data movement comes from a gather
-plan, built on first use and cached per (dims, support, ndim): one take
-of the slice's rows, support first, for the row-side product; one take
-that reorders that product for the column side; one take back into
-place. An unkeyed KrausGate runs as one pass of its superoperator
-sum_i K_i (x) conj(K_i) over the (row support, column support) pair.
+plan, built on first use and cached per (dims, support, ndim). A state
+vector takes K v; a density matrix takes every gate as one pass of its
+superoperator, sum_i K_i (x) conj(K_i) (K (x) conj(K) for a unitary or
+one Kraus operator), over the (row support, column support) pair. Each
+is one take of the slice's rows, support first, for a matrix one take
+that brings the column support in front, one product, one take back.
 Branch matrices of a ClassicalQuantumState are read-only, so a writable
 matrix belongs to the running channel step: the step copies a branch at
 most once and then updates it in place.
@@ -275,23 +276,22 @@ def _slices(dims: Sequence[int], keep: Sequence[int], ndim: int) -> list:
 
 
 @functools.lru_cache(maxsize=256)
-def _gather_plan(dims: tuple, positions: tuple, ndim: int, channel: bool) -> tuple:
+def _gather_plan(dims: tuple, positions: tuple, ndim: int) -> tuple:
     """How to bring the support of an operator on ``positions`` in front of
-    each slice and back, for a state vector (``ndim`` 1) or a density
-    matrix (``ndim`` 2). The operand of a product lists the axes it
-    contracts first and every other axis after them in its own order, as
-    np.tensordot does. Rows take the operator, then columns take its
-    conjugate, or, for a ``channel``, its superoperator takes the row and
-    column supports at once.
+    each slice and back: the row support of a state vector (``ndim`` 1),
+    for K v; the (row support, column support) pair of a density matrix
+    (``ndim`` 2), for one pass of a superoperator. The operand of the
+    product lists the axes it contracts first and every other axis after
+    them in its own order, as np.tensordot does.
 
     A slice is the rows ``offset + rows`` of the ``(d, cols)`` view of the
     array, for each ``offset`` in ``offsets``; its positions count its
     entries in row-major order over its rows in ascending order and the
     columns. Returns (offsets, rows, mid, back, spread):
-    - rows: the slice's rows, support first, the first product's operand;
-    - mid: the last product's operand, as entries of the one before, or
-      None for a vector;
-    - back: slice position p holds entry back[p] of the last product;
+    - rows: the slice's rows, row support first;
+    - mid: the product's operand, as entries of that take, or None for a
+      vector;
+    - back: slice position p holds entry back[p] of the product;
     - spread: the slice's rows in ascending order, or None if consecutive.
     Built on first use; every array is as large as one slice at most, the
     indices int32 (a slice of a MAX_QUBITS density matrix has fewer than
@@ -311,9 +311,7 @@ def _gather_plan(dims: tuple, positions: tuple, ndim: int, channel: bool) -> tup
     got = label.transpose(list(positions) + others + cols).ravel()
     mid = None
     if ndim == 2:
-        front = [p + n for p in positions]
-        if channel:
-            front = list(positions) + front
+        front = list(positions) + [p + n for p in positions]
         want = label.transpose(front + [a for a in range(2 * n) if a not in front]).ravel()
         where = np.empty_like(got)
         where[got] = np.arange(got.size, dtype=np.int32)
@@ -330,18 +328,16 @@ def _gather_plan(dims: tuple, positions: tuple, ndim: int, channel: bool) -> tup
 
 
 def _sliced_products(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int],
-                     ops: Sequence[np.ndarray], channel: bool,
-                     out: np.ndarray | None) -> np.ndarray:
-    """Run the products ``ops`` over each slice of ``arr`` by its gather
-    plan: one take of the slice's rows, support first; ``np.dot`` with
-    each op, the plan's ``mid`` take before the last; one write-back, a
-    take straight into the result when the slice's rows are consecutive
-    (always so for a one-slice array), else into scratch and then onto the
-    slice's rows. ``out`` as in apply_operator."""
+                     op: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """One product with ``op`` per slice of ``arr``, by its gather plan:
+    one take of the slice's rows, support first, and for a matrix the
+    plan's ``mid`` take; ``np.dot``; one write-back, a take straight into
+    the result when the slice's rows are consecutive (always so for a
+    one-slice array), else into scratch and then onto the slice's rows.
+    ``out`` as in apply_operator."""
     d = math.prod(dims)
-    offsets, rows, mid, back, spread = _gather_plan(tuple(dims), tuple(positions),
-                                                    arr.ndim, channel)
-    dtype = np.result_type(arr, *ops)
+    offsets, rows, mid, back, spread = _gather_plan(tuple(dims), tuple(positions), arr.ndim)
+    dtype = np.result_type(arr, op)
     if out is not None and not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     src = arr.reshape((d,) * arr.ndim).reshape(d, -1).astype(dtype, copy=False)
@@ -351,35 +347,36 @@ def _sliced_products(arr: np.ndarray, dims: Sequence[int], positions: Sequence[i
     for offset in offsets:
         x, y = scratch
         src[offset:].take(rows, axis=0, out=x.reshape(n_rows, -1), mode="clip")
-        for i, op in enumerate(ops):
-            if mid is not None and i == len(ops) - 1:
-                x.take(mid, out=y, mode="clip")
-                x, y = y, x
-            np.dot(op, x.reshape(len(op), -1), out=y.reshape(len(op), -1))
+        if mid is not None:
+            x.take(mid, out=y, mode="clip")
             x, y = y, x
+        np.dot(op, x.reshape(len(op), -1), out=y.reshape(len(op), -1))
         if spread is None:
-            x.take(back, out=res[offset:offset + n_rows].reshape(-1), mode="clip")
+            y.take(back, out=res[offset:offset + n_rows].reshape(-1), mode="clip")
         else:
-            x.take(back, out=y, mode="clip")
-            res[offset:][spread] = y.reshape(n_rows, -1)
+            y.take(back, out=x, mode="clip")
+            res[offset:][spread] = x.reshape(n_rows, -1)
     return res.reshape(arr.shape) if out is None else out
 
 
 def apply_operator(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int],
                    op: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """K v for a state vector (1-D), K rho K^dag for a density matrix (2-D).
+    """K v for a state vector (1-D), K rho K^dag for a density matrix (2-D),
+    the latter as one pass of K (x) conj(K) (see apply_channel).
 
     K acts on the tensor factors at ``positions``, listed in K's own
-    factor order (any order, not necessarily sorted). K rho K^dag mixes no
-    row factor outside K's support, so the work goes one slice of fixed
+    factor order (any order, not necessarily sorted). K mixes no row
+    factor outside its support, so the work goes one slice of fixed
     non-support row factors at a time (see _sliced_products), through
     slice-sized scratch, into ``out``: a C-contiguous array of the
     result's shape, which may be ``arr`` itself, or a new array if None.
     """
-    gate_dims = tuple(dims[p] for p in positions)
     dg = op.shape[0]
-    k = op.reshape(gate_dims * 2).reshape(dg, dg)  # as np.tensordot forms it: same gemm
-    return _sliced_products(arr, dims, positions, (k, k.conj())[:arr.ndim], False, out)
+    # raises unless K fits the support; K v then runs np.tensordot's gemm
+    k = op.reshape(tuple(dims[p] for p in positions) * 2).reshape(dg, dg)
+    if arr.ndim == 2:
+        return apply_channel(arr, dims, positions, _pair_product(k), out)
+    return _sliced_products(arr, dims, positions, k, out)
 
 
 def apply_channel(mat: np.ndarray, dims: Sequence[int], positions: Sequence[int],
@@ -387,7 +384,7 @@ def apply_channel(mat: np.ndarray, dims: Sequence[int], positions: Sequence[int]
     """sum_i K_i mat K_i^dag in one pass of ``superop`` (see
     KrausGate.superoperator) over the (row support, column support) index
     pair of each slice; ``positions`` and ``out`` as in apply_operator."""
-    return _sliced_products(mat, dims, positions, (superop,), True, out)
+    return _sliced_products(mat, dims, positions, superop, out)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +413,11 @@ class Unitary:
     def __init__(self, qubits, matrix):
         object.__setattr__(self, "qubits", tuple(str(q) for q in qubits))
         object.__setattr__(self, "matrix", np.asarray(matrix, dtype=complex))
+
+    @property
+    def superoperator(self) -> np.ndarray:
+        """U (x) conj(U), built on each read: a module keeps no copy."""
+        return _pair_product(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -579,31 +581,29 @@ class Circuit:
 
 
 def _branch_apply_gate(record, mat, dims, positions, gate):
-    """Apply one gate to one branch; yields (record, matrix). A keyed
-    KrausGate yields (record + ((key, i),), K_i mat K_i^dag) for every i,
-    unnormalized, so each trace is that branch's weight; an unkeyed one
-    yields its whole channel, in one pass of its superoperator. A writable
-    C-contiguous ``mat`` belongs to the running step and takes the last
-    result in place; any other is never written."""
-    def apply(op, in_place=True, kernel=apply_operator):
+    """Apply one gate to one branch, each channel as one superoperator
+    pass; yields (record, matrix). A keyed KrausGate yields (record +
+    ((key, i),), K_i mat K_i^dag) for every i, unnormalized, so each trace
+    is that branch's weight; any other gate yields its whole channel. A
+    writable C-contiguous ``mat`` belongs to the running step and takes
+    the last result in place; any other is never written."""
+    def apply(superop, in_place=True):
         owned = mat.flags.writeable and mat.flags.c_contiguous
         out = mat if in_place and owned else None
-        return kernel(mat, dims, positions, op, out=out)
+        return apply_channel(mat, dims, positions, superop, out=out)
 
     if isinstance(gate, Conditional):
         last = dict(record)
         u = gate.table.get(tuple(last.get(k) for k in gate.keys))
-        yield record, mat if u is None else apply(u)
-    elif isinstance(gate, Unitary):
-        yield record, apply(gate.matrix)
-    elif isinstance(gate, _FusedGate) or isinstance(gate, KrausGate) and gate.key is None:
-        yield record, apply(gate.superoperator, kernel=apply_channel)
-    elif not isinstance(gate, KrausGate):
-        raise CircuitError(f"unknown gate type {type(gate).__name__}")
-    else:
+        yield record, mat if u is None else apply(_pair_product(u))
+    elif isinstance(gate, KrausGate) and gate.key is not None:
         final = len(gate.operators) - 1
         for i, k in enumerate(gate.operators):
-            yield record + ((gate.key, i),), apply(k, in_place=i == final)
+            yield record + ((gate.key, i),), apply(_pair_product(k), in_place=i == final)
+    elif isinstance(gate, (Unitary, KrausGate, _FusedGate)):
+        yield record, apply(gate.superoperator)
+    else:
+        raise CircuitError(f"unknown gate type {type(gate).__name__}")
 
 
 def _last_outcomes(record: tuple, keys: tuple) -> tuple:
@@ -683,11 +683,15 @@ def noise_apply(state: ClassicalQuantumState, p: float, qubits: Sequence[str],
     get rate 1 and so are replaced by the maximally mixed state. The
     channels act on different factors, so their order does not matter, and
     the X record is untouched. Each noisy branch is copied once and then
-    updated in place.
+    updated in place. A qubit listed twice is refused, as a layer refuses
+    a qubit used by two gates.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     qubits = tuple(str(q) for q in qubits)
+    if len(set(qubits)) < len(qubits):
+        q = next(q for i, q in enumerate(qubits) if q in qubits[:i])
+        raise ValueError(f"noise qubit {q!r} listed twice")
     erased = {str(q) for q in erased}
     if not erased <= set(qubits):
         raise ValueError("erase region must be a subset of the noise qubits")
@@ -743,13 +747,6 @@ def _fusable(gate) -> bool:
     its qubits."""
     return (isinstance(gate, Unitary) or isinstance(gate, KrausGate) and gate.key is None) \
         and len(gate.qubits) <= 2
-
-
-def _gate_superoperator(gate) -> np.ndarray:
-    """U (x) conj(U) for a Unitary, else the gate's own superoperator."""
-    if isinstance(gate, Unitary):
-        return _pair_product(gate.matrix)
-    return gate.superoperator
 
 
 @functools.lru_cache(maxsize=16)
@@ -814,12 +811,12 @@ def _fuse_round(layers: Sequence[Layer], rates: dict) -> tuple:
             here = tuple(noise.pop(q) if q in noise and q not in latest else 0.0
                          for q in qubits)
             if taken or any(here):
-                s = _gate_superoperator(gate)
+                s = gate.superoperator
                 if any(here):
                     s = s @ _noise_superoperator(here)
                 for at in taken:
                     inner, out[at[0]][at[1]] = out[at[0]][at[1]], None
-                    s = s @ _embedded(_gate_superoperator(inner), inner.qubits, qubits)
+                    s = s @ _embedded(inner.superoperator, inner.qubits, qubits)
                 gates[slot] = _FusedGate(qubits, s)
             latest.update(dict.fromkeys(qubits, (i, slot)))
     return [[g for g in gates if g is not None] for gates in out], list(noise)

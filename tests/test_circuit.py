@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -377,6 +378,18 @@ def test_noise_modes():
         noise_apply(st, 0.1, ("0",), erased=("1",))
 
 
+def test_noise_apply_refuses_a_repeated_qubit():
+    # listed twice, the qubit would take the channel twice: at p = 0.5,
+    # |0><0| would read diag(0.625, 0.375) instead of diag(0.75, 0.25)
+    st = cq_pure(RegisterLayout.qubits("0"), [1, 0])
+    with pytest.raises(ValueError, match="noise qubit '0' listed twice"):
+        noise_apply(st, 0.5, ["0", "0"])
+    with pytest.raises(ValueError, match="listed twice"):
+        noise_apply(st, 0.5, ["0", 0], erased=["0"])
+    once = noise_apply(st, 0.5, ["0"])
+    assert np.abs(once.branches[0][1] - np.diag([0.75, 0.25])).max() < 1e-15
+
+
 def _embed(op, n, first):
     """``op`` on the contiguous qubits from ``first``, as an n-qubit matrix."""
     w = op.shape[0].bit_length() - 1
@@ -650,9 +663,11 @@ def _mixed_first_layer_module(p):
 @pytest.mark.parametrize("erased", [None, (("a", "d1", "m", "i"), 1)], ids=["plain", "erased"])
 @pytest.mark.parametrize("p", [0.0, 0.1, 1.0])
 def test_folded_noise_matches_unfused_run(p, erased):
-    # simulate_module folds each round's noise into the first layer's gates
-    # on at most two qubits; noise_apply then apply_layer is the oracle.
-    # The erased region spans folded (a, d1) and unfolded (m, i) qubits.
+    # simulate_module fuses each round's noise and small keyless gates
+    # across its layers (_fuse_round); noise_apply then apply_layer is the
+    # oracle. In the erased region (a, d1, m, i), gates take in the noise
+    # of a and d1 (first layer) and of i (second layer); the measured m
+    # keeps its noise for noise_apply.
     module = _mixed_first_layer_module(p)
     state = simulate_module(module, erased=erased)
     oracle = _full_record_run(module, erased)
@@ -756,6 +771,95 @@ def test_fused_rounds_match_full_record_run_on_random_modules(case):
     assert np.abs(state.average_state().matrix - oracle.average_state().matrix).max() < 1e-12
     delta = 1.0 - module_fidelity(module, erased=erased)
     assert abs(delta - _delta_of(module, oracle)) < 1e-12
+
+
+def _kron_embed(op, dims, positions):
+    """``op`` on the factors at ``positions`` (in op's factor order) as a
+    matrix on all of ``dims``, by np.kron and one transpose."""
+    rest = [a for a in range(len(dims)) if a not in positions]
+    order = list(positions) + rest
+    t = np.kron(op, np.eye(math.prod(dims[a] for a in rest)))
+    t = t.reshape([dims[a] for a in order] * 2)
+    axes = [order.index(a) for a in range(len(dims))]
+    d = math.prod(dims)
+    return t.transpose(axes + [a + len(dims) for a in axes]).reshape(d, d)
+
+
+_PAULIS = (X, np.array([[0, -1j], [1j, 0]]), np.diag([1.0 + 0j, -1.0]))
+
+
+def _kron_record_run(module, erased=None):
+    """(average state on R + the vertices, delta) by an oracle that shares
+    no kernel with the package: every gate and every Kraus operator as an
+    np.kron-embedded K rho K^dag on the whole matrix, noise at rate r on a
+    qubit as (1 - 3r/4) rho + (r/4) sum_s s rho s over its Paulis s, and
+    one branch per full record, which a keyed gate extends."""
+    verts, data = module.graph.vertices, module.data_qubits
+    dk = module.encoder.shape[1]
+    dims = (dk,) + (2,) * module.m
+    pos = {q: 1 + i for i, q in enumerate(verts)}
+    # the encoded |Phi_RL> on R + data (data order), |0> on the rest, then
+    # the factors put in R + vertex order
+    others = [q for q in verts if q not in data]
+    vec = np.kron(module.encoder.T.ravel() / np.sqrt(dk), np.eye(2 ** len(others))[0])
+    order = ["R", *data, *others]
+    vec = vec.reshape(dims).transpose([order.index(v) for v in ("R",) + verts]).ravel()
+    branches = [((), np.outer(vec, vec.conj()))]
+
+    def sandwich(op, qubits, mat):
+        full = _kron_embed(op, dims, [pos[q] for q in qubits])
+        return full @ mat @ full.conj().T
+
+    for j, circ in enumerate(module.rounds):
+        region = set(erased[0]) if erased is not None and erased[1] == j else set()
+        for q in verts:
+            r = 1.0 if q in region else module.p
+            branches = [(rec, (1 - 0.75 * r) * mat
+                         + 0.25 * r * sum(sandwich(s, (q,), mat) for s in _PAULIS))
+                        for rec, mat in branches]
+        for layer in circ.layers:
+            for gate in layer.gates:
+                out = []
+                for rec, mat in branches:
+                    if isinstance(gate, Unitary):
+                        out.append((rec, sandwich(gate.matrix, gate.qubits, mat)))
+                    elif isinstance(gate, Conditional):
+                        last = dict(rec)
+                        u = gate.table.get(tuple(last.get(k) for k in gate.keys))
+                        out.append((rec, mat if u is None else sandwich(u, gate.qubits, mat)))
+                    elif gate.key is None:
+                        out.append((rec, sum(sandwich(k, gate.qubits, mat)
+                                             for k in gate.operators)))
+                    else:
+                        out.extend((rec + ((gate.key, i),), sandwich(k, gate.qubits, mat))
+                                   for i, k in enumerate(gate.operators))
+                branches = out
+    rho = sum(mat for _, mat in branches)
+    # R + data (data order), the other vertices traced out
+    t = rho.reshape(dims * 2)
+    n = len(dims)
+    keep = [0] + [pos[q] for q in data]
+    letters = [chr(ord("a") + i) for i in range(2 * n)]
+    cols = [letters[a + n] if a in keep else letters[a] for a in range(n)]
+    out = [letters[a] for a in keep] + [cols[a] for a in keep]
+    red = np.einsum("".join(letters[:n] + cols) + "->" + "".join(out), t)
+    d = dk * 2 ** len(data)
+    target = module.encoder.T.ravel() / np.sqrt(dk)
+    delta = 1.0 - float(np.real(target.conj() @ red.reshape(d, d) @ target))
+    return rho, delta
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_modules())
+@example((_overlap_module(), None))
+def test_simulate_module_matches_kron_oracle_on_random_modules(case):
+    # the whole path, superoperator kernel and gather plans included,
+    # against an oracle built from np.kron, a Pauli sum and full records
+    module, erased = case
+    rho, delta = _kron_record_run(module, erased)
+    state = simulate_module(module, erased=erased)
+    assert np.abs(state.average_state().matrix - rho).max() < 1e-12
+    assert abs(1.0 - module_fidelity(module, erased=erased) - delta) < 1e-12
 
 
 _TRIANGLE = ConnectivityGraph(list("abc"), [("a", "b"), ("b", "c"), ("a", "c")])
@@ -874,8 +978,9 @@ def test_mirror_module_runs_one_channel_pass_per_pair(monkeypatch):
 
 
 def test_noiseless_round_folds_nothing(monkeypatch):
-    # at p = 0 no gate takes a noise superoperator and noise_apply never
-    # runs, so the module runs exactly the layers it holds
+    # at p = 0 there is no noise block to take in: no fused gate builds a
+    # noise superoperator and noise_apply never runs; the gates still fuse
+    # with each other, and the δ equals the unfused run's
     def fail(*args):
         raise AssertionError("no noise at p = 0")
 

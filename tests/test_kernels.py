@@ -1,12 +1,14 @@
 """The sliced dense kernels against whole-array oracles.
 
-apply_operator, _depolarize_matrix and _hermitize work one slice or tile
-of at most _SLICE entries at a time. They must agree bit for bit with
-the whole-array bodies they replaced (kept here as oracles) on matrices
-of several slices, and _hermitize on one tile or less too, and apply_operator to 1e-12 with an np.kron embedding.
-apply_channel must agree with the sum of two-sided applies it replaced.
-Each channel step must stay near one state of memory above its input,
-and importing the package builds no gather plan or superoperator.
+apply_operator, apply_channel, _depolarize_matrix and _hermitize work one
+slice or tile of at most _SLICE entries at a time. K v and the two
+in-place kernels must agree bit for bit with the whole-array bodies they
+replaced (kept here as oracles), on matrices of several slices, and
+_hermitize on one tile or less too. Every gate on a density matrix is one
+superoperator pass, which must agree to 1e-12 with sum_i K_i rho K_i^dag
+formed by np.kron embeddings. Each gate builds one gather plan per
+support, each channel step stays near one state of memory above its
+input, and importing the package builds no gather plan or superoperator.
 """
 
 import math
@@ -24,11 +26,15 @@ from locbound.circuit import (
     Layer,
     Unitary,
     _depolarize_matrix,
+    _gather_plan,
+    _pair_product,
     _slices,
     apply_channel,
     apply_layer,
     apply_operator,
+    measure_gate,
     noise_apply,
+    reset_gate,
 )
 from locbound.qstate import (
     _SLICE,
@@ -45,17 +51,12 @@ SLICED = (HALF + 1, HALF + 2)
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def whole_array_apply(arr, dims, positions, op):
-    """The whole-array apply_operator body that the sliced kernel replaced."""
-    positions = list(positions)
+def whole_array_apply(vec, dims, positions, op):
+    """The whole-array K v body that the sliced kernel replaced."""
     w = len(positions)
-    n = len(dims)
     k = op.reshape(tuple(dims[p] for p in positions) * 2)
-    t = arr.reshape(tuple(dims) * arr.ndim)
-    for side, kt in enumerate((k, k.conj())[:arr.ndim]):
-        axes = [p + side * n for p in positions]
-        t = np.moveaxis(np.tensordot(kt, t, axes=(range(w, 2 * w), axes)), range(w), axes)
-    return t.reshape(arr.shape)
+    t = np.tensordot(k, vec.reshape(dims), axes=(range(w, 2 * w), positions))
+    return np.moveaxis(t, range(w), positions).reshape(vec.shape)
 
 
 def whole_array_depolarize(mat, dims, pos, p):
@@ -89,23 +90,33 @@ def _density(n, seed):
 @pytest.mark.parametrize("n", SLICED)
 def test_sliced_apply_operator_matches_oracles(n):
     # last, first, sorted, unsorted, non-adjacent and three-qubit supports;
-    # written to a new array, to a given buffer and over the input itself
+    # written to a new array, to a given buffer and over the input itself.
+    # K v is bit for bit the tensordot body; K rho K^dag, one pass of
+    # K (x) conj(K) through apply_operator or apply_channel, matches the
+    # np.kron embedding
     rng = np.random.default_rng(n)
     dims = (2,) * n
     rho = _density(n, n)
+    vec = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     for positions in ([n - 1], [0], [1, 2], [3, 0], [0, n - 1], [n - 1, 2, 0], [2, 3, 4]):
         assert len(_slices(dims, positions, 2)) > 1
         dg = 2 ** len(positions)
         op = rng.standard_normal((dg, dg)) + 1j * rng.standard_normal((dg, dg))
-        expect = whole_array_apply(rho, dims, positions, op)
         full = kron_embed(op, n, positions)
-        assert np.abs(expect - full @ rho @ full.conj().T).max() < 1e-12
+        kv = whole_array_apply(vec, dims, positions, op)
+        assert np.abs(kv - full @ vec).max() < 1e-12
+        sandwich = full @ rho @ full.conj().T
         for where in ("new", "buffer", "in place"):
-            arr = rho.copy()
-            out = {"new": None, "buffer": np.empty_like(rho), "in place": arr}[where]
-            got = apply_operator(arr, dims, positions, op, out=out)
-            assert out is None or got is out
-            assert np.array_equal(got, expect), (positions, where)
+            for kernel, arr, form in ((apply_operator, vec, op), (apply_operator, rho, op),
+                                      (apply_channel, rho, _pair_product(op))):
+                arr = arr.copy()
+                out = {"new": None, "buffer": np.empty_like(arr), "in place": arr}[where]
+                got = kernel(arr, dims, positions, form, out=out)
+                assert out is None or got is out
+                if arr.ndim == 1:
+                    assert np.array_equal(got, kv), (positions, where)
+                else:
+                    assert np.abs(got - sandwich).max() < 1e-12, (positions, where, kernel)
 
 
 @pytest.mark.parametrize("n", SLICED)
@@ -194,9 +205,10 @@ def test_fortran_ordered_branch_keeps_every_gate(n):
 
 @pytest.mark.parametrize("n", (5,) + SLICED)
 def test_one_pass_channel_matches_two_sided_applies(n):
-    # one slice at n = 5, several above; last, first, unsorted and
-    # non-adjacent supports; a new array, a given buffer, in place, and an
-    # F-ordered input
+    # the superoperator pass against sum_i K_i rho K_i^dag, each product
+    # formed by np.kron embeddings; one slice at n = 5, several above;
+    # last, first, unsorted and non-adjacent supports; a new array, a given
+    # buffer, in place, and an F-ordered input
     rng = np.random.default_rng(10 + n)
     dims = (2,) * n
     rho = _density(n, 4 * n)
@@ -207,7 +219,6 @@ def test_one_pass_channel_matches_two_sided_applies(n):
         dg = 2 ** len(positions)
         iso = random_unitary(rng, 3 * dg)[:, :dg]  # three Kraus operators of a channel
         gate = KrausGate([str(q) for q in positions], iso.reshape(3, dg, dg))
-        two_sided = sum(apply_operator(rho, dims, positions, k) for k in gate.operators)
         ks = [kron_embed(k, n, positions) for k in gate.operators]
         full = sum(k @ rho @ k.conj().T for k in ks)
         for where, mat in (("new", rho), ("buffer", rho), ("in place", rho.copy()),
@@ -215,8 +226,28 @@ def test_one_pass_channel_matches_two_sided_applies(n):
             out = {"buffer": np.empty_like(rho), "in place": mat}.get(where)
             got = apply_channel(mat, dims, positions, gate.superoperator, out=out)
             assert out is None or got is out
-            assert np.abs(got - two_sided).max() < 1e-12, (positions, where)
             assert np.abs(got - full).max() < 1e-12, (positions, where)
+
+
+def test_gates_on_one_support_share_one_plan():
+    # a Unitary, a measurement and a reset on the same qubit of one density
+    # matrix all run through the one (row support, column support) plan
+    n = 6
+    layout = RegisterLayout.qubits(*map(str, range(n)))
+    state = ClassicalQuantumState.from_density(DensityMatrix(layout, _density(n, 7)))
+    _gather_plan.cache_clear()
+    for gate in (Unitary(("2",), random_unitary(np.random.default_rng(2), 2)),
+                 measure_gate("2", "s"), reset_gate("2")):
+        state = apply_layer(state, Layer([gate]))
+    info = _gather_plan.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+
+
+def test_unitary_superoperator_is_its_one_operator_channel():
+    u = random_unitary(np.random.default_rng(3), 4)
+    s = Unitary(("0", "1"), u).superoperator
+    assert np.array_equal(s, KrausGate(("0", "1"), [u]).superoperator)
+    assert s.shape == (16, 16)
 
 
 _IMPORT_GUARD = """
@@ -240,6 +271,16 @@ def test_import_builds_no_plan_or_superoperator():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.split() == ["[]", "0"]
+
+
+def test_apply_operator_refuses_an_operator_off_its_support():
+    # a two-qubit K on one qubit would reshape into a wrong superoperator
+    # pass on the matrix; it is refused on both forms
+    n = 3
+    rho = _density(n, 6)
+    for arr in (rho, rho[:, 0].copy()):
+        with pytest.raises(ValueError):
+            apply_operator(arr, (2,) * n, [0], np.eye(4))
 
 
 def test_in_place_kernels_refuse_non_c_contiguous_targets():
