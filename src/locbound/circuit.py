@@ -44,11 +44,11 @@ plan, built on first use and cached per (dims, support, ndim). A state
 vector takes K v; a density matrix takes every gate as one pass of its
 superoperator, sum_i K_i (x) conj(K_i) (K (x) conj(K) for a unitary or
 one Kraus operator), over the (row support, column support) pair. Each
-is one take of the slice's rows, support first, for a matrix one take
-that brings the column support in front, one product, one take back.
-Branch matrices of a ClassicalQuantumState are read-only, so a writable
-matrix belongs to the running channel step: the step copies a branch at
-most once and then updates it in place.
+slice is one take of the product's operand, support first, straight from
+the C-contiguous source, one product and one take back. Branch matrices
+of a ClassicalQuantumState are read-only, so a writable matrix belongs
+to the running channel step: the step copies a branch at most once and
+then updates it in place.
 """
 
 from __future__ import annotations
@@ -284,18 +284,18 @@ def _gather_plan(dims: tuple, positions: tuple, ndim: int) -> tuple:
     product lists the axes it contracts first and every other axis after
     them in its own order, as np.tensordot does.
 
-    A slice is the rows ``offset + rows`` of the ``(d, cols)`` view of the
-    array, for each ``offset`` in ``offsets``; its positions count its
-    entries in row-major order over its rows in ascending order and the
-    columns. Returns (offsets, rows, mid, back, spread):
-    - rows: the slice's rows, row support first;
-    - mid: the product's operand, as entries of that take, or None for a
-      vector;
-    - back: slice position p holds entry back[p] of the product;
-    - spread: the slice's rows in ascending order, or None if consecutive.
-    Built on first use; every array is as large as one slice at most, the
-    indices int32 (a slice of a MAX_QUBITS density matrix has fewer than
-    2^31 entries)."""
+    A slice is a set of rows of the ``(d, cols)`` view of the array, the
+    same for each ``offset`` in ``offsets`` but shifted by it. Returns
+    (offsets, gather, back, spread):
+    - gather: the product's operand, as flat positions from row
+      ``offset`` on: row support, then column support for a matrix, then
+      the rest;
+    - back: entry p of the slice, its rows in ascending order and each
+      row's columns in order, is entry back[p] of the product;
+    - spread: the slice's rows less ``offset`` in ascending order, or None
+      if consecutive.
+    Built on first use; gather and back are as large as one slice, int32
+    (a MAX_QUBITS density matrix has fewer than 2^31 entries)."""
     n = len(dims)
     fixed = _fixed_factors(dims, positions, ndim)
     row_ids = np.arange(math.prod(dims)).reshape(dims)[
@@ -303,53 +303,42 @@ def _gather_plan(dims: tuple, positions: tuple, ndim: int) -> tuple:
     strides = [math.prod(dims[p + 1:]) for p in fixed]
     offsets = tuple(sum(v * s for v, s in zip(values, strides))
                     for values in itertools.product(*(range(dims[p]) for p in fixed)))
-    others = [p for p in range(n) if p not in positions]
-    cols = list(range(n, n * ndim))
-    rows = row_ids.transpose(list(positions) + others).ravel()
+    cols = math.prod(dims) ** (ndim - 1)
     shape = row_ids.shape + tuple(dims) * (ndim - 1)
-    label = np.arange(math.prod(shape), dtype=np.int32).reshape(shape)
-    got = label.transpose(list(positions) + others + cols).ravel()
-    mid = None
-    if ndim == 2:
-        front = list(positions) + [p + n for p in positions]
-        want = label.transpose(front + [a for a in range(2 * n) if a not in front]).ravel()
-        where = np.empty_like(got)
-        where[got] = np.arange(got.size, dtype=np.int32)
-        mid, got = where[want], want
+    front = [p + n * side for side in range(ndim) for p in positions]
+    order = front + [a for a in range(n * ndim) if a not in front]
+    flat = (row_ids.reshape(-1, 1) * cols + np.arange(cols)).astype(np.int32)
+    gather = flat.reshape(shape).transpose(order).ravel()
+    got = np.arange(flat.size, dtype=np.int32).reshape(shape).transpose(order).ravel()
     back = np.empty_like(got)
     back[got] = np.arange(got.size, dtype=np.int32)
     spread = row_ids.ravel()
     if spread[-1] - spread[0] == spread.size - 1:
         spread = None
-    for a in (rows, mid, back, spread):
+    for a in (gather, back, spread):
         if a is not None:
             a.flags.writeable = False  # every caller shares the cached plan
-    return offsets, rows, mid, back, spread
+    return offsets, gather, back, spread
 
 
 def _sliced_products(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int],
                      op: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """One product with ``op`` per slice of ``arr``, by its gather plan:
-    one take of the slice's rows, support first, and for a matrix the
-    plan's ``mid`` take; ``np.dot``; one write-back, a take straight into
-    the result when the slice's rows are consecutive (always so for a
-    one-slice array), else into scratch and then onto the slice's rows.
-    ``out`` as in apply_operator."""
+    one take of the operand from the C-contiguous source, ``np.dot``, and
+    one write-back, a take straight into the result when the slice's rows
+    are consecutive (always so for a one-slice array), else into scratch
+    and then onto the slice's rows. ``out`` as in apply_operator."""
     d = math.prod(dims)
-    offsets, rows, mid, back, spread = _gather_plan(tuple(dims), tuple(positions), arr.ndim)
+    offsets, gather, back, spread = _gather_plan(tuple(dims), tuple(positions), arr.ndim)
     dtype = np.result_type(arr, op)
     if out is not None and not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    src = arr.reshape((d,) * arr.ndim).reshape(d, -1).astype(dtype, copy=False)
-    res = np.empty_like(src, order="C") if out is None else out.reshape(src.shape)
-    n_rows = len(rows)
-    scratch = np.empty((2, n_rows * src.shape[1]), dtype)
+    src = np.ascontiguousarray(arr, dtype).reshape(d, -1)
+    res = np.empty_like(src) if out is None else out.reshape(src.shape)
+    n_rows = gather.size // src.shape[1]
+    x, y = np.empty((2, gather.size), dtype)
     for offset in offsets:
-        x, y = scratch
-        src[offset:].take(rows, axis=0, out=x.reshape(n_rows, -1), mode="clip")
-        if mid is not None:
-            x.take(mid, out=y, mode="clip")
-            x, y = y, x
+        src[offset:].take(gather, out=x, mode="clip")
         np.dot(op, x.reshape(len(op), -1), out=y.reshape(len(op), -1))
         if spread is None:
             y.take(back, out=res[offset:offset + n_rows].reshape(-1), mode="clip")
@@ -359,31 +348,34 @@ def _sliced_products(arr: np.ndarray, dims: Sequence[int], positions: Sequence[i
     return res.reshape(arr.shape) if out is None else out
 
 
-def apply_operator(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int],
+def apply_operator(vec: np.ndarray, dims: Sequence[int], positions: Sequence[int],
                    op: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """K v for a state vector (1-D), K rho K^dag for a density matrix (2-D),
-    the latter as one pass of K (x) conj(K) (see apply_channel).
+    """K v for a state vector; a density matrix takes apply_channel.
 
     K acts on the tensor factors at ``positions``, listed in K's own
-    factor order (any order, not necessarily sorted). K mixes no row
-    factor outside its support, so the work goes one slice of fixed
-    non-support row factors at a time (see _sliced_products), through
-    slice-sized scratch, into ``out``: a C-contiguous array of the
-    result's shape, which may be ``arr`` itself, or a new array if None.
+    factor order (any order, not necessarily sorted). The work goes one
+    slice of fixed non-support factors at a time (see _sliced_products),
+    through slice-sized scratch, into ``out``: a C-contiguous array of the
+    result's shape, which may be ``vec`` itself, or a new array if None.
     """
+    if vec.ndim != 1:
+        raise ValueError("apply_operator takes a state vector; use apply_channel on a matrix")
     dg = op.shape[0]
     # raises unless K fits the support; K v then runs np.tensordot's gemm
     k = op.reshape(tuple(dims[p] for p in positions) * 2).reshape(dg, dg)
-    if arr.ndim == 2:
-        return apply_channel(arr, dims, positions, _pair_product(k), out)
-    return _sliced_products(arr, dims, positions, k, out)
+    return _sliced_products(vec, dims, positions, k, out)
 
 
 def apply_channel(mat: np.ndarray, dims: Sequence[int], positions: Sequence[int],
                   superop: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_i K_i mat K_i^dag in one pass of ``superop`` (see
     KrausGate.superoperator) over the (row support, column support) index
-    pair of each slice; ``positions`` and ``out`` as in apply_operator."""
+    pair of each slice; ``positions`` and ``out`` as in apply_operator. A
+    superoperator that does not fit the support raises ValueError."""
+    dg = math.prod(dims[p] for p in positions)
+    if mat.ndim != 2 or superop.shape != (dg * dg, dg * dg):
+        raise ValueError(f"a {superop.shape} superoperator does not fit a {mat.ndim}-D "
+                         f"array on a support of dimension {dg}")
     return _sliced_products(mat, dims, positions, superop, out)
 
 
@@ -719,15 +711,29 @@ def _noise_superoperator(rates: tuple) -> np.ndarray:
     at rate r: S_(ij),(ab) = (1 - r) [i=a][j=b] + r/2 [i=j][a=b]. Built on
     first use; read-only, as every caller shares it."""
     vec_eye = np.eye(2).ravel()
-    t = np.ones(())
-    for r in rates:
-        one = (1.0 - r) * np.eye(4) + r / 2 * np.outer(vec_eye, vec_eye)
-        t = np.multiply.outer(t, one.reshape(2, 2, 2, 2))
-    n = len(rates)
-    axes = [4 * q + part for part in range(4) for q in range(n)]  # (i..., j..., a..., b...)
-    out = t.transpose(axes).reshape(4 ** n, 4 ** n).astype(complex)
+    parts = [((1.0 - r) * np.eye(4) + r / 2 * np.outer(vec_eye, vec_eye), (q,))
+             for q, r in enumerate(rates)]
+    out = _on_support(parts, tuple(range(len(rates)))).astype(complex)
     out.flags.writeable = False
     return out
+
+
+def _on_support(parts: Sequence[tuple], support: tuple) -> np.ndarray:
+    """The superoperator, in KrausGate.superoperator's index order over
+    ``support``, of the channels ``parts``, (superoperator, qubits) pairs
+    on disjoint qubits of ``support``, with the identity on every other
+    qubit: one tensor product and one transpose."""
+    covered = {q for _, qubits in parts for q in qubits}
+    parts = [*parts, *((np.eye(4), (q,)) for q in support if q not in covered)]
+    t = np.ones(())
+    axes = {}  # qubit -> the axes of its (i, j, a, b) indices in t
+    for superop, qubits in parts:
+        w = len(qubits)  # the part's axes are (i..., j..., a..., b...), each w long
+        axes.update((q, [t.ndim + i + part * w for part in range(4)])
+                    for i, q in enumerate(qubits))
+        t = np.multiply.outer(t, superop.reshape((2,) * 4 * w))
+    order = [axes[q][part] for part in range(4) for q in support]
+    return t.transpose(order).reshape(4 ** len(support), 4 ** len(support))
 
 
 class _FusedGate:
@@ -747,35 +753,6 @@ def _fusable(gate) -> bool:
     its qubits."""
     return (isinstance(gate, Unitary) or isinstance(gate, KrausGate) and gate.key is None) \
         and len(gate.qubits) <= 2
-
-
-@functools.lru_cache(maxsize=16)
-def _embed_index(positions: tuple, n: int) -> np.ndarray:
-    """Where each entry of the superoperator of a channel on the qubits at
-    ``positions`` of an ``n``-qubit support (identity on the rest) sits in
-    the inner superoperator's entries, raveled, with one zero appended: the
-    (4^n, 4^n) array of indices into that vector. Built on first use."""
-    k = len(positions)
-    inner = np.arange(16 ** k).reshape((2,) * 4 * k)  # axes (i..., j..., a..., b...)
-    others = [q for q in range(n) if q not in positions]
-    out = np.full((2,) * 4 * n, 16 ** k)  # 16^k: the appended zero
-    for idx in itertools.product(range(2), repeat=4 * n):
-        parts = i, j, a, b = [idx[t * n:(t + 1) * n] for t in range(4)]
-        if all(i[q] == a[q] and j[q] == b[q] for q in others):
-            out[idx] = inner[tuple(part[q] for part in parts for q in positions)]
-    out = out.reshape(4 ** n, 4 ** n)
-    out.flags.writeable = False
-    return out
-
-
-def _embedded(superop: np.ndarray, qubits: tuple, support: tuple) -> np.ndarray:
-    """``superop``, a channel on ``qubits``, as a channel on ``support``
-    (which holds them): the identity on the rest, every factor in
-    ``support`` order."""
-    if qubits == support:
-        return superop
-    index = _embed_index(tuple(support.index(q) for q in qubits), len(support))
-    return np.append(superop, 0.0)[index]
 
 
 def _fuse_round(layers: Sequence[Layer], rates: dict) -> tuple:
@@ -816,7 +793,7 @@ def _fuse_round(layers: Sequence[Layer], rates: dict) -> tuple:
                     s = s @ _noise_superoperator(here)
                 for at in taken:
                     inner, out[at[0]][at[1]] = out[at[0]][at[1]], None
-                    s = s @ _embedded(inner.superoperator, inner.qubits, qubits)
+                    s = s @ _on_support([(inner.superoperator, inner.qubits)], qubits)
                 gates[slot] = _FusedGate(qubits, s)
             latest.update(dict.fromkeys(qubits, (i, slot)))
     return [[g for g in gates if g is not None] for gates in out], list(noise)
@@ -957,7 +934,8 @@ def simulate_module(
 
     ``erased=(region, round_index)`` substitutes the erase-then-depolarize
     channel N_Gamma for the product depolarizing noise at that round; the
-    branch is computed exactly, never sampled; j must lie in 0..J-1.
+    branch is computed exactly, never sampled; j must be an integer in
+    0..J-1.
     Output lives on R + A.
 
     Each round is fused first (_fuse_round). Every qubit at a rate above
@@ -979,6 +957,8 @@ def simulate_module(
     the record is traced out in the end.
     """
     J = len(module.rounds)
+    if erased is not None and not isinstance(erased[1], (int, np.integer)):
+        raise ValueError(f"erased round {erased[1]!r} is not an integer")
     if erased is not None and not 0 <= erased[1] < J:
         raise ValueError(f"erased round {erased[1]} is outside 0..{J - 1} (J = {J})")
     if module.m + module.k > MAX_QUBITS:

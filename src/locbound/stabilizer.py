@@ -73,9 +73,9 @@ def _gf2_rref(mat: np.ndarray):
         piv = r + hot[0]
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        for rr in range(rows):
-            if rr != r and a[rr, c]:
-                a[rr] ^= a[r]
+        hot = a[:, c].astype(bool)
+        hot[r] = False
+        a[hot] ^= a[r]
         pivots.append(c)
         r += 1
     return a, pivots

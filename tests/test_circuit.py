@@ -18,6 +18,7 @@ from locbound.circuit import (
     KrausGate,
     Layer,
     Unitary,
+    apply_channel,
     apply_layer,
     apply_operator,
     boundary,
@@ -32,6 +33,7 @@ from locbound.circuit import (
     validate_layer,
     _depolarize_matrix,
     _initial_cq_state,
+    _pair_product,
 )
 from locbound.qstate import (
     ClassicalQuantumState,
@@ -474,7 +476,7 @@ def test_apply_operator_unsorted_positions():
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     rho = random_density(rng, RegisterLayout.qubits("0", "1", "2")).matrix
     out_vec = apply_operator(vec, (2, 2, 2), [2, 0], k)
-    out_rho = apply_operator(rho, (2, 2, 2), [2, 0], k)
+    out_rho = apply_channel(rho, (2, 2, 2), [2, 0], _pair_product(k))
     assert out_vec.shape == (8,) and out_rho.shape == (8, 8)
     assert np.abs(out_vec - dense @ vec).max() < 1e-12
     assert np.abs(out_rho - dense @ rho @ dense.conj().T).max() < 1e-12
@@ -688,7 +690,8 @@ def _small_modules(draw):
     """(module, erased): 2-4 vertices on a complete graph, 1-3 rounds of
     1-3 layers of Haar unitaries, Kraus gates with or without a key,
     measurements, resets and Conditionals on keys s0 and s1; at most three
-    keyed gates, so that the full-record oracle stays small."""
+    keyed gates, so that the full-record oracle stays small. Two data
+    qubits in a shuffled order carry k = 0, 1 or 2 logical qubits."""
     verts = [str(v) for v in range(draw(st.sampled_from([2, 2, 3, 4])))]
     g = ConnectivityGraph(verts, itertools.combinations(verts, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -737,8 +740,8 @@ def _small_modules(draw):
                         o: random_unitary(rng, dim) for o in outcomes if rng.random() < 0.5}))
             layers.append(Layer(gates))
         rounds.append(Circuit(g, layers))
-    data = verts[:2]
-    encoder = random_unitary(rng, 2 ** len(data))[:, :2]
+    data = draw(st.permutations(verts))[:2]
+    encoder = random_unitary(rng, 2 ** len(data))[:, :2 ** draw(st.sampled_from([0, 1, 2]))]
     module = EcModule(g, rounds=rounds, data_qubits=data, encoder=encoder,
                       p=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
     erased = draw(st.none() | st.tuples(
@@ -1050,6 +1053,14 @@ def test_simulate_module_refuses_an_erased_round_that_does_not_exist(j):
     mod = repetition_module(0.1, 1)
     with pytest.raises(ValueError, match=rf"^erased round {j} is outside 0\.\.0 \(J = 1\)$"):
         simulate_module(mod, erased=(("d0", "d1"), j))
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, "0"])
+def test_simulate_module_refuses_an_erased_round_that_is_not_an_integer(j):
+    # a fractional round used to match no round and erase nothing
+    mod = repetition_module(0.1, rounds=2)
+    with pytest.raises(ValueError, match="is not an integer"):
+        module_fidelity(mod, erased=(("d0", "d1"), j))
 
 
 def test_simulate_module_refuses_an_erased_qubit_off_the_graph():

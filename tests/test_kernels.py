@@ -91,8 +91,8 @@ def _density(n, seed):
 def test_sliced_apply_operator_matches_oracles(n):
     # last, first, sorted, unsorted, non-adjacent and three-qubit supports;
     # written to a new array, to a given buffer and over the input itself.
-    # K v is bit for bit the tensordot body; K rho K^dag, one pass of
-    # K (x) conj(K) through apply_operator or apply_channel, matches the
+    # K v through apply_operator is bit for bit the tensordot body;
+    # K rho K^dag, one apply_channel pass of K (x) conj(K), matches the
     # np.kron embedding
     rng = np.random.default_rng(n)
     dims = (2,) * n
@@ -107,7 +107,7 @@ def test_sliced_apply_operator_matches_oracles(n):
         assert np.abs(kv - full @ vec).max() < 1e-12
         sandwich = full @ rho @ full.conj().T
         for where in ("new", "buffer", "in place"):
-            for kernel, arr, form in ((apply_operator, vec, op), (apply_operator, rho, op),
+            for kernel, arr, form in ((apply_operator, vec, op),
                                       (apply_channel, rho, _pair_product(op))):
                 arr = arr.copy()
                 out = {"new": None, "buffer": np.empty_like(arr), "in place": arr}[where]
@@ -274,13 +274,25 @@ def test_import_builds_no_plan_or_superoperator():
 
 
 def test_apply_operator_refuses_an_operator_off_its_support():
-    # a two-qubit K on one qubit would reshape into a wrong superoperator
-    # pass on the matrix; it is refused on both forms
+    # a two-qubit K on one qubit of a vector is refused, and so is a
+    # density matrix, which takes apply_channel
     n = 3
     rho = _density(n, 6)
     for arr in (rho, rho[:, 0].copy()):
         with pytest.raises(ValueError):
             apply_operator(arr, (2,) * n, [0], np.eye(4))
+
+
+def test_apply_channel_refuses_a_superoperator_off_its_support():
+    # a two-qubit superoperator on one qubit would reshape into a pass
+    # that returns a matrix of trace -0.35; a vector is refused too
+    n = 3
+    dims = (2,) * n
+    s = np.random.default_rng(0).standard_normal((16, 16))
+    with pytest.raises(ValueError, match="does not fit"):
+        apply_channel(np.eye(8) / 8, dims, [0], s)
+    with pytest.raises(ValueError, match="does not fit"):
+        apply_channel(np.ones(8) / 8, dims, [0], np.eye(4))
 
 
 def test_in_place_kernels_refuse_non_c_contiguous_targets():
@@ -289,6 +301,6 @@ def test_in_place_kernels_refuse_non_c_contiguous_targets():
     rho = _density(n, 5)
     f_buf = np.asfortranarray(rho)
     with pytest.raises(ValueError, match="C-contiguous"):
-        apply_operator(rho, dims, [0], np.eye(2), out=f_buf)
+        apply_channel(rho, dims, [0], np.eye(4), out=f_buf)
     with pytest.raises(ValueError, match="C-contiguous"):
         _depolarize_matrix(f_buf, dims, 0, 0.1)

@@ -26,6 +26,7 @@ from locbound.stabilizer import (
     pauli_matrix,
     repetition_code,
     validate_code,
+    _gf2_rref,
 )
 from locbound.separability import ree_lower
 from locbound.verify import verify_structure_code
@@ -38,11 +39,15 @@ SURFACE_3 = ("XXIXXIIII", "IIIIXXIXX", "IXXIIIIII", "IIIIIIXXI",
 NO_LOGICAL = ("XX", "ZZ")  # k = 0: every region is correctable
 
 
-def gf2_rank_oracle(rows):
-    """Independent GF(2) row-rank via numpy elimination."""
+def gf2_rref_oracle(rows):
+    """GF(2) reduced row echelon form and pivot columns, clearing each
+    pivot column by a Python loop over the rows."""
     a = np.array(rows, dtype=np.uint8) % 2
-    rank = 0
+    pivots = []
     for c in range(a.shape[1]):
+        rank = len(pivots)
+        if rank == a.shape[0]:
+            break
         hot = np.nonzero(a[rank:, c])[0]
         if hot.size == 0:
             continue
@@ -50,10 +55,27 @@ def gf2_rank_oracle(rows):
         for r in range(a.shape[0]):
             if r != rank and a[r, c]:
                 a[r] ^= a[rank]
-        rank += 1
-        if rank == a.shape[0]:
-            break
-    return rank
+        pivots.append(c)
+    return a, pivots
+
+
+def gf2_rank_oracle(rows):
+    return len(gf2_rref_oracle(rows)[1])
+
+
+def test_gf2_rref_matches_row_loop_oracle():
+    # one masked XOR per pivot against the row loop: wide, tall, empty,
+    # rank-deficient and non-binary inputs
+    rng = np.random.default_rng(24)
+    mats = [np.zeros((0, 4), dtype=np.uint8), rng.integers(0, 4, (9, 13))]
+    for shape in ((1, 1), (5, 12), (12, 5), (30, 30), (40, 120)):
+        for density in (0.1, 0.5):
+            mats.append((rng.random(shape) < density).astype(np.uint8))
+    mats.append(np.vstack([mats[-1], mats[-1][::2]]))
+    for mat in mats:
+        rref, pivots = _gf2_rref(mat)
+        want, want_pivots = gf2_rref_oracle(mat)
+        assert np.array_equal(rref, want) and pivots == want_pivots, mat.shape
 
 
 def knill_laflamme_oracle(code, region):
