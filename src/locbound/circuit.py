@@ -28,12 +28,9 @@ branches of weight <= NEGLIGIBLE and checks that the total weight is
 kept. It does not re-symmetrize: average_state does that once, where a
 state leaves as a DensityMatrix.
 
-simulate_module fuses each round (_fuse_round): a Unitary or an unkeyed
-KrausGate on at most two qubits takes in the noise and the earlier such
-gates on its qubits that no other gate has touched since, and runs them
-all as one superoperator; a keyed KrausGate, a Conditional or a larger
-gate is a barrier on its qubits. noise_apply runs only on the noise no
-gate took in. noise_apply and apply_layer stay the unfused path.
+simulate_module fuses each round's noise and small unkeyed gates into
+fewer superoperator passes by the rule in _fuse_round; noise_apply and
+apply_layer stay the unfused path.
 
 Dense passes go one slice at a time. An operator or a noise channel
 mixes no row factor outside its support, so a matrix is processed one
@@ -327,7 +324,7 @@ def _sliced_products(arr: np.ndarray, dims: Sequence[int], positions: Sequence[i
     one take of the operand from the C-contiguous source, ``np.dot``, and
     one write-back, a take straight into the result when the slice's rows
     are consecutive (always so for a one-slice array), else into scratch
-    and then onto the slice's rows. ``out`` as in apply_operator."""
+    and then onto the slice's rows. ``out`` as in apply_channel."""
     d = math.prod(dims)
     offsets, gather, back, spread = _gather_plan(tuple(dims), tuple(positions), arr.ndim)
     dtype = np.result_type(arr, op)
@@ -349,29 +346,31 @@ def _sliced_products(arr: np.ndarray, dims: Sequence[int], positions: Sequence[i
 
 
 def apply_operator(vec: np.ndarray, dims: Sequence[int], positions: Sequence[int],
-                   op: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """K v for a state vector; a density matrix takes apply_channel.
+                   op: np.ndarray) -> np.ndarray:
+    """K v for a state vector, as a new array; a density matrix takes
+    apply_channel.
 
     K acts on the tensor factors at ``positions``, listed in K's own
     factor order (any order, not necessarily sorted). The work goes one
     slice of fixed non-support factors at a time (see _sliced_products),
-    through slice-sized scratch, into ``out``: a C-contiguous array of the
-    result's shape, which may be ``vec`` itself, or a new array if None.
+    through slice-sized scratch.
     """
     if vec.ndim != 1:
         raise ValueError("apply_operator takes a state vector; use apply_channel on a matrix")
     dg = op.shape[0]
     # raises unless K fits the support; K v then runs np.tensordot's gemm
     k = op.reshape(tuple(dims[p] for p in positions) * 2).reshape(dg, dg)
-    return _sliced_products(vec, dims, positions, k, out)
+    return _sliced_products(vec, dims, positions, k, None)
 
 
 def apply_channel(mat: np.ndarray, dims: Sequence[int], positions: Sequence[int],
                   superop: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_i K_i mat K_i^dag in one pass of ``superop`` (see
     KrausGate.superoperator) over the (row support, column support) index
-    pair of each slice; ``positions`` and ``out`` as in apply_operator. A
-    superoperator that does not fit the support raises ValueError."""
+    pair of each slice; ``positions`` as in apply_operator. The result goes
+    into ``out``: a C-contiguous array of ``mat``'s shape, which may be
+    ``mat`` itself, or a new array if None. A superoperator that does not
+    fit the support raises ValueError."""
     dg = math.prod(dims[p] for p in positions)
     if mat.ndim != 2 or superop.shape != (dg * dg, dg * dg):
         raise ValueError(f"a {superop.shape} superoperator does not fit a {mat.ndim}-D "
@@ -768,7 +767,10 @@ def _fuse_round(layers: Sequence[Layer], rates: dict) -> tuple:
     on all of B's qubits, so no gate between B and g touches B's qubits and
     moving B to g is exact. g then runs as one superoperator, S_g . S_B...
     (the B's act on disjoint qubits), at its own position, and each B
-    leaves its layer. A gate that takes in nothing is kept as it is."""
+    leaves its layer. A gate that takes in nothing is kept as it is. A gate
+    that is not fusable (a keyed KrausGate, a Conditional, a gate on three
+    or more qubits) is a barrier: no gate after it takes in a block before
+    it on its qubits."""
     # noise not yet taken in; a qubit's is pending while no gate touched it
     noise = {q: r for q, r in rates.items() if r > 0.0}
     latest: dict = {}  # qubit -> (layer, slot) of its latest block, None after a barrier
@@ -842,10 +844,6 @@ class EcModule:
     @property
     def m(self) -> int:
         return self.graph.m
-
-    @property
-    def n(self) -> int:
-        return len(self.data_qubits)
 
     @property
     def k(self) -> int:
@@ -938,17 +936,9 @@ def simulate_module(
     0..J-1.
     Output lives on R + A.
 
-    Each round is fused first (_fuse_round). Every qubit at a rate above
-    0, the erased rate 1 included, starts the round with a pending noise
-    block. Walking the gates in order, a Unitary or an unkeyed KrausGate
-    on at most two qubits takes in each latest block on its qubits whose
-    support lies inside its own and that is still the latest block on all
-    of its qubits, and runs with them as one superoperator pass at its own
-    position. A keyed KrausGate, a Conditional and a gate on three or more
-    qubits are barriers: nothing fuses across them on their qubits.
-    noise_apply runs at the round's start on the noise no gate took in,
-    and a layer that fusion empties is skipped: it held only keyless
-    channels, so its live keys equal the previous layer's.
+    Each round is fused first, by the rule in _fuse_round, the erased
+    rate 1 included. A layer that fusion empties is skipped: it held only
+    keyless channels, so its live keys equal the previous layer's.
 
     Each layer's finish step keeps, per record, only the last outcome of
     each key that a later Conditional still reads (_live_keys) and sums

@@ -36,19 +36,17 @@ from .stabilizer import (
 SCHEMA = 1
 
 
-class InputError(ValueError):
-    pass
-
-
 def _parse_region(text: str, n: int) -> list:
-    """Comma-separated qubit indices, each in 0..n-1."""
+    """Comma-separated distinct qubit indices, each in 0..n-1."""
     try:
         region = [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
-        raise InputError(f"bad region {text!r}; expected comma-separated qubit indices")
+        raise ValueError(f"bad region {text!r}; expected comma-separated qubit indices")
     for q in sorted(region):
         if not 0 <= q < n:
-            raise InputError(f"qubit index {q} out of range")
+            raise ValueError(f"qubit index {q} out of range")
+    if len(set(region)) != len(region):
+        raise ValueError(f"region {region} lists a qubit twice")
     return region
 
 
@@ -82,7 +80,7 @@ def _render(report: dict) -> str:
     try:
         return json.dumps(payload, indent=2, allow_nan=False)
     except ValueError:
-        raise InputError("a report value overflows float64; the inputs are out of range") from None
+        raise ValueError("a report value overflows float64; the inputs are out of range") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -156,7 +154,7 @@ def _cmd_entropy(args):
         h, g = g_continuity(args.epsilon)
         return 0, {"command": "entropy", "epsilon": args.epsilon, "h": h, "g": g}
     if args.code is None or args.region is None:
-        raise InputError("entropy needs either --epsilon or --code with --region")
+        raise ValueError("entropy needs either --epsilon or --code with --region")
     code = read_code_file(args.code)
     region = _parse_region(args.region, code.n)
     s_a = code_entropy(code, region)
@@ -178,7 +176,7 @@ def _cmd_ree(args):
     region = _parse_region(args.region, code.n)
     labels = [f"q{q}" for q in region]
     if 2 ** code.n > sep.MAX_REE_DIM:
-        raise InputError(f"ree limited to total dimension <= {sep.MAX_REE_DIM} (n <= 6 qubits)")
+        raise ValueError(f"ree limited to total dimension <= {sep.MAX_REE_DIM} (n <= 6 qubits)")
     rho = code.encoded_maximally_mixed()
     bracket = sep.ree_bracket(
         rho, labels, restarts=args.restarts, iterations=args.iterations, seed=args.seed
@@ -199,7 +197,7 @@ def _cmd_partition(args):
     graph, emb = read_embedded_graph_file(args.graph)
     violations = validate_embedding(emb, graph)
     if violations:
-        raise InputError(violations[0])
+        raise ValueError(violations[0])
     partition = part.grid_partition(emb, graph, args.lam, kappa=args.kappa)
     guarantee = part.check_guarantees(partition, emb, args.lam, kappa=args.kappa,
                                       dense=args.dense)
@@ -226,7 +224,7 @@ def _cmd_bound_encoding(args):
     if args.boundary_sizes is not None:
         sizes = [float(tok) for tok in args.boundary_sizes.split(",") if tok != ""]
         if not all(math.isfinite(size) for size in sizes):
-            raise InputError("boundary sizes must be finite numbers")
+            raise ValueError("boundary sizes must be finite numbers")
         value = bnd.encoding_depth_floor(args.k, sizes)
         return 0, {
             "command": "bound encoding",
@@ -236,7 +234,7 @@ def _cmd_bound_encoding(args):
             "infinite": value == float("inf"),
         }
     if args.d is None or args.m is None:
-        raise InputError("bound encoding needs --boundary-sizes or (--d and --m)")
+        raise ValueError("bound encoding needs --boundary-sizes or (--d and --m)")
     value = bnd.encoding_depth_floor_geometric(
         args.k, args.d, args.m, args.dim, args.c1, args.c2
     )
@@ -510,7 +508,7 @@ def dispatch(argv: list) -> int:
     try:
         code, report = args.handler(args)
         text = _render(report)
-    except (OSError, ValueError) as exc:  # ParseError and InputError are ValueErrors
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ArithmeticError as exc:  # finite inputs whose arithmetic leaves float64

@@ -79,10 +79,10 @@ def _check_partition(rho: DensityMatrix, *parts) -> None:
         raise ValueError("cut must cover the full layout")
 
 
-def coherent_info(rho: DensityMatrix, a: Iterable[str], b: Iterable[str] | None = None) -> float:
-    """Coherent information I(A>B) = S(B) - S(AB)."""
+def coherent_info(rho: DensityMatrix, a: Iterable[str]) -> float:
+    """Coherent information I(A>B) = S(B) - S(AB), B the complement of A."""
     a = list(a)
-    b = rho.layout.complement(a) if b is None else list(b)
+    b = rho.layout.complement(a)
     _check_partition(rho, a, b)
     return vn_entropy(rho, b) - vn_entropy(rho)
 

@@ -17,10 +17,8 @@ from .circuit import (
     CircuitError,
     ConnectivityGraph,
     Embedding,
-    KrausGate,
     Layer,
     Unitary,
-    measure_gate,
 )
 from .qstate import MAX_QUBITS
 from .stabilizer import CodeValidationError, StabilizerCode, parse_pauli, validate_code
@@ -112,42 +110,13 @@ def read_code_file(path) -> StabilizerCode:
 # Circuit files: qubits/edge lines, then layer blocks of gate lines
 
 
-def _gate(toks: list, line_no: int):
-    head = toks[0]
-    if head == "u2":
-        if len(toks) != 1 + 16 + 3 or toks[17] != "on":
-            raise ParseError(line_no, "expected: u2 <16 entries> on <u> <v>")
-        entries = [_finite(t, line_no, "complex number", complex) for t in toks[1:17]]
-        return Unitary(toks[18:20], np.array(entries).reshape(4, 4))
-    if head == "meas":
-        if len(toks) != 4 or toks[2] != "->":
-            raise ParseError(line_no, "expected: meas <q> -> <label>")
-        return measure_gate(toks[1], toks[3])
-    if len(toks) < 5 or toks[2] != "on" or ":" not in toks:
-        raise ParseError(line_no, "expected: kraus <count> on <q...> : <entries>")
-    count = _uint(toks[1])
-    if not count:
-        raise ParseError(line_no, "bad kraus count")
-    sep = toks.index(":")
-    qubits = toks[3:sep]
-    if not qubits:
-        raise ParseError(line_no, "kraus gate needs at least one qubit")
-    dim = 2 ** len(qubits)
-    entries = [_finite(t, line_no, "complex number", complex) for t in toks[sep + 1:]]
-    if len(entries) != count * dim * dim:
-        raise ParseError(line_no, f"expected {count * dim * dim} entries, found {len(entries)}")
-    return KrausGate(qubits, np.array(entries).reshape(count, dim, dim))
-
-
 def parse_circuit_lines(lines: Iterable[str]) -> Circuit:
     """Line-oriented circuit format.
 
     ``qubits m`` then ``edge u v`` lines over the labels 0..m-1, then
-    ``layer`` blocks whose gate lines are one of::
+    ``layer`` blocks whose gate lines are::
 
         u2 <16 complex entries, row-major> on <u> <v>
-        meas <q> -> <label>
-        kraus <count> on <q...> : <count * (2^w)^2 complex entries>
 
     A layer that breaks the circuit rules is reported at its ``layer``
     line.
@@ -178,10 +147,13 @@ def parse_circuit_lines(lines: Iterable[str]) -> Circuit:
                 raise ParseError(line_no, "layer before qubits line")
             layers.append([])
             layer_lines.append(line_no)
-        elif head in ("u2", "meas", "kraus"):
+        elif head == "u2":
             if not layers:
                 raise ParseError(line_no, "gate outside a layer block")
-            layers[-1].append(_gate(toks, line_no))
+            if len(toks) != 1 + 16 + 3 or toks[17] != "on":
+                raise ParseError(line_no, "expected: u2 <16 entries> on <u> <v>")
+            entries = [_finite(t, line_no, "complex number", complex) for t in toks[1:17]]
+            layers[-1].append(Unitary(toks[18:20], np.array(entries).reshape(4, 4)))
         else:
             raise ParseError(line_no, f"unknown directive {head!r}")
     if index is None:

@@ -21,12 +21,6 @@ import numpy as np
 from .circuit import ConnectivityGraph, Embedding, _graph_points
 
 
-class PartitionInternalError(ValueError):
-    """A cell exceeded the size cap; impossible for valid embeddings with
-    an unclamped cell side, so this indicates bad input: a spacing
-    violation, or a lam so small that the cell side clamps to 1."""
-
-
 def kappa_default(c: float, dimension: int) -> float:
     """Default boundary constant kappa(c, D) = 4 D (c+1) 2^D."""
     return 4.0 * dimension * (c + 1.0) * (2.0 ** dimension)
@@ -121,7 +115,9 @@ def grid_partition(embedding: Embedding, graph: ConnectivityGraph, lam: int,
     plus greedy row-major merging of underfull cells.
 
     Deterministic given the input order. Merging is rolled back (with a
-    note) if any merged block would exceed the kappa boundary budget.
+    note) if any merged block would exceed the kappa boundary budget. A
+    cell of more than lam points (a spacing violation, or a lam so small
+    that the cell side clamps to 1) raises ValueError.
     """
     if lam < 1:
         raise ValueError("lam must be >= 1")
@@ -145,7 +141,7 @@ def grid_partition(embedding: Embedding, graph: ConnectivityGraph, lam: int,
     bounds = np.append(np.flatnonzero(new_cell), m)  # cell i holds order[bounds[i]:bounds[i+1]]
     cell_starts, cell_counts = bounds[:-1], np.diff(bounds)
     if cell_counts.max() > lam:
-        raise PartitionInternalError(
+        raise ValueError(
             f"cell with {cell_counts.max()} > lam = {lam} points; "
             "embedding violates unit spacing or lam is below the packing regime"
         )

@@ -364,8 +364,8 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(np.abs(evals).sum())
 
 
-def purify(rho: DensityMatrix, reference_label: str = "R") -> PureState:
-    """Purification with the reference register first.
+def purify(rho: DensityMatrix) -> PureState:
+    """Purification with the reference register R first.
 
     The reference dimension is the smallest power of two covering the
     rank of rho; tracing the reference back out reproduces rho.
@@ -379,7 +379,7 @@ def purify(rho: DensityMatrix, reference_label: str = "R") -> PureState:
     vec = np.zeros((ref_dim, rho.dim), dtype=complex)
     for i in range(rank):
         vec[i] = np.sqrt(evals[i]) * vecs[:, i]
-    ref = Register(reference_label, ref_dim)
+    ref = Register("R", ref_dim)
     layout = RegisterLayout((ref,) + rho.layout.registers)
     v = vec.ravel()
     return PureState(layout, v / np.linalg.norm(v), validate=False)

@@ -45,7 +45,13 @@ from locbound.qstate import (
 )
 from locbound.files import ParseError, parse_circuit_lines, read_circuit_file
 from locbound.rand import random_density, random_kraus_channel, random_unitary
-from locbound.verify import default_module_corpus, repetition_module, swap_module
+from locbound.verify import (
+    VerificationReport,
+    default_module_corpus,
+    repetition_module,
+    swap_module,
+    verify_sie,
+)
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -1167,16 +1173,18 @@ def test_circuit_file_round_trip(tmp_path):
         "edge 1 2",
         "layer",
         f"u2 {swap} on 0 1",
-        "meas 2 -> flag",
         "layer",
-        "kraus 2 on 0 : 1 0 0 0 0 0 0 1",
+        f"u2 {swap} on 2 1",
+        "",
+        "layer",
     ]) + "\n"
     path = tmp_path / "c.circuit"
     path.write_text(text)
     circ = read_circuit_file(path)
     assert circ.graph.m == 3
-    assert circ.depth == 2
-    assert [len(layer.gates) for layer in circ.layers] == [2, 1]
+    assert circ.depth == 3
+    assert [len(layer.gates) for layer in circ.layers] == [1, 1, 0]
+    assert circ.layers[1].gates[0].qubits == ("2", "1")
 
 
 def test_circuit_file_qubit_limit_on_its_line():
@@ -1204,9 +1212,11 @@ def test_circuit_file_errors():
         parse_circuit_lines(["qubits 2", "layer", "u2 1 0 0 1 on 0 1"])
     assert "line 3" in str(err.value)
 
-    with pytest.raises(ParseError) as err:
-        parse_circuit_lines(["qubits 2", "layer", "kraus 2 on 0 : 1 0 0 0"])
-    assert "line 3" in str(err.value)
+    # circuit files hold u2 gates only
+    with pytest.raises(ParseError, match="^line 3: unknown directive 'kraus'$"):
+        parse_circuit_lines(["qubits 2", "layer", "kraus 1 on 0 : 1 0 0 1"])
+    with pytest.raises(ParseError, match="^line 3: unknown directive 'meas'$"):
+        parse_circuit_lines(["qubits 2", "layer", "meas 0 -> k"])
 
     with pytest.raises(ParseError):
         parse_circuit_lines(["layer"])
@@ -1223,24 +1233,18 @@ _IDENTITY4 = "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1"
     (["qubits 2", "edge 0 1", "layer", "u2 nan" + _IDENTITY4[1:] + " on 0 1"], 4),
     (["qubits 2", "edge 0 1", "layer", "u2 " + _IDENTITY4[:-1] + "inf on 0 1"], 4),
     (["qubits 2", "edge 0 1", "layer", "u2 " + _IDENTITY4[:-1] + "nanj on 0 1"], 4),
-    (["qubits 1", "layer", "kraus 1 on 0 : 1 0 0 nan"], 3),
-    (["qubits 1", "layer", "kraus 1 on 0 : 1 -infj 0 1"], 3),
+    (["qubits 1", "layer", "kraus 1 on 0 : 1 0 0 1"], 3),
+    (["qubits 1", "layer", "meas 0 -> k"], 3),
     (["qubits 2", "edge 0 1", "edge 0 0"], 3),
     # a vertex is one of the labels 0..m-1, as a gate qubit is
     (["qubits 2", "edge 01 1"], 2),
     (["qubits 2", "edge 00 1"], 2),
-], ids=["u2-nan", "u2-inf", "u2-nanj", "kraus-nan", "kraus-infj", "self-loop",
+], ids=["u2-nan", "u2-inf", "u2-nanj", "kraus", "meas", "self-loop",
         "edge-01", "edge-00"])
 def test_circuit_parser_names_bad_line(lines, line_no):
     with pytest.raises(ParseError) as err:
         parse_circuit_lines(lines)
     assert err.value.line_no == line_no
-
-
-@pytest.mark.parametrize("count", ["0", "-1"])
-def test_kraus_count_at_least_one(count):
-    with pytest.raises(ParseError, match="^line 3: bad kraus count$"):
-        parse_circuit_lines(["qubits 1", "layer", f"kraus {count} on 0 :"])
 
 
 _NOT_UNITARY4 = " ".join(["1"] * 16)
@@ -1252,11 +1256,9 @@ _NOT_UNITARY4 = " ".join(["1"] * 16)
       f"u2 {_IDENTITY4} on 0 1", f"u2 {_IDENTITY4} on 1 2"], 4),
     (["qubits 2", "edge 0 1", "layer", f"u2 {_IDENTITY4} on 0 7"], 3),
     (["qubits 2", "edge 0 1", "layer", f"u2 {_NOT_UNITARY4} on 0 1"], 3),
-    (["qubits 1", "layer", "kraus 1 on 0 : 1 0 0 0"], 2),
     (["# two layers", "qubits 2", "edge 0 1", "layer", f"u2 {_IDENTITY4} on 0 1", "",
       "# the second one acts on a missing qubit", "layer", f"u2 {_IDENTITY4} on 0 5"], 8),
-], ids=["non-local", "qubit-twice", "unknown-qubit", "non-unitary", "kraus-incomplete",
-        "second-layer"])
+], ids=["non-local", "qubit-twice", "unknown-qubit", "non-unitary", "second-layer"])
 def test_circuit_parser_names_bad_layer(lines, line_no):
     # a layer the Circuit refuses is reported at its layer line, with the
     # Circuit's message
@@ -1289,11 +1291,18 @@ _CIRCUIT_LINE = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["qubits 2", "qubits 3", "qubits \u00b2", ""]),
        st.lists(_CIRCUIT_LINE, max_size=6))
+@example("qubits 2", ["layer", "meas 0 -> k"])
+@example("qubits 2", ["layer", "kraus 1 on 0 : 1 0 0 1"])
 def test_parse_circuit_lines_accepts_or_reports(head, lines):
     # any line list is a circuit or a ParseError, never another exception;
-    # the head line makes well-formed files common
+    # the head line makes well-formed files common. A circuit the parser
+    # accepts is one verify_sie runs (given a proper cut), so a meas or
+    # kraus line must be refused here; the examples pin one of each, which
+    # random lines rarely form
     try:
         circuit = parse_circuit_lines([head, *lines])
     except ParseError:
         return
     assert isinstance(circuit, Circuit)
+    if circuit.graph.m >= 2:
+        assert isinstance(verify_sie(circuit=circuit), VerificationReport)

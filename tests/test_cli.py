@@ -431,6 +431,22 @@ def test_region_index_out_of_range_exits_two(capsys, argv, index):
     assert captured.err == f"error: qubit index {index} out of range\n"
 
 
+@pytest.mark.parametrize("argv, region", [
+    (["code", "correctable", "--file", FIVE_QUBIT, "--region", "0,0"], "[0, 0]"),
+    (["entropy", "--code", FIVE_QUBIT, "--region", "0,0"], "[0, 0]"),
+    (["ree", "--code", FIVE_QUBIT, "--region", "1,0,1"], "[1, 0, 1]"),
+    (["verify", "structure-code", "--code", FIVE_QUBIT, "--partition", "0,0;1,2,3,4"],
+     "[0, 0]"),
+], ids=["correctable", "entropy", "ree", "structure-code"])
+def test_repeated_region_index_exits_two(capsys, argv, region):
+    # every --region and every --partition block is refused the same way
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: region {region} lists a qubit twice\n"
+
+
 def test_correctable_beyond_dense_limit(repetition13):
     proc = run_cli("code", "correctable", "--file", repetition13, "--region", "0",
                    timeout=30)

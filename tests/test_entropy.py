@@ -81,8 +81,8 @@ def test_coherent_info_examples():
     assert abs(coherent_info(product(Q2, a, b), ["a"])) < 1e-9
     mm = DensityMatrix(Q2, np.eye(4) / 4)
     assert abs(coherent_info(mm, ["a"]) - (-1.0)) < 1e-12
-    with pytest.raises(ValueError):
-        coherent_info(mm, ["a"], ["a"])
+    with pytest.raises(ValueError, match="appears on both sides"):
+        coherent_info(mm, ["a", "a"])
 
 
 def test_cond_mutual_info_examples():

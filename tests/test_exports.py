@@ -1,12 +1,15 @@
 """Every public name the package exports, and every public method,
 property and dataclass field of an exported class, has a user outside the
 tests: a module of src/ (outside the name's own definition), a demo or
-the benchmark. A name that only tests reach is test scaffolding and
-belongs in the tests."""
+the benchmark. So does every parameter with a default of an exported
+function. A name that only tests reach is test scaffolding and belongs in
+the tests."""
 
 import ast
 import dataclasses
+import functools
 import importlib.util
+import inspect
 from pathlib import Path
 from types import FunctionType
 
@@ -55,13 +58,41 @@ class _Uses(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _used_outside_the_tests() -> _Uses:
+@functools.cache
+def _files_outside_the_tests() -> tuple:
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    return tuple(ast.parse(path.read_text(encoding="utf-8")) for path in files)
+
+
+def _used_outside_the_tests() -> _Uses:
     uses = _Uses()
-    for path in files:
-        uses.visit(ast.parse(path.read_text(encoding="utf-8")))
+    for tree in _files_outside_the_tests():
+        uses.visit(tree)
     return uses
+
+
+@functools.cache
+def _calls_outside_the_tests() -> tuple:
+    return tuple(node for tree in _files_outside_the_tests() for node in ast.walk(tree)
+                 if isinstance(node, ast.Call))
+
+
+def _arguments_set_outside_the_tests(name: str, params: list) -> set:
+    """The parameters among ``params`` (in signature order) that some call
+    of ``name`` or ``obj.name`` outside the tests sets: by keyword, by
+    position, or all of them through a ``*`` or ``**`` argument."""
+    given: set = set()
+    for node in _calls_outside_the_tests():
+        func = node.func
+        if getattr(func, "id", None) != name and getattr(func, "attr", None) != name:
+            continue
+        if any(isinstance(arg, ast.Starred) for arg in node.args) \
+                or any(kw.arg is None for kw in node.keywords):
+            return set(params)
+        given.update(params[:len(node.args)])
+        given.update(kw.arg for kw in node.keywords)
+    return given
 
 
 def _members(cls) -> set:
@@ -90,6 +121,26 @@ def test_every_member_of_an_exported_class_has_a_user_outside_the_tests():
     unread = [f"{cls.__name__}.{member}" for cls in classes
               for member in sorted(_members(cls) - used)]
     assert unread == []
+
+
+# verify_depth_bound(scenarios) is the harness's input, the cases it runs,
+# like verify_overhead_consistency(modules), which the benchmark sets
+_PARAMETER_EXEMPT = {("verify_depth_bound", "scenarios")}
+
+
+def test_every_defaulted_parameter_of_an_export_is_set_outside_the_tests():
+    unset = []
+    for name in sorted(_exports()):
+        func = getattr(locbound, name)
+        if not isinstance(func, FunctionType):
+            continue
+        params = list(inspect.signature(func).parameters.values())
+        names = [p.name for p in params]
+        defaulted = {p.name for p in params if p.default is not inspect.Parameter.empty}
+        for param in sorted(defaulted - _arguments_set_outside_the_tests(name, names)):
+            if (name, param) not in _PARAMETER_EXEMPT:
+                unset.append(f"{name}({param})")
+    assert unset == []
 
 
 def test_every_benchmark_target_resolves():

@@ -14,7 +14,6 @@ from locbound.circuit import (
 )
 from locbound.files import ParseError, parse_embedded_graph_lines, read_embedded_graph_file
 from locbound.partition import (
-    PartitionInternalError,
     boundary_budget,
     cell_side,
     check_guarantees,
@@ -212,7 +211,7 @@ def test_overfull_cell_raises():
     # two points closer than unit spacing sneak past lam = 1 cells
     g = ConnectivityGraph(["0", "1"], [])
     emb = Embedding(np.array([[0.1, 0.1], [0.6, 0.1]]), c=1.0)
-    with pytest.raises(PartitionInternalError):
+    with pytest.raises(ValueError, match="cell with"):
         grid_partition(emb, g, 1)
 
 

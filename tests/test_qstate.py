@@ -162,7 +162,7 @@ def test_purify():
 
     # eigendecomposition oracle for diag(3/4, 1/4)
     rho = DensityMatrix(Q1, np.diag([0.75, 0.25]))
-    p = purify(rho, "R")
+    p = purify(rho)
     expect = np.array([np.sqrt(0.75), 0, 0, np.sqrt(0.25)])
     assert np.abs(np.abs(p.vector) - expect).max() < 1e-12
     assert abs(fidelity(p.reduced(["a"]), rho) - 1.0) < 1e-10
