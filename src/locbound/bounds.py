@@ -13,7 +13,7 @@ below implement the Euclidean forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .entropy import g_slack
@@ -56,8 +56,8 @@ class BoundInputs:
 class BoundReport:
     value: float
     active_branch: str
-    intermediates: dict = field(default_factory=dict)
-    satisfiable: bool | None = None
+    intermediates: dict
+    satisfiable: bool
 
 
 def encoding_depth_floor(k: int, boundary_sizes: Sequence[float]) -> float:
@@ -134,7 +134,7 @@ def overhead_floor(inputs: BoundInputs) -> BoundReport:
     term2 = inputs.p ** (f / 8.0) / (7.0 * inputs.c2)
     value = 0.5 * min(term1, term2)
     active = "partition" if term1 <= term2 else "p^(f/8)"
-    report = BoundReport(
+    return BoundReport(
         value=value,
         active_branch=active,
         intermediates={
@@ -153,6 +153,5 @@ def overhead_floor(inputs: BoundInputs) -> BoundReport:
             "c2": inputs.c2,
             "ratio_m_over_k": inputs.m / inputs.k,
         },
+        satisfiable=inputs.m / inputs.k >= value,
     )
-    report.satisfiable = inputs.m / inputs.k >= value
-    return report

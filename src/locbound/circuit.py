@@ -61,6 +61,7 @@ import numpy as np
 from .qstate import (
     _SLICE,
     MAX_QUBITS,
+    _is_power_of_two,
     ClassicalQuantumState,
     PureState,
     Register,
@@ -838,6 +839,8 @@ class EcModule:
         dim_n, dim_k = self.encoder.shape
         if dim_n != 2 ** len(self.data_qubits):
             raise ValueError("encoder row dimension must be 2^n")
+        if not _is_power_of_two(dim_k):
+            raise ValueError(f"encoder has {dim_k} columns; it needs 2^k")
         if np.abs(self.encoder.conj().T @ self.encoder - np.eye(dim_k)).max() > 1e-9:
             raise ValueError("encoder is not an isometry")
 
@@ -847,7 +850,7 @@ class EcModule:
 
     @property
     def k(self) -> int:
-        return int(round(np.log2(self.encoder.shape[1])))
+        return self.encoder.shape[1].bit_length() - 1
 
     @property
     def depth(self) -> int:
@@ -862,45 +865,45 @@ class EcModule:
         return PureState(RegisterLayout(regs), enc.ravel(), validate=False)
 
 
-def _with_reference(state: PureState) -> PureState:
-    """``state`` with a trivial reference register R (dimension 1) in
-    front, unless it already has an R."""
-    if "R" in state.layout:
-        return state
-    regs = (Register("R", 1),) + state.layout.registers
-    return PureState(RegisterLayout(regs), state.vector, validate=False)
+def _module_vector(module: EcModule, state, name: str) -> np.ndarray:
+    """The vector of ``state``, the argument ``name`` of a module run, on R
+    + data qubits in ``data_qubits`` order. A state without R gets a
+    trivial one (dimension 1); any other register set or dimension is
+    refused."""
+    if not isinstance(state, PureState):
+        raise CircuitError(f"{name} must be a PureState on R + data qubits")
+    role = name.removesuffix("_state")
+    layout = state.layout
+    if "R" not in layout:
+        layout = RegisterLayout((Register("R", 1),) + layout.registers)
+    want = ("R",) + module.data_qubits
+    if set(layout.labels) != set(want):
+        raise CircuitError(
+            f"{role} state registers {layout.labels} must be exactly R + data qubits {want}"
+        )
+    need = {"R": module.encoder.shape[1], **dict.fromkeys(module.data_qubits, 2)}
+    for r in layout.registers:
+        if r.dim != need[r.label]:
+            raise CircuitError(
+                f"{role} register {r.label!r} has dimension {r.dim}; "
+                f"the module needs {need[r.label]}"
+            )
+    return PureState(layout, state.vector, validate=False).permuted(want).vector
 
 
 def _initial_cq_state(module: EcModule, input_state) -> ClassicalQuantumState:
     """The input on R + data qubits, every other vertex in |0>, as one
     branch on R + the graph vertices in vertex order."""
     if input_state is None:
-        prepared = module.target_state()
-    elif isinstance(input_state, PureState):
-        prepared = _with_reference(input_state)
-    else:
-        raise CircuitError("input_state must be a PureState on R + data qubits")
-    want = ("R",) + module.data_qubits
-    have = dict(zip(prepared.layout.labels, prepared.layout.dims))
-    if set(have) != set(want):
-        raise CircuitError(
-            f"input state registers {prepared.layout.labels} must be exactly "
-            f"R + data qubits {want}"
-        )
-    need = {"R": module.encoder.shape[1], **{q: 2 for q in module.data_qubits}}
-    for label, dim in have.items():
-        if dim != need[label]:
-            raise CircuitError(
-                f"input register {label!r} has dimension {dim}; the module needs {need[label]}"
-            )
-    prepared = prepared.permuted(want)
-    others = [v for v in module.graph.vertices if v not in set(module.data_qubits)]
-    vec = prepared.vector
+        input_state = module.target_state()
+    vec = _module_vector(module, input_state, "input_state")
+    others = tuple(v for v in module.graph.vertices if v not in set(module.data_qubits))
     if others:
         zeros = np.zeros(2 ** len(others), dtype=complex)
         zeros[0] = 1.0
         vec = np.kron(vec, zeros)
-    regs = prepared.layout.registers + tuple(Register(v, 2) for v in others)
+    regs = [Register("R", module.encoder.shape[1])]
+    regs += [Register(v, 2) for v in module.data_qubits + others]
     full = PureState(RegisterLayout(regs), vec, validate=False)
     full = full.permuted(("R",) + module.graph.vertices)
     return ClassicalQuantumState.from_density(full.to_density())
@@ -980,16 +983,15 @@ def module_fidelity(
     """<t|rho|t> clamped to [0, 1], where rho is the output of
     ``simulate_module(module, input_state, erased)`` averaged over the
     record and reduced to R + data qubits, and t is ``target`` (default:
-    the module's encoded target). An input or a target without R gets a
-    trivial one. This is the only code that reads a fidelity off a module.
+    the module's encoded target). The input and the target pass one
+    register check; either may leave out R when the module has k = 0.
+    This is the only code that reads a fidelity off a module.
     """
+    t = _module_vector(module, module.target_state() if target is None else target, "target")
     state = simulate_module(module, input_state, erased)
-    t = module.target_state() if target is None else _with_reference(target)
     data = set(module.data_qubits)
     keep = ("R",) + tuple(v for v in module.graph.vertices if v in data)
-    want = ("R",) + module.data_qubits
-    rho = state.average_state().reduced(keep).permuted(want)
-    t = t.permuted(want).vector
+    rho = state.average_state().reduced(keep).permuted(("R",) + module.data_qubits)
     return min(max(float(np.real(t.conj() @ rho.matrix @ t)), 0.0), 1.0)
 
 

@@ -60,11 +60,14 @@ class RegisterLayout:
 
     def __init__(self, registers: Iterable[Register]):
         regs = tuple(registers)
-        labels = [r.label for r in regs]
+        labels = tuple(r.label for r in regs)
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate register labels in {labels}")
+            raise ValueError(f"duplicate register labels in {list(labels)}")
         self.registers = regs
-        self._index = {r.label: i for i, r in enumerate(regs)}
+        self.labels = labels
+        self.dims = tuple(r.dim for r in regs)
+        self.dim = int(math.prod(self.dims))
+        self._index = {lab: i for i, lab in enumerate(labels)}
 
     @classmethod
     def qubits(cls, *labels: str) -> "RegisterLayout":
@@ -75,18 +78,6 @@ class RegisterLayout:
     def of(cls, *specs) -> "RegisterLayout":
         """Layout from (label, dim) tuples."""
         return cls(Register(*spec) for spec in specs)
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(r.label for r in self.registers)
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(r.dim for r in self.registers)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64)) if self.registers else 1
 
     def __len__(self) -> int:
         return len(self.registers)
@@ -112,6 +103,12 @@ class RegisterLayout:
     def positions(self, labels: Iterable[str]) -> tuple:
         return tuple(self.position(lab) for lab in labels)
 
+    def permutation(self, new_order: Sequence[str]) -> tuple:
+        """Positions of ``new_order``, which must list every label once."""
+        if len(new_order) != len(self) or set(new_order) != self._index.keys():
+            raise ValueError("new_order must be a permutation of the layout labels")
+        return self.positions(new_order)
+
     def subset(self, labels: Iterable[str]) -> "RegisterLayout":
         """Sub-layout of the given labels, keeping this layout's order."""
         keep = set(labels)
@@ -126,12 +123,6 @@ class RegisterLayout:
         return tuple(lab for lab in self.labels if lab not in drop)
 
 
-def _as_layout(layout) -> RegisterLayout:
-    if isinstance(layout, RegisterLayout):
-        return layout
-    return RegisterLayout(layout)
-
-
 class DensityMatrix:
     """Trace-one PSD operator over a register layout.
 
@@ -140,8 +131,8 @@ class DensityMatrix:
     channel arithmetic that already symmetrizes and renormalizes).
     """
 
-    def __init__(self, layout, matrix, validate: bool = True):
-        self.layout = _as_layout(layout)
+    def __init__(self, layout: RegisterLayout, matrix, validate: bool = True):
+        self.layout = layout
         mat = np.asarray(matrix, dtype=complex)
         d = self.layout.dim
         if mat.shape != (d, d):
@@ -174,9 +165,7 @@ class DensityMatrix:
 
     def permuted(self, new_order: Sequence[str]) -> "DensityMatrix":
         """Same state with registers reordered to ``new_order``."""
-        if set(new_order) != set(self.layout.labels) or len(new_order) != len(self.layout):
-            raise ValueError("new_order must be a permutation of the layout labels")
-        perm = self.layout.positions(new_order)
+        perm = self.layout.permutation(new_order)
         dims = self.layout.dims
         n = len(dims)
         t = self.matrix.reshape(dims + dims)
@@ -191,8 +180,8 @@ class DensityMatrix:
 class PureState:
     """Unit vector over a register layout."""
 
-    def __init__(self, layout, vector, validate: bool = True):
-        self.layout = _as_layout(layout)
+    def __init__(self, layout: RegisterLayout, vector, validate: bool = True):
+        self.layout = layout
         vec = np.asarray(vector, dtype=complex).ravel()
         if vec.shape != (self.layout.dim,):
             raise ValueError(
@@ -210,7 +199,8 @@ class PureState:
         return self.to_density().reduced(keep)
 
     def permuted(self, new_order: Sequence[str]) -> "PureState":
-        perm = self.layout.positions(new_order)
+        """Same state with registers reordered to ``new_order``."""
+        perm = self.layout.permutation(new_order)
         dims = self.layout.dims
         t = self.vector.reshape(dims).transpose(perm)
         new_layout = RegisterLayout(self.layout.registers[p] for p in perm)
@@ -234,8 +224,8 @@ class ClassicalQuantumState:
     the total weight is kept.
     """
 
-    def __init__(self, layout, branches):
-        self.layout = _as_layout(layout)
+    def __init__(self, layout: RegisterLayout, branches):
+        self.layout = layout
         d = self.layout.dim
         items = []
         for record, mat in branches:

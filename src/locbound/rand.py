@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qstate import DensityMatrix, PureState, _as_layout
+from .qstate import DensityMatrix, PureState, RegisterLayout
 
 DEFAULT_SEED = 0xC0DE
 
@@ -23,17 +23,15 @@ def random_unitary(rng, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_pure(rng, layout) -> PureState:
+def random_pure(rng, layout: RegisterLayout) -> PureState:
     rng = rng_from(rng)
-    layout = _as_layout(layout)
     v = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
     return PureState(layout, v / np.linalg.norm(v), validate=False)
 
 
-def random_density(rng, layout, rank: int | None = None) -> DensityMatrix:
+def random_density(rng, layout: RegisterLayout, rank: int | None = None) -> DensityMatrix:
     """Ginibre-induced random density matrix of the given rank."""
     rng = rng_from(rng)
-    layout = _as_layout(layout)
     d = layout.dim
     r = d if rank is None else max(1, min(rank, d))
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))

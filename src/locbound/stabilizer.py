@@ -243,6 +243,18 @@ def min_distance(code: StabilizerCode, cap: int | None = None) -> DistanceResult
     return DistanceResult(None, cap + 1)
 
 
+def _distinct_qubits(code: StabilizerCode, region: Iterable[int]) -> list:
+    """``region`` as a list, refused unless it names distinct qubits of
+    ``code``."""
+    region = list(region)
+    if len(set(region)) != len(region):
+        raise ValueError(f"region {region} lists a qubit twice")
+    for q in region:
+        if not 0 <= q < code.n:
+            raise ValueError(f"qubit index {q} out of range")
+    return region
+
+
 def correctable_region(code: StabilizerCode, region: Iterable[int]) -> bool:
     """Knill-Laflamme correctability of the region.
 
@@ -250,11 +262,7 @@ def correctable_region(code: StabilizerCode, region: Iterable[int]) -> bool:
     on the region iff the region supports no logical operator (the
     cleaning argument), which is a GF(2) rank test.
     """
-    region = sorted(set(region))
-    for q in region:
-        if not 0 <= q < code.n:
-            raise ValueError(f"qubit index {q} out of range")
-    return _correctable(code, region)
+    return _correctable(code, _distinct_qubits(code, region))
 
 
 def code_entropy(code: StabilizerCode, region: Iterable[int]) -> int:
@@ -267,12 +275,7 @@ def code_entropy(code: StabilizerCode, region: Iterable[int]) -> int:
     S(A) = |A| - r + rank(G restricted to the complement)
     (Fattal, Cubitt, Yamamoto, Bravyi, Chuang, quant-ph/0406168).
     """
-    region = list(region)
-    if len(set(region)) != len(region):
-        raise ValueError(f"region {region} lists a qubit twice")
-    for q in region:
-        if not 0 <= q < code.n:
-            raise ValueError(f"qubit index {q} out of range")
+    region = _distinct_qubits(code, region)
     g = code.symplectic_matrix
     return len(region) - len(g) + _gf2_rank(g[:, ~_region_columns(code, region)])
 

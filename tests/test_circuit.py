@@ -1111,6 +1111,28 @@ def test_input_state_registers_checked_up_front():
         simulate_module(mod, input_state=extra)
 
 
+@pytest.mark.parametrize("labels, message", [
+    (("d0", "d1", "d2"), "target register 'R' has dimension 1; the module needs 2"),
+    (("d0", "d1", "x"), r"target state registers \('R', 'd0', 'd1', 'x'\) must be exactly"),
+], ids=["no-reference", "unknown-qubit"])
+def test_target_registers_checked_like_the_input(labels, message):
+    # the target passes the input's register check, before any simulation
+    mod = repetition_module(0.1, rounds=1)
+    target = PureState(RegisterLayout.qubits(*labels), np.eye(8)[0])
+    with pytest.raises(CircuitError, match=message):
+        module_fidelity(mod, target=target)
+    with pytest.raises(CircuitError, match=message.replace("target", "input")):
+        module_fidelity(mod, input_state=target)
+
+
+@pytest.mark.parametrize("columns", [3, 0])
+def test_encoder_needs_a_power_of_two_columns(columns):
+    g = ConnectivityGraph(["0", "1"], [("0", "1")])
+    with pytest.raises(ValueError, match=f"^encoder has {columns} columns; it needs 2\\^k$"):
+        EcModule(g, rounds=[Circuit(g, [])], data_qubits=("0", "1"),
+                 encoder=np.eye(4, columns, dtype=complex), p=0.1)
+
+
 def test_input_reference_dimension_checked():
     # k = 0 modules take a trivial R; an R of dimension 2 is named with both
     # dimensions instead of failing deep inside the layout code
@@ -1288,17 +1310,45 @@ _CIRCUIT_LINE = st.one_of(
 )
 
 
+# CNOT, CZ, SWAP and H (x) I
+_CLIFFORDS = [CNOT, np.diag([1, 1, 1, -1]), np.eye(4)[[0, 2, 1, 3]], np.kron(H, np.eye(2))]
+
+
+@st.composite
+def _well_formed_circuit_file(draw):
+    """(head, lines) of a file that parses: ``qubits m``, the edges of a
+    path, 1-3 layers of Clifford u2 gates on disjoint path edges (a random
+    16-entry u2 is never unitary), and maybe one random line anywhere."""
+    m = draw(st.integers(2, 5))
+    lines = [f"qubits {m}"] + [f"edge {i} {i + 1}" for i in range(m - 1)]
+    for _ in range(draw(st.integers(1, 3))):
+        lines.append("layer")
+        free = set(range(m))
+        for i in draw(st.lists(st.integers(0, m - 2), max_size=m - 1, unique=True)):
+            if {i, i + 1} <= free:
+                free -= {i, i + 1}
+                u, v = draw(st.permutations([i, i + 1]))
+                gate = draw(st.sampled_from(_CLIFFORDS))
+                entries = " ".join(repr(complex(z)) for z in gate.ravel())
+                lines.append(f"u2 {entries} on {u} {v}")
+    extra = draw(st.none() | _CIRCUIT_LINE)
+    if extra is not None:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return lines[0], lines[1:]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["qubits 2", "qubits 3", "qubits \u00b2", ""]),
-       st.lists(_CIRCUIT_LINE, max_size=6))
-@example("qubits 2", ["layer", "meas 0 -> k"])
-@example("qubits 2", ["layer", "kraus 1 on 0 : 1 0 0 1"])
-def test_parse_circuit_lines_accepts_or_reports(head, lines):
+@given(st.tuples(st.sampled_from(["qubits 2", "qubits 3", "qubits \u00b2", ""]),
+                 st.lists(_CIRCUIT_LINE, max_size=6)) | _well_formed_circuit_file())
+@example(("qubits 2", ["layer", "meas 0 -> k"]))
+@example(("qubits 2", ["layer", "kraus 1 on 0 : 1 0 0 1"]))
+def test_parse_circuit_lines_accepts_or_reports(file):
     # any line list is a circuit or a ParseError, never another exception;
-    # the head line makes well-formed files common. A circuit the parser
-    # accepts is one verify_sie runs (given a proper cut), so a meas or
-    # kraus line must be refused here; the examples pin one of each, which
-    # random lines rarely form
+    # the head line makes well-formed files common, and the second strategy
+    # makes them carry gates. A circuit the parser accepts is one verify_sie
+    # runs (given a proper cut), so a meas or kraus line must be refused
+    # here; the examples pin one of each, which random lines rarely form
+    head, lines = file
     try:
         circuit = parse_circuit_lines([head, *lines])
     except ParseError:

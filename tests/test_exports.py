@@ -2,8 +2,8 @@
 property and dataclass field of an exported class, has a user outside the
 tests: a module of src/ (outside the name's own definition), a demo or
 the benchmark. So does every parameter with a default of an exported
-function. A name that only tests reach is test scaffolding and belongs in
-the tests."""
+function or of an exported class's constructor. A name that only tests
+reach is test scaffolding and belongs in the tests."""
 
 import ast
 import dataclasses
@@ -128,18 +128,32 @@ def test_every_member_of_an_exported_class_has_a_user_outside_the_tests():
 _PARAMETER_EXEMPT = {("verify_depth_bound", "scenarios")}
 
 
+def _unset_defaults(name: str, func) -> list:
+    """The defaulted parameters of ``func``, called as ``name``, that no
+    call outside the tests sets and that are not exempt."""
+    params = list(inspect.signature(func).parameters.values())
+    names = [p.name for p in params]
+    defaulted = {p.name for p in params if p.default is not inspect.Parameter.empty}
+    return [f"{name}({param})"
+            for param in sorted(defaulted - _arguments_set_outside_the_tests(name, names))
+            if (name, param) not in _PARAMETER_EXEMPT]
+
+
 def test_every_defaulted_parameter_of_an_export_is_set_outside_the_tests():
-    unset = []
-    for name in sorted(_exports()):
-        func = getattr(locbound, name)
-        if not isinstance(func, FunctionType):
-            continue
-        params = list(inspect.signature(func).parameters.values())
-        names = [p.name for p in params]
-        defaulted = {p.name for p in params if p.default is not inspect.Parameter.empty}
-        for param in sorted(defaulted - _arguments_set_outside_the_tests(name, names)):
-            if (name, param) not in _PARAMETER_EXEMPT:
-                unset.append(f"{name}({param})")
+    exports = [(name, getattr(locbound, name)) for name in sorted(_exports())]
+    unset = [param for name, func in exports if isinstance(func, FunctionType)
+             for param in _unset_defaults(name, func)]
+    assert unset == []
+
+
+def test_every_defaulted_constructor_parameter_of_an_exported_class_is_set_outside_the_tests():
+    # a class is constructed by calling its name; a constructor inherited
+    # from a builtin (an exception's) takes no parameters of ours
+    exports = [(name, getattr(locbound, name)) for name in sorted(_exports())]
+    classes = [(name, cls) for name, cls in exports
+               if isinstance(cls, type) and isinstance(cls.__init__, FunctionType)]
+    assert len(classes) > 20
+    unset = [param for name, cls in classes for param in _unset_defaults(name, cls)]
     assert unset == []
 
 

@@ -5,6 +5,7 @@ from locbound.qstate import (
     NEGLIGIBLE,
     ClassicalQuantumState,
     DensityMatrix,
+    PureState,
     Register,
     RegisterLayout,
     fidelity,
@@ -216,6 +217,17 @@ def test_permuted_round_trip():
     assert perm.layout.labels == ("c", "a", "b")
     back = perm.permuted(["a", "b", "c"])
     assert np.abs(back.matrix - rho.matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("order", [("a", "b"), ("a", "a", "b"), ("a", "b", "z")],
+                         ids=["short", "repeat", "unknown"])
+def test_permuted_refuses_a_non_permutation(order):
+    # both state types refuse through the layout's one check
+    lay = RegisterLayout.qubits("a", "b", "c")
+    rng = np.random.default_rng(7)
+    for state in (random_pure(rng, lay), random_density(rng, lay)):
+        with pytest.raises(ValueError, match="^new_order must be a permutation of the layout"):
+            state.permuted(order)
 
 
 def test_classical_quantum_state():

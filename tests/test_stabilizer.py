@@ -293,6 +293,15 @@ def test_code_entropy_rejects_bad_regions():
         code_entropy(code, [5])
 
 
+def test_correctable_region_rejects_bad_regions():
+    # the region check code_entropy makes: a repeat is refused, not dropped
+    code = five_qubit_code()
+    with pytest.raises(ValueError, match=r"^region \[0, 0, 1, 1\] lists a qubit twice$"):
+        correctable_region(code, [0, 0, 1, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        correctable_region(code, [5])
+
+
 def test_encoding_isometry():
     code = five_qubit_code()
     iso = encoding_isometry(code)
