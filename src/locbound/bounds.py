@@ -33,17 +33,17 @@ class BoundInputs:
     c2: float = 1.0
 
     def __post_init__(self):
-        if self.m < 1 or self.k < 1 or self.k > self.m:
+        if not 1 <= self.k <= self.m:
             raise ValueError("require 1 <= k <= m")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1); f = log_p(delta) needs p < 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.dim < 1:
+        if not self.dim >= 1:
             raise ValueError("dim must be >= 1")
-        if self.depth < 0:
+        if not self.depth >= 0:
             raise ValueError("depth must be >= 0")
-        if self.c1 <= 0 or self.c2 <= 0:
+        if not (self.c1 > 0 and self.c2 > 0):
             raise ValueError("c1, c2 must be positive")
 
     @property

@@ -21,11 +21,11 @@ that outcome tuple, or nothing. simulate_module keeps less: after each
 layer a record holds only the last outcome of each key that a later
 Conditional still reads, so a branch splits at a measurement, merges
 once its outcomes are dead, and a module ends in one branch with record
-(). Noise is a rate p on a list of qubits plus an erased region at rate
-1. Every channel is evaluated by exact arithmetic on density matrices
-(never by sampling); one finish step merges equal records, drops
-branches of weight <= NEGLIGIBLE and checks that the total weight is
-kept. It does not re-symmetrize: average_state does that once, where a
+(). Noise is one map from qubit to depolarizing rate; rate 1 erases the
+qubit. Every channel is evaluated by exact arithmetic on density
+matrices (never by sampling); one finish step merges equal records,
+drops branches of weight <= NEGLIGIBLE and checks that the total weight
+is kept. It does not re-symmetrize: average_state does that once, where a
 state leaves as a DensityMatrix.
 
 simulate_module fuses each round's noise and small unkeyed gates into
@@ -668,34 +668,25 @@ def _depolarize_matrix(mat, dims, pos, p):
     return mat
 
 
-def noise_apply(state: ClassicalQuantumState, p: float, qubits: Sequence[str],
-                erased: Iterable[str] = ()) -> ClassicalQuantumState:
-    """Depolarizing noise at rate p on each of ``qubits``, branch by
-    branch, with exact channel arithmetic; the ``erased`` qubits (a subset)
-    get rate 1 and so are replaced by the maximally mixed state. The
-    channels act on different factors, so their order does not matter, and
-    the X record is untouched. Each noisy branch is copied once and then
-    updated in place. A qubit listed twice is refused, as a layer refuses
-    a qubit used by two gates.
+def noise_apply(state: ClassicalQuantumState, rates: Mapping[str, float]) -> ClassicalQuantumState:
+    """Depolarizing noise at rate ``rates[q]`` on each qubit q, branch by
+    branch, with exact channel arithmetic; rate 1 erases, replacing the
+    qubit by the maximally mixed state. The channels act on different
+    factors, so their order does not matter, and the X record is
+    untouched. Each noisy branch is copied once and then updated in place.
+    A label the layout lacks raises its KeyError, as in apply_layer.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    qubits = tuple(str(q) for q in qubits)
-    if len(set(qubits)) < len(qubits):
-        q = next(q for i, q in enumerate(qubits) if q in qubits[:i])
-        raise ValueError(f"noise qubit {q!r} listed twice")
-    erased = {str(q) for q in erased}
-    if not erased <= set(qubits):
-        raise ValueError("erase region must be a subset of the noise qubits")
+    for q, rate in rates.items():
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"noise rate {rate!r} on qubit {q!r} must lie in [0, 1]")
     layout = state.layout
     dims = layout.dims
-    rates = [(layout.position(q), 1.0 if q in erased else p) for q in qubits]
-    rates = [(pos, rate) for pos, rate in rates if rate > 0.0]
+    factors = [(layout.position(q), rate) for q, rate in rates.items() if rate > 0.0]
 
     def noisy(mat):
-        if rates:
+        if factors:
             mat = mat.copy()
-        for pos, rate in rates:
+        for pos, rate in factors:
             mat = _depolarize_matrix(mat, dims, pos, rate)
         return mat
 
@@ -758,8 +749,9 @@ def _fusable(gate) -> bool:
 def _fuse_round(layers: Sequence[Layer], rates: dict) -> tuple:
     """Fuse a round's noise, ``rates`` (qubit -> rate), and its small
     unkeyed gates into as few channel passes as the rule below allows.
-    Returns (gate lists, one per layer, some maybe empty; the qubits whose
-    noise no gate took in, which noise_apply runs at the round's start).
+    Returns (gate lists, one per layer, some maybe empty; the qubit -> rate
+    map of the noise no gate took in, which noise_apply runs at the
+    round's start).
 
     Each qubit at a rate above 0 starts with a pending one-qubit noise
     block; each gate, in order, becomes the latest block on its qubits. A
@@ -799,7 +791,7 @@ def _fuse_round(layers: Sequence[Layer], rates: dict) -> tuple:
                     s = s @ _on_support([(inner.superoperator, inner.qubits)], qubits)
                 gates[slot] = _FusedGate(qubits, s)
             latest.update(dict.fromkeys(qubits, (i, slot)))
-    return [[g for g in gates if g is not None] for gates in out], list(noise)
+    return [[g for g in gates if g is not None] for gates in out], noise
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +824,9 @@ class EcModule:
             raise ValueError("p must lie in [0, 1]")
         if not set(self.data_qubits) <= set(self.graph.vertices):
             raise ValueError("data qubits must be graph vertices")
+        if len(set(self.data_qubits)) < len(self.data_qubits):
+            q = next(q for i, q in enumerate(self.data_qubits) if q in self.data_qubits[:i])
+            raise ValueError(f"data qubit {q!r} listed twice")
         graph = (self.graph.index.keys(), self.graph.edges)
         for j, circ in enumerate(self.rounds):
             if (circ.graph.index.keys(), circ.graph.edges) != graph:
@@ -841,7 +836,7 @@ class EcModule:
             raise ValueError("encoder row dimension must be 2^n")
         if not _is_power_of_two(dim_k):
             raise ValueError(f"encoder has {dim_k} columns; it needs 2^k")
-        if np.abs(self.encoder.conj().T @ self.encoder - np.eye(dim_k)).max() > 1e-9:
+        if not np.abs(self.encoder.conj().T @ self.encoder - np.eye(dim_k)).max() <= 1e-9:
             raise ValueError("encoder is not an isometry")
 
     @property
@@ -950,10 +945,12 @@ def simulate_module(
     the record is traced out in the end.
     """
     J = len(module.rounds)
-    if erased is not None and not isinstance(erased[1], (int, np.integer)):
-        raise ValueError(f"erased round {erased[1]!r} is not an integer")
-    if erased is not None and not 0 <= erased[1] < J:
-        raise ValueError(f"erased round {erased[1]} is outside 0..{J - 1} (J = {J})")
+    if erased is not None:
+        j = erased[1]
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+            raise ValueError(f"erased round {j!r} is not an integer")
+        if not 0 <= j < J:
+            raise ValueError(f"erased round {j} is outside 0..{J - 1} (J = {J})")
     if module.m + module.k > MAX_QUBITS:
         raise CircuitError(f"simulation limited to about {MAX_QUBITS} total qubits")
     region = set() if erased is None else set(map(str, erased[0]))
@@ -964,9 +961,9 @@ def simulate_module(
     for j, circ in enumerate(module.rounds):
         erase = region if erased is not None and erased[1] == j else set()
         rates = {q: 1.0 if q in erase else module.p for q in module.graph.vertices}
-        layers, noisy = _fuse_round(circ.layers, rates)
-        if noisy:
-            state = noise_apply(state, module.p, noisy, erase.intersection(noisy))
+        layers, left = _fuse_round(circ.layers, rates)
+        if left:
+            state = noise_apply(state, left)
         for gates in layers:
             keys = next(live)
             if gates:

@@ -138,13 +138,13 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match layout dimension {d}")
         if validate:
-            if np.abs(mat - mat.conj().T).max() > HERM_ATOL:
+            if not np.abs(mat - mat.conj().T).max() <= HERM_ATOL:  # NaN fails too
                 raise ValueError("matrix is not Hermitian to tolerance")
             evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-            if evals.min() < -PSD_ATOL:
+            if not evals.min() >= -PSD_ATOL:
                 raise ValueError(f"matrix has negative eigenvalue {evals.min():.3e}")
             tr = mat.trace().real
-            if abs(tr - 1.0) > TRACE_ATOL:
+            if not abs(tr - 1.0) <= TRACE_ATOL:
                 raise ValueError(f"trace {tr!r} is not 1 to tolerance")
         mat.setflags(write=False)
         self.matrix = mat
@@ -187,7 +187,7 @@ class PureState:
             raise ValueError(
                 f"vector length {vec.shape[0]} does not match layout dimension {self.layout.dim}"
             )
-        if validate and abs(np.linalg.norm(vec) - 1.0) > HERM_ATOL:
+        if validate and not abs(np.linalg.norm(vec) - 1.0) <= HERM_ATOL:
             raise ValueError("vector norm is not 1 to tolerance")
         vec.setflags(write=False)
         self.vector = vec

@@ -132,6 +132,19 @@ def test_bound_inputs_validation():
     assert abs(inputs.f - 3.0) < 1e-12
 
 
+_REFUSALS = {"m": "require 1 <= k <= m", "k": "require 1 <= k <= m",
+             "depth": "depth must be >= 0", "dim": "dim must be >= 1",
+             "c1": "c1, c2 must be positive", "c2": "c1, c2 must be positive"}
+
+
+@pytest.mark.parametrize("field", _REFUSALS)
+def test_bound_inputs_refuse_nan(field):
+    # NaN compares false, so each check is written to fail on it
+    fields = dict(m=2, k=1, depth=1.0, p=0.25, delta=0.25 ** 3, dim=2, c1=1.0, c2=1.0)
+    with pytest.raises(ValueError, match=_REFUSALS[field]):
+        BoundInputs(**{**fields, field: math.nan})
+
+
 _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 

@@ -367,35 +367,24 @@ def test_apply_layer_conditional_and_trace():
 def test_noise_modes():
     lay = RegisterLayout.qubits("0", "1")
     st = cq_pure(lay, [1, 0, 0, 0])
-    full = noise_apply(st, 1.0, ("0", "1"))
+    full = noise_apply(st, {"0": 1.0, "1": 1.0})
     assert np.abs(full.branches[0][1] - np.eye(4) / 4).max() < 1e-12
 
-    none = noise_apply(st, 0.0, ("0", "1"))
+    none = noise_apply(st, {"0": 0.0, "1": 0.0})
     assert np.abs(none.branches[0][1] - st.branches[0][1]).max() < 1e-12
 
-    erased = noise_apply(st, 0.3, ("0", "1"), erased=("0",))
+    erased = noise_apply(st, {"0": 1.0, "1": 0.3})
     red = erased.average_state().reduced(["0"])
     assert np.abs(red.matrix - np.eye(2) / 2).max() < 1e-12
-    # the erased qubit gets rate 1, the other one rate p
-    expect = noise_apply(noise_apply(st, 1.0, ("0",)), 0.3, ("1",))
+    # each qubit takes its own rate, rate 1 erasing it
+    expect = noise_apply(noise_apply(st, {"0": 1.0}), {"1": 0.3})
     assert np.abs(erased.branches[0][1] - expect.branches[0][1]).max() < 1e-15
 
-    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
-        noise_apply(st, 1.5, ("0",))
-    with pytest.raises(ValueError, match="subset of the noise qubits"):
-        noise_apply(st, 0.1, ("0",), erased=("1",))
-
-
-def test_noise_apply_refuses_a_repeated_qubit():
-    # listed twice, the qubit would take the channel twice: at p = 0.5,
-    # |0><0| would read diag(0.625, 0.375) instead of diag(0.75, 0.25)
-    st = cq_pure(RegisterLayout.qubits("0"), [1, 0])
-    with pytest.raises(ValueError, match="noise qubit '0' listed twice"):
-        noise_apply(st, 0.5, ["0", "0"])
-    with pytest.raises(ValueError, match="listed twice"):
-        noise_apply(st, 0.5, ["0", 0], erased=["0"])
-    once = noise_apply(st, 0.5, ["0"])
-    assert np.abs(once.branches[0][1] - np.diag([0.75, 0.25])).max() < 1e-15
+    for rate in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"on qubit '1' must lie in \[0, 1\]"):
+            noise_apply(st, {"0": 0.1, "1": rate})
+    with pytest.raises(KeyError, match="unknown register label 'x'"):
+        noise_apply(st, {"0": 0.1, "x": 0.1})
 
 
 def _embed(op, n, first):
@@ -575,7 +564,8 @@ def _full_record_run(module, erased=None):
     state = _initial_cq_state(module, None)
     for j, circ in enumerate(module.rounds):
         region = erased[0] if erased is not None and erased[1] == j else ()
-        state = noise_apply(state, module.p, module.graph.vertices, region)
+        state = noise_apply(state, {q: 1.0 if q in region else module.p
+                                    for q in module.graph.vertices})
         for layer in circ.layers:
             state = apply_layer(state, layer)
     return state
@@ -689,13 +679,16 @@ def test_folded_noise_matches_unfused_run(p, erased):
 _KINDS = {1: ["idle", "unitary", "unitary", "kraus", "keyed", "measure", "reset", "conditional"],
           2: ["idle", "unitary", "unitary", "unitary", "kraus", "keyed", "conditional"],
           3: ["idle", "unitary"]}
+_KEYS = ["s0", "s1", "s2"]
 
 
 @st.composite
 def _small_modules(draw):
     """(module, erased): 2-4 vertices on a complete graph, 1-3 rounds of
-    1-3 layers of Haar unitaries, Kraus gates with or without a key,
-    measurements, resets and Conditionals on keys s0 and s1; at most three
+    1-3 layers of Haar unitaries, Kraus gates of one to three operators
+    with or without a key (so a keyed one can write outcome 2),
+    measurements, resets and Conditionals on one to three of the keys s0,
+    s1 and s2, their tables over outcomes 0, 1, 2 and None; at most three
     keyed gates, so that the full-record oracle stays small. Two data
     qubits in a shuffled order carry k = 0, 1 or 2 logical qubits."""
     verts = [str(v) for v in range(draw(st.sampled_from([2, 2, 3, 4])))]
@@ -728,20 +721,21 @@ def _small_modules(draw):
                     keyed += 1
                     if keyed > 3:
                         kind = "unitary"
-                key = draw(st.sampled_from(["s0", "s1"]))
+                key = draw(st.sampled_from(_KEYS))
                 dim = 2 ** size
                 if kind == "unitary":
                     gates.append(Unitary(qubits, random_unitary(rng, dim)))
                 elif kind in ("kraus", "keyed"):
-                    ops = random_kraus_channel(rng, dim, n_kraus=draw(st.integers(1, 2)))
+                    ops = random_kraus_channel(rng, dim, n_kraus=draw(st.integers(1, 3)))
                     gates.append(KrausGate(qubits, ops, key if kind == "keyed" else None))
                 elif kind == "measure":
                     gates.append(measure_gate(qubits[0], key))
                 elif kind == "reset":
                     gates.append(reset_gate(qubits[0]))
                 elif kind == "conditional":
-                    keys = draw(st.sampled_from([("s0",), ("s1",), ("s0", "s1")]))
-                    outcomes = itertools.product((0, 1, None), repeat=len(keys))
+                    keys = tuple(draw(st.lists(st.sampled_from(_KEYS), min_size=1,
+                                               max_size=3, unique=True)))
+                    outcomes = itertools.product((0, 1, 2, None), repeat=len(keys))
                     gates.append(Conditional(qubits, keys, {
                         o: random_unitary(rng, dim) for o in outcomes if rng.random() < 0.5}))
             layers.append(Layer(gates))
@@ -891,10 +885,10 @@ def _fused_matches_unfused(layers, p):
     layout = RegisterLayout.qubits(*"abc")
     state = ClassicalQuantumState.from_density(random_density(np.random.default_rng(3), layout))
     fused, left = _fuse(layers, p)
-    ours = noise_apply(state, p, left)
+    ours = noise_apply(state, left)
     for gates in fused:
         ours = apply_layer(ours, Layer(gates))
-    oracle = noise_apply(state, p, _TRIANGLE.vertices)
+    oracle = noise_apply(state, dict.fromkeys(_TRIANGLE.vertices, p))
     for gates in layers:
         oracle = apply_layer(oracle, Layer(gates))
     assert np.abs(ours.average_state().matrix - oracle.average_state().matrix).max() < 1e-13
@@ -908,7 +902,7 @@ def test_same_support_chain_fuses_into_one_block(p):
              [KrausGate(("b", "a"), random_kraus_channel(np.random.default_rng(2), 4))],
              [Unitary(("a", "b"), _haar(3, 4))]]
     layers, left = _fuse(chain, p)
-    assert layers[:2] == [[], []] and left == (["c"] if p else [])
+    assert layers[:2] == [[], []] and left == ({"c": p} if p else {})
     (fused,) = layers[2]
     assert isinstance(fused, circuit._FusedGate) and fused.qubits == ("a", "b")
     _fused_matches_unfused(chain, p)
@@ -948,7 +942,7 @@ def test_keyed_and_conditional_gates_block_fusion_on_their_qubit(barrier):
     layers, left = _fuse([[first], [barrier], [g]])
     assert layers[:2] == [[first], [barrier]] and layers[2][0] is g
     layers, left = _fuse([[barrier], [g]], 0.1)
-    assert layers[0] == [barrier] and sorted(left) == ["a", "c"]
+    assert layers[0] == [barrier] and left == {"a": 0.1, "c": 0.1}
     assert layers[1][0].qubits == ("a", "b") and layers[1][0] is not g
     _fused_matches_unfused([[barrier], [g]], 0.1)
 
@@ -961,7 +955,7 @@ def test_three_qubit_gate_is_kept_as_a_barrier():
     layers, left = _fuse([[one], [big], [after]], 0.1)
     assert isinstance(layers[0][0], circuit._FusedGate)  # took in the noise on a
     assert layers[1] == [big] and layers[2] == [after]
-    assert sorted(left) == ["b", "c"]
+    assert left == {"b": 0.1, "c": 0.1}
     _fused_matches_unfused([[one], [big], [after]], 0.1)
 
 
@@ -1061,12 +1055,27 @@ def test_simulate_module_refuses_an_erased_round_that_does_not_exist(j):
         simulate_module(mod, erased=(("d0", "d1"), j))
 
 
-@pytest.mark.parametrize("j", [0.5, 1.0, "0"])
+@pytest.mark.parametrize("j", [0.5, 1.0, "0", True])
 def test_simulate_module_refuses_an_erased_round_that_is_not_an_integer(j):
-    # a fractional round used to match no round and erase nothing
+    # a fractional round used to match no round and erase nothing; True,
+    # an int to isinstance, used to erase round 1
     mod = repetition_module(0.1, rounds=2)
     with pytest.raises(ValueError, match="is not an integer"):
         module_fidelity(mod, erased=(("d0", "d1"), j))
+
+
+def test_ec_module_refuses_a_repeated_data_qubit():
+    # it used to build, and then fail in target_state's layout
+    g = ConnectivityGraph(["0", "1"], [("0", "1")])
+    with pytest.raises(ValueError, match="data qubit '0' listed twice"):
+        EcModule(g, [Circuit(g, [])], ("0", "0"), np.eye(4, 2), 0.1)
+
+
+def test_ec_module_refuses_a_nan_encoder():
+    # it used to build, and logical_error_rate then found no branch
+    g = ConnectivityGraph(["0"], [])
+    with pytest.raises(ValueError, match="encoder is not an isometry"):
+        EcModule(g, [Circuit(g, [])], ("0",), np.array([[np.nan], [0]]), 0.1)
 
 
 def test_simulate_module_refuses_an_erased_qubit_off_the_graph():

@@ -160,7 +160,7 @@ def test_channel_steps_stay_near_one_state():
     layer = Layer([Unitary(("0", "1"), random_unitary(rng, 4)),
                    Unitary(("4", "8"), random_unitary(rng, 4))])
     steps = {
-        "noise_apply": lambda: noise_apply(state, 0.1, layout.labels),
+        "noise_apply": lambda: noise_apply(state, dict.fromkeys(layout.labels, 0.1)),
         "apply_layer": lambda: apply_layer(state, layer),
         "average_state": state.average_state,
     }

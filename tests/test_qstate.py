@@ -57,6 +57,22 @@ def test_density_validation():
         DensityMatrix(Q1, np.eye(2))  # trace 2
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_density_with_a_nan_entry_is_refused(entry):
+    # NaN fails every tolerance check; off the diagonal it used to reach
+    # eigvalsh and raise LinAlgError instead
+    m = np.eye(2, dtype=complex) / 2
+    m[entry] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(Q1, m)
+
+
+def test_pure_state_with_a_nan_entry_is_refused():
+    # it used to pass the norm check, and its entropy then read -0.0 bits
+    with pytest.raises(ValueError, match="vector norm is not 1"):
+        PureState(Q2, [1, np.nan, 0, 0])
+
+
 def test_tensor_product_identities():
     # products are built with np.kron on the joint layout, in register order
     mm = mixed(Q1)
