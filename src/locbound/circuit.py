@@ -25,7 +25,8 @@ once its outcomes are dead, and a module ends in one branch with record
 qubit. Every channel is evaluated by exact arithmetic on density
 matrices (never by sampling); one finish step merges equal records,
 drops branches of weight <= NEGLIGIBLE and checks that the total weight
-is kept. It does not re-symmetrize: average_state does that once, where a
+is kept. Every channel keeps a matrix Hermitian to rounding, so nothing
+re-symmetrizes: average_state sums the branches and normalizes, where a
 state leaves as a DensityMatrix.
 
 simulate_module fuses each round's noise and small unkeyed gates into
@@ -35,7 +36,7 @@ apply_layer stay the unfused path.
 Dense passes go one slice at a time. An operator or a noise channel
 mixes no row factor outside its support, so a matrix is processed one
 slice of fixed non-support row factors at a time, at most _SLICE
-entries (qstate) or else the smallest slice that holds the support,
+entries or else the smallest slice that holds the support,
 through slice-sized scratch. A gate's data movement comes from a gather
 plan, built on first use and cached per (dims, support, ndim). A state
 vector takes K v; a density matrix takes every gate as one pass of its
@@ -59,7 +60,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .qstate import (
-    _SLICE,
     MAX_QUBITS,
     _is_power_of_two,
     ClassicalQuantumState,
@@ -69,6 +69,7 @@ from .qstate import (
 )
 
 TRACE_TOL = 1e-9
+_SLICE = 2 ** 14  # complex entries one step of a dense pass touches (256 KiB, an L2 share)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +163,8 @@ def boundary(graph: ConnectivityGraph, region: Iterable[str]) -> set:
 @dataclass(frozen=True)
 class Embedding:
     """Positions eta: vertex -> R^D with locality constant c; row i of the
-    (m, D) array ``points`` is the position of ``graph.vertices[i]``."""
+    (m, D) array ``points`` is the position of ``graph.vertices[i]``.
+    Every coordinate is finite and c is positive and finite."""
 
     points: np.ndarray
     c: float = 1.0
@@ -171,6 +173,11 @@ class Embedding:
         points = np.ascontiguousarray(self.points, dtype=float)
         if points.ndim != 2:
             raise ValueError("points must be an (m, D) array")
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if len(bad):
+            raise ValueError(f"point {bad[0]} is not finite: {points[bad[0]].tolist()}")
+        if not (self.c > 0 and math.isfinite(self.c)):
+            raise ValueError(f"locality constant c must be positive and finite, got {self.c!r}")
         object.__setattr__(self, "points", points)
 
     @property
@@ -609,8 +616,8 @@ def _finish(layout, items, before: float, live: tuple | None = None) -> Classica
     """The finish step of every channel: reduce each record of the (record,
     matrix) items to the ``live`` keys if given (see _last_outcomes), merge
     equal records, drop branches of weight <= NEGLIGIBLE, and check that
-    the total weight stays ``before``. Matrices are not re-symmetrized
-    here; average_state does that once, where a state leaves."""
+    the total weight stays ``before``. Matrices are not re-symmetrized:
+    every channel keeps them Hermitian to rounding."""
     if live is not None:
         items = ((_last_outcomes(rec, live), mat) for rec, mat in items)
     state = ClassicalQuantumState(layout, items).merged()

@@ -8,10 +8,6 @@ tuples of (key, outcome) pairs, instead of a dense register; each record
 carries an unnormalized matrix whose trace is the branch weight.
 All logarithms elsewhere in the package are base 2 (registers count
 qubits), and every value here is immutable after construction.
-
-Dense passes over a matrix work one cache-sized slice or tile of at
-most _SLICE entries at a time, in place on a writable matrix, so they
-make no full-size temporary.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 NEGLIGIBLE = 1e-14  # a classical-quantum branch of weight <= this is dropped
 MAX_QUBITS = 12  # dense states: circuit files, verify_sie, simulate_module, code_projector
-_SLICE = 2 ** 14  # complex entries one step of a dense pass touches (256 KiB, an L2 share)
 
 
 def _is_power_of_two(d: int) -> bool:
@@ -128,7 +123,8 @@ class DensityMatrix:
 
     Construction validates Hermiticity, positivity and unit trace to the
     module tolerances unless ``validate=False`` (used internally after
-    channel arithmetic that already symmetrizes and renormalizes).
+    channel arithmetic, which keeps a matrix Hermitian to rounding and
+    renormalizes).
     """
 
     def __init__(self, layout: RegisterLayout, matrix, validate: bool = True):
@@ -251,10 +247,7 @@ class ClassicalQuantumState:
 
     def average_state(self) -> DensityMatrix:
         """Quantum marginal sum_s q_s rho_s (classical register traced out)."""
-        acc = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
-        for _, mat in self.branches:
-            acc += mat
-        acc = _hermitize(acc)
+        acc = sum(mat for _, mat in self.branches)  # from 0, so -0.0 sums to 0.0
         acc /= acc.trace().real
         return DensityMatrix(self.layout, acc, validate=False)
 
@@ -280,32 +273,6 @@ class ClassicalQuantumState:
 
 # ---------------------------------------------------------------------------
 # Operations
-
-
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    """(mat + mat^dag) / 2, each entry (a + conj(b)) / 2 with b its
-    transposed partner, rewritten in place, after a copy if ``mat`` is
-    read-only, one pair of mirrored tiles at a time through two tile-sized
-    buffers (the four tiles hold at most _SLICE entries)."""
-    d = len(mat)
-    if not mat.flags.writeable:
-        mat = mat.copy()
-    b = min(math.isqrt(_SLICE // 4), d)
-    buf = np.empty((2, b, b), mat.dtype)
-    for i in range(0, d, b):
-        for j in range(i, d, b):
-            upper, lower = mat[i:i + b, j:j + b], mat[j:j + b, i:i + b]
-            pairs = [(upper, lower)] if i == j else [(upper, lower), (lower, upper)]
-            new = []
-            for x, (tile, partner) in zip(buf, pairs):
-                x = x[:tile.shape[0], :tile.shape[1]]
-                np.conjugate(partner.T, out=x)
-                np.add(tile, x, out=x)
-                np.divide(x, 2, out=x)
-                new.append(x)
-            for x, (tile, _) in zip(new, pairs):
-                tile[...] = x
-    return mat
 
 
 def partial_trace(rho: DensityMatrix, drop: Iterable[str]) -> DensityMatrix:

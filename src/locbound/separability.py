@@ -60,7 +60,7 @@ class SeparableEnsemble:
         return DensityMatrix(layout, sigma, validate=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReeBracket:
     lower: float
     upper: float
@@ -282,8 +282,9 @@ def ree_upper(
 
 
 def _ree_upper_bracket(rho, a_labels, b_labels, restarts, iterations, seed,
-                       stop_at) -> ReeBracket:
-    """The ensemble search on a resolved cut (a_labels, b_labels)."""
+                       stop_at, lower: float = 0.0) -> ReeBracket:
+    """The ensemble search on a resolved cut (a_labels, b_labels), as a
+    bracket with the given certified ``lower`` bound."""
     if rho.dim > MAX_REE_DIM:
         raise ValueError(f"ree_upper supports total dimension <= {MAX_REE_DIM}")
     if restarts < 1:
@@ -320,7 +321,7 @@ def _ree_upper_bracket(rho, a_labels, b_labels, restarts, iterations, seed,
                 break
 
     return ReeBracket(
-        lower=0.0,
+        lower=lower,
         upper=best_val,
         ensemble=best_ens,
         restarts_run=restarts_run,
@@ -340,9 +341,8 @@ def ree_bracket(
     """Two-sided REE bracket: certified lower bound, heuristic upper bound."""
     a_labels, b_labels = _split_cut(rho, a, b)
     lower = _ree_lower(rho, a_labels, b_labels)
-    bracket = _ree_upper_bracket(
-        rho, a_labels, b_labels, restarts, iterations, seed, stop_at=lower + STOP_MARGIN
+    return _ree_upper_bracket(
+        rho, a_labels, b_labels, restarts, iterations, seed, stop_at=lower + STOP_MARGIN,
+        lower=lower,
     )
-    bracket.lower = lower
-    return bracket
 

@@ -99,22 +99,60 @@ class CodeValidationError(ValueError):
 
 
 class StabilizerCode:
-    """Validated stabilizer code: commuting, independent generators, held
+    """Stabilizer code of commuting, independent signed Pauli strings, held
     as canonical signed strings and their (r, 2n) symplectic matrix.
 
-    Use :func:`validate_code` to construct; the constructor assumes the
-    checks already ran.
+    The constructor refuses non-commuting pairs, dependent generator
+    lists, and lists whose group contains -I (detected by phase
+    accumulation on dependent products), with a CodeValidationError.
+    Dependence is an error, not a silent reduction.
     """
 
-    def __init__(self, generators: Sequence[str]):
-        self.generators = tuple(generators)
-        letters = np.array([list(g.lstrip("-")) for g in self.generators])
-        self.n = letters.shape[1]
-        self.k = self.n - len(self.generators)
-        self.symplectic_matrix = np.hstack(
+    def __init__(self, generators: Iterable[str]):
+        gens = [parse_pauli(g) for g in generators]
+        if not gens:
+            raise CodeValidationError("empty generator list")
+        widths = [len(g.lstrip("-")) for g in gens]
+        odd = next((i for i, w in enumerate(widths) if w != widths[0]), None)
+        if odd is not None:
+            raise CodeValidationError(
+                f"generators act on differing qubit counts: {gens[odd]} acts on "
+                f"{widths[odd]} qubits, {gens[0]} on {widths[0]}", (odd,))
+        self.generators = tuple(gens)
+        letters = np.array([list(g.lstrip("-")) for g in gens])
+        self.n = n = letters.shape[1]
+        self.k = n - len(gens)
+        self.symplectic_matrix = mat = np.hstack(
             [np.isin(letters, ("X", "Y")), np.isin(letters, ("Y", "Z"))]
         ).astype(np.uint8)
         self._projector: np.ndarray | None = None
+        x, z = mat[:, :n].astype(np.int64), mat[:, n:].astype(np.int64)
+        # symplectic form; argwhere walks the pairs i < j in combinations order
+        clash = np.argwhere(np.triu(x @ z.T + z @ x.T, 1) % 2)
+        if clash.size:
+            i, j = clash[0]
+            raise CodeValidationError(f"generators {gens[i]} and {gens[j]} do not commute",
+                                      (int(i), int(j)))
+        # Row-reducing [G | I] leaves the dependencies as the rows whose G part
+        # vanishes; their I parts name a basis of the generator subsets whose
+        # product is +-I. Products of commuting generators form a group, so -I
+        # lies in it iff some basis product is -I. A generator is i^e X(x) Z(z)
+        # with e = 2 [negative] + #Y, and X(x) Z(z) X(x') Z(z') picks up
+        # (-1)^(z.x').
+        rref, pivots = _gf2_rref(np.hstack([mat, np.eye(len(gens), dtype=np.uint8)]))
+        rank = sum(c < 2 * n for c in pivots)
+        subsets = [tuple(np.flatnonzero(row[2 * n:]).tolist()) for row in rref[rank:]]
+        if subsets:
+            e = [2 * g.startswith("-") + g.count("Y") for g in gens]
+            for subset in subsets:
+                acc, phase = np.zeros(n, dtype=np.int64), 0
+                for i in subset:
+                    phase += e[i] + 2 * int(acc @ x[i])
+                    acc ^= z[i]
+                if phase % 4 == 2:
+                    raise CodeValidationError("-I is in the generated group", subset)
+            raise CodeValidationError(
+                "dependent generators: product of {rows} is the identity", subsets[0])
 
     def code_projector(self) -> np.ndarray:
         """Dense projector onto the +1 joint eigenspace of the generators."""
@@ -142,51 +180,9 @@ class StabilizerCode:
 
 
 def validate_code(generators: Iterable[str]) -> StabilizerCode:
-    """Validate signed Pauli strings and build the code.
-
-    Rejects non-commuting pairs, dependent generator lists, and lists
-    whose group contains -I (detected by phase accumulation on dependent
-    products). Dependence is an error, not a silent reduction.
-    """
-    gens = [parse_pauli(g) for g in generators]
-    if not gens:
-        raise CodeValidationError("empty generator list")
-    widths = [len(g.lstrip("-")) for g in gens]
-    odd = next((i for i, w in enumerate(widths) if w != widths[0]), None)
-    if odd is not None:
-        raise CodeValidationError(
-            f"generators act on differing qubit counts: {gens[odd]} acts on "
-            f"{widths[odd]} qubits, {gens[0]} on {widths[0]}", (odd,))
-    code = StabilizerCode(gens)
-    n, mat = code.n, code.symplectic_matrix
-    x, z = mat[:, :n].astype(np.int64), mat[:, n:].astype(np.int64)
-    # symplectic form; argwhere walks the pairs i < j in combinations order
-    clash = np.argwhere(np.triu(x @ z.T + z @ x.T, 1) % 2)
-    if clash.size:
-        i, j = clash[0]
-        raise CodeValidationError(f"generators {gens[i]} and {gens[j]} do not commute",
-                                  (int(i), int(j)))
-    # Row-reducing [G | I] leaves the dependencies as the rows whose G part
-    # vanishes; their I parts name a basis of the generator subsets whose
-    # product is +-I. Products of commuting generators form a group, so -I
-    # lies in it iff some basis product is -I. A generator is i^e X(x) Z(z)
-    # with e = 2 [negative] + #Y, and X(x) Z(z) X(x') Z(z') picks up
-    # (-1)^(z.x').
-    rref, pivots = _gf2_rref(np.hstack([mat, np.eye(len(gens), dtype=np.uint8)]))
-    rank = sum(c < 2 * n for c in pivots)
-    subsets = [tuple(np.flatnonzero(row[2 * n:]).tolist()) for row in rref[rank:]]
-    if subsets:
-        e = [2 * g.startswith("-") + g.count("Y") for g in gens]
-        for subset in subsets:
-            acc, phase = np.zeros(n, dtype=np.int64), 0
-            for i in subset:
-                phase += e[i] + 2 * int(acc @ x[i])
-                acc ^= z[i]
-            if phase % 4 == 2:
-                raise CodeValidationError("-I is in the generated group", subset)
-        raise CodeValidationError(
-            "dependent generators: product of {rows} is the identity", subsets[0])
-    return code
+    """The code of signed Pauli strings; see StabilizerCode for what it
+    refuses."""
+    return StabilizerCode(generators)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from locbound.files import ParseError, parse_circuit_lines, read_circuit_file
 from locbound.rand import random_density, random_kraus_channel, random_unitary
 from locbound.verify import (
     VerificationReport,
+    default_depth_bound_scenarios,
     default_module_corpus,
     repetition_module,
     swap_module,
@@ -770,10 +771,32 @@ def test_fused_rounds_match_full_record_run_on_random_modules(case):
     # none of its qubits; noise_apply then apply_layer is the oracle
     module, erased = case
     state = simulate_module(module, erased=erased)
+    _assert_hermitian(state)
     oracle = _full_record_run(module, erased)
     assert np.abs(state.average_state().matrix - oracle.average_state().matrix).max() < 1e-12
     delta = 1.0 - module_fidelity(module, erased=erased)
     assert abs(delta - _delta_of(module, oracle)) < 1e-12
+
+
+def _assert_hermitian(state):
+    """Every branch matrix is Hermitian to 1e-14 as the channels leave it;
+    average_state does not re-symmetrize."""
+    for _, mat in state.branches:
+        assert np.abs(mat - mat.conj().T).max() <= 1e-14
+
+
+def _hermitian_cases():
+    cases = [pytest.param(m, None, None, id=f"corpus-{m.name}-p{m.p}")
+             for m in default_module_corpus()]
+    cases += [pytest.param(repetition_module(0.1, rounds), None, None, id=f"repetition-J{rounds}")
+              for rounds in range(1, 6)]
+    for sc in default_depth_bound_scenarios():
+        last = len(sc.module.rounds) - 1
+        cases.append(pytest.param(sc.module, sc.input_state, None, id=f"depth-bound-{sc.name}"))
+        cases.append(pytest.param(sc.module, sc.input_state, (sc.gamma, last),
+                                  id=f"depth-bound-{sc.name}-erased"))
+    cases.append(pytest.param(_mirror_module(0.2), None, None, id="mirror-2x3"))
+    return cases
 
 
 def _kron_embed(op, dims, positions):
@@ -861,6 +884,7 @@ def test_simulate_module_matches_kron_oracle_on_random_modules(case):
     module, erased = case
     rho, delta = _kron_record_run(module, erased)
     state = simulate_module(module, erased=erased)
+    _assert_hermitian(state)
     assert np.abs(state.average_state().matrix - rho).max() < 1e-12
     assert abs(1.0 - module_fidelity(module, erased=erased) - delta) < 1e-12
 
@@ -993,22 +1017,32 @@ def test_noiseless_round_folds_nothing(monkeypatch):
     assert 1.0 - module_fidelity(module) == _delta_of(module, _full_record_run(module))
 
 
-@pytest.mark.parametrize("p", [0.0, 0.05, 0.2, 1.0])
-def test_mirror_module_matches_closed_form(p):
-    # five-qubit code on the first row of a 2 x 3 grid, then Haar gates on
-    # the rungs and their inverses: only the noise on the data acts, and a
-    # Pauli error keeps fidelity 1 iff it is one of the 16 stabilizers
+def _mirror_module(p):
+    """The five-qubit code on the first row of a 2 x 3 grid, then Haar gates
+    on the rungs and their inverses."""
     from locbound.stabilizer import encoding_isometry, five_qubit_code
 
     rng = np.random.default_rng(5)
     g, _ = grid_graph((2, 3))
     gates = [Unitary((str(c), str(c + 3)), random_unitary(rng, 4)) for c in range(3)]
     undo = [Unitary(u.qubits, u.matrix.conj().T) for u in gates]
-    module = EcModule(g, rounds=[Circuit(g, [Layer(gates), Layer(undo)])],
-                      data_qubits=tuple("01234"),
-                      encoder=encoding_isometry(five_qubit_code()), p=p)
+    return EcModule(g, rounds=[Circuit(g, [Layer(gates), Layer(undo)])],
+                    data_qubits=tuple("01234"),
+                    encoder=encoding_isometry(five_qubit_code()), p=p)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.2, 1.0])
+def test_mirror_module_matches_closed_form(p):
+    # only the noise on the data acts, and a Pauli error keeps fidelity 1
+    # iff it is one of the 16 stabilizers
     keep = 1.0 - 0.75 * p
-    assert abs(logical_error_rate(module) - (1.0 - (keep ** 5 + 15 * keep * (p / 4) ** 4))) < 1e-12
+    assert abs(logical_error_rate(_mirror_module(p))
+               - (1.0 - (keep ** 5 + 15 * keep * (p / 4) ** 4))) < 1e-12
+
+
+@pytest.mark.parametrize("module, input_state, erased", _hermitian_cases())
+def test_simulated_states_are_hermitian_without_help(module, input_state, erased):
+    _assert_hermitian(simulate_module(module, input_state, erased=erased))
 
 
 def test_lost_trace_in_a_folded_gate_is_an_invariant_failure(monkeypatch):

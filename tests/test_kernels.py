@@ -1,12 +1,11 @@
 """The sliced dense kernels against whole-array oracles.
 
-apply_operator, apply_channel, _depolarize_matrix and _hermitize work one
-slice or tile of at most _SLICE entries at a time. K v and the two
-in-place kernels must agree bit for bit with the whole-array bodies they
-replaced (kept here as oracles), on matrices of several slices, and
-_hermitize on one tile or less too. Every gate on a density matrix is one
-superoperator pass, which must agree to 1e-12 with sum_i K_i rho K_i^dag
-formed by np.kron embeddings. Each gate builds one gather plan per
+apply_operator, apply_channel and _depolarize_matrix work one slice of
+at most _SLICE entries at a time. K v and the two in-place kernels must
+agree bit for bit with the whole-array bodies they replaced (kept here as
+oracles), on matrices of several slices. Every gate on a density matrix
+is one superoperator pass, which must agree to 1e-12 with
+sum_i K_i rho K_i^dag formed by np.kron embeddings. Each gate builds one gather plan per
 support, each channel step stays near one state of memory above its
 input, and importing the package builds no gather plan or superoperator.
 """
@@ -22,6 +21,7 @@ import numpy as np
 import pytest
 
 from locbound.circuit import (
+    _SLICE,
     KrausGate,
     Layer,
     Unitary,
@@ -36,13 +36,7 @@ from locbound.circuit import (
     noise_apply,
     reset_gate,
 )
-from locbound.qstate import (
-    _SLICE,
-    ClassicalQuantumState,
-    DensityMatrix,
-    RegisterLayout,
-    _hermitize,
-)
+from locbound.qstate import ClassicalQuantumState, DensityMatrix, RegisterLayout
 from locbound.rand import random_density, random_unitary
 
 # qubit counts whose density matrices span several slices (4 and 16 at 2^14)
@@ -129,24 +123,6 @@ def test_sliced_depolarize_matches_whole_array(n):
         for p in (0.3, 1.0):
             got = _depolarize_matrix(rho.copy(), dims, pos, p)
             assert got.tobytes() == whole_array_depolarize(rho, dims, pos, p).tobytes()
-
-
-@pytest.mark.parametrize("d", (1, 2, 64, 100, 2 ** SLICED[0]))
-def test_hermitize_matches_whole_array(d):
-    # one tile, a tile with a partial edge, and several tiles; in place on
-    # a writable matrix, on a copy of a read-only one, bytes equal to
-    # (m + m^dag) / 2 with -0.0 entries present
-    rng = np.random.default_rng(d)
-    mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    mat[: d // 2, d // 3:] = complex(-0.0, -0.0)
-    expect = ((mat + mat.conj().T) / 2).tobytes()
-    work = mat.copy()
-    assert _hermitize(work) is work
-    assert work.tobytes() == expect
-    mat.setflags(write=False)  # a branch of a state: copied, never written
-    before = mat.copy()
-    assert _hermitize(mat).tobytes() == expect
-    assert mat.tobytes() == before.tobytes()
 
 
 def test_channel_steps_stay_near_one_state():

@@ -258,6 +258,22 @@ def test_point_count_must_match_graph():
         Embedding(np.zeros(4))  # a flat array is not (m, D)
 
 
+@pytest.mark.parametrize("c, nan_at, match", [
+    (float("nan"), None, "c must be positive and finite, got nan"),
+    (float("inf"), None, "c must be positive and finite, got inf"),
+    (0.0, None, "c must be positive and finite, got 0.0"),
+    (-1.0, None, "c must be positive and finite, got -1.0"),
+    (1.0, (2, 1), r"point 2 is not finite: \[1.0, nan\]"),
+])
+def test_embedding_refuses_a_nan_point_or_a_bad_c(c, nan_at, match):
+    _, e = grid_graph((2, 2))
+    points = e.points.copy()
+    if nan_at is not None:
+        points[nan_at] = np.nan
+    with pytest.raises(ValueError, match=match):
+        Embedding(points, c)
+
+
 def _words(*parts):
     return st.tuples(*parts).map(
         lambda ws: " ".join(w if isinstance(w, str) else " ".join(w) for w in ws))

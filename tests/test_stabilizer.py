@@ -138,6 +138,19 @@ def test_validate_code_examples():
         validate_code([])
 
 
+@pytest.mark.parametrize("gens", [
+    ["Z", "-Z"], ["Z", "Z", "-Z"], ["XX", "ZI"], ["ZZI", "IZZ", "ZIZ"], [],
+    ["XX", "XX"], ["X", "XZ"],
+])
+def test_constructor_refuses_what_validate_code_refuses(gens):
+    # one checked way to make a code: building it directly checks as much
+    with pytest.raises(CodeValidationError) as by_function:
+        validate_code(gens)
+    with pytest.raises(CodeValidationError) as by_class:
+        StabilizerCode(gens)
+    assert str(by_class.value) == str(by_function.value)
+
+
 def dense_validation_oracle(strings):
     """What validate_code must decide, from dense matrices: the message of
     the first non-commuting pair, then "-I" when some product of
