@@ -46,14 +46,29 @@ slice is one take of the product's operand, support first, straight from
 the C-contiguous source, one product and one take back. Branch matrices
 of a ClassicalQuantumState are read-only, so a writable matrix belongs
 to the running channel step: the step copies a branch at most once and
-then updates it in place.
+then updates it in place. The one exception is simulate_module's fresh
+initial matrix, which no caller sees: its first step owns it.
+
+A pass of at least _SHARED_PASS = 64 slices (a matrix of 2^20 entries,
+10 qubits, or more) is shared: the calling thread and one helper per
+further usable CPU pull slice offsets from one iterator, each with its
+own scratch, on one OpenBLAS thread (_one_blas_thread), since BLAS
+threads would only contend with the workers. The helpers are joined
+before the pass returns. Slices read and write disjoint rows and each is
+computed by the same code, so the bytes do not depend on the worker
+count. Below the cutoff, a second worker's scratch would push a 9-qubit
+step past 1.25 states of memory, and at 8 qubits (4 slices) the thread
+start costs more than it saves.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -70,6 +85,12 @@ from .qstate import (
 
 TRACE_TOL = 1e-9
 _SLICE = 2 ** 14  # complex entries one step of a dense pass touches (256 KiB, an L2 share)
+_SHARED_PASS = 64  # slices from which a dense pass is shared among threads (2^20 entries)
+
+# The OpenBLAS copies that numpy and scipy ship: (package, library glob
+# next to the package, symbol suffix of its thread-count functions)
+_OPENBLAS = (("numpy", "numpy.libs/libscipy_openblas64_-*.so", "64_"),
+             ("scipy", "scipy.libs/libscipy_openblas-*.so", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +347,118 @@ def _gather_plan(dims: tuple, positions: tuple, ndim: int) -> tuple:
     return offsets, gather, back, spread
 
 
+@functools.lru_cache(maxsize=1)
+def _openblas_thread_counts() -> tuple:
+    """(get, set) of the thread count of each OpenBLAS copy in _OPENBLAS,
+    found on first use; a missing library or symbol is skipped."""
+    import ctypes
+    import glob
+    import importlib.util
+
+    out = []
+    for package, pattern, suffix in _OPENBLAS:
+        spec = importlib.util.find_spec(package)
+        if spec is None or not spec.submodule_search_locations:
+            continue
+        site = os.path.dirname(list(spec.submodule_search_locations)[0])
+        for path in sorted(glob.glob(os.path.join(site, pattern))):
+            try:
+                lib = ctypes.CDLL(path)
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            out.append((get, put))
+    return tuple(out)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore each copy's old
+    count. Two callers: the REE search, whose products are small (at most
+    64 x 64, and scipy's L-BFGS-B vectors), so that a second thread only
+    adds hand-off cost (the search ran 3-10x slower on two threads than on
+    one); and a dense pass shared among threads (_sliced_products), whose
+    workers each take one CPU, so that BLAS threads would only contend
+    with them."""
+    counts = _openblas_thread_counts()
+    before = [get() for get, _ in counts]
+    for _, put in counts:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(counts, before):
+            put(n)
+
+
+def _pass_workers(slices: int) -> int:
+    """Threads that share a dense pass of ``slices`` slices: one per usable
+    CPU (at most one per slice) from _SHARED_PASS slices on, else 1."""
+    if slices < _SHARED_PASS:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, slices)
+
+
+def _share(work, items: Sequence, workers: int) -> None:
+    """``work(todo)`` on the calling thread and on ``workers - 1`` helper
+    threads, where every ``todo`` pulls from one shared iterator over
+    ``items``, so that each item goes to exactly one worker and a slow
+    worker holds the others back by at most one item. The helpers are
+    joined before this returns; then the first exception any worker raised
+    is raised here, and after it the other workers pull nothing more."""
+    shared = iter(items)
+    lock = threading.Lock()
+    errors = []
+    done = object()
+
+    def todo():
+        while not errors:
+            with lock:
+                item = next(shared, done)
+            if item is done:
+                return
+            yield item
+
+    def run():
+        try:
+            work(todo())
+        except BaseException as exc:  # raised again below, once every helper is joined
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=run)
+            helper.start()
+            helpers.append(helper)
+        run()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
 def _sliced_products(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int],
                      op: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """One product with ``op`` per slice of ``arr``, by its gather plan:
     one take of the operand from the C-contiguous source, ``np.dot``, and
     one write-back, a take straight into the result when the slice's rows
     are consecutive (always so for a one-slice array), else into scratch
-    and then onto the slice's rows. ``out`` as in apply_channel."""
+    and then onto the slice's rows. ``out`` as in apply_channel.
+
+    A pass of at least _SHARED_PASS slices is shared among _pass_workers
+    threads (see _share), each with its own scratch, on one OpenBLAS
+    thread. Slices read and write disjoint rows and each is computed by
+    the same code, so the result has the same bytes for any worker
+    count."""
     d = math.prod(dims)
     offsets, gather, back, spread = _gather_plan(tuple(dims), tuple(positions), arr.ndim)
     dtype = np.result_type(arr, op)
@@ -341,15 +467,24 @@ def _sliced_products(arr: np.ndarray, dims: Sequence[int], positions: Sequence[i
     src = np.ascontiguousarray(arr, dtype).reshape(d, -1)
     res = np.empty_like(src) if out is None else out.reshape(src.shape)
     n_rows = gather.size // src.shape[1]
-    x, y = np.empty((2, gather.size), dtype)
-    for offset in offsets:
-        src[offset:].take(gather, out=x, mode="clip")
-        np.dot(op, x.reshape(len(op), -1), out=y.reshape(len(op), -1))
-        if spread is None:
-            y.take(back, out=res[offset:offset + n_rows].reshape(-1), mode="clip")
-        else:
-            y.take(back, out=x, mode="clip")
-            res[offset:][spread] = x.reshape(n_rows, -1)
+
+    def work(todo):
+        x, y = np.empty((2, gather.size), dtype)
+        for offset in todo:
+            src[offset:].take(gather, out=x, mode="clip")
+            np.dot(op, x.reshape(len(op), -1), out=y.reshape(len(op), -1))
+            if spread is None:
+                y.take(back, out=res[offset:offset + n_rows].reshape(-1), mode="clip")
+            else:
+                y.take(back, out=x, mode="clip")
+                res[offset:][spread] = x.reshape(n_rows, -1)
+
+    workers = _pass_workers(len(offsets))
+    if workers == 1:
+        work(offsets)
+    else:
+        with _one_blas_thread():
+            _share(work, offsets, workers)
     return res.reshape(arr.shape) if out is None else out
 
 
@@ -587,8 +722,7 @@ def _branch_apply_gate(record, mat, dims, positions, gate):
     writable C-contiguous ``mat`` belongs to the running step and takes
     the last result in place; any other is never written."""
     def apply(superop, in_place=True):
-        owned = mat.flags.writeable and mat.flags.c_contiguous
-        out = mat if in_place and owned else None
+        out = mat if in_place and _owned(mat) else None
         return apply_channel(mat, dims, positions, superop, out=out)
 
     if isinstance(gate, Conditional):
@@ -603,6 +737,13 @@ def _branch_apply_gate(record, mat, dims, positions, gate):
         yield record, apply(gate.superoperator)
     else:
         raise CircuitError(f"unknown gate type {type(gate).__name__}")
+
+
+def _owned(mat: np.ndarray) -> bool:
+    """Whether the running channel step owns ``mat`` and may update it in
+    place: a writable C-contiguous matrix, never a branch of a
+    ClassicalQuantumState (those are read-only)."""
+    return mat.flags.writeable and mat.flags.c_contiguous
 
 
 def _last_outcomes(record: tuple, keys: tuple) -> tuple:
@@ -634,12 +775,13 @@ def apply_layer(state: ClassicalQuantumState, layer: Layer,
     still read later: then it keeps just those (see _finish)."""
     layout = state.layout
     dims = layout.dims
+    before = state.total_weight  # read first: an owned branch is updated in place
     items = state.branches
     for gate in layer.gates:
         positions = layout.positions(gate.qubits)
         items = [out for rec, mat in items
                  for out in _branch_apply_gate(rec, mat, dims, positions, gate)]
-    return _finish(layout, items, state.total_weight, live)
+    return _finish(layout, items, before, live)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +822,8 @@ def noise_apply(state: ClassicalQuantumState, rates: Mapping[str, float]) -> Cla
     branch, with exact channel arithmetic; rate 1 erases, replacing the
     qubit by the maximally mixed state. The channels act on different
     factors, so their order does not matter, and the X record is
-    untouched. Each noisy branch is copied once and then updated in place.
+    untouched. Each noisy branch is copied once, unless the running step
+    owns it (see _owned), and then updated in place.
     A label the layout lacks raises its KeyError, as in apply_layer.
     """
     for q, rate in rates.items():
@@ -691,14 +834,15 @@ def noise_apply(state: ClassicalQuantumState, rates: Mapping[str, float]) -> Cla
     factors = [(layout.position(q), rate) for q, rate in rates.items() if rate > 0.0]
 
     def noisy(mat):
-        if factors:
+        if factors and not _owned(mat):
             mat = mat.copy()
         for pos, rate in factors:
             mat = _depolarize_matrix(mat, dims, pos, rate)
         return mat
 
+    before = state.total_weight  # read first: an owned branch is updated in place
     items = ((rec, noisy(mat)) for rec, mat in state.branches)
-    return _finish(layout, items, state.total_weight)
+    return _finish(layout, items, before)
 
 
 @functools.lru_cache(maxsize=256)
@@ -945,6 +1089,9 @@ def simulate_module(
     rate 1 included. A layer that fusion empties is skipped: it held only
     keyless channels, so its live keys equal the previous layer's.
 
+    The initial state's matrix is fresh, so the first channel step
+    updates it in place instead of copying it.
+
     Each layer's finish step keeps, per record, only the last outcome of
     each key that a later Conditional still reads (_live_keys) and sums
     over the rest, so the module ends in one branch with record (). That
@@ -964,6 +1111,8 @@ def simulate_module(
     if not region <= module.graph.index.keys():
         raise ValueError("erase region must be a subset of the noise qubits")
     state = _initial_cq_state(module, input_state)
+    (_, fresh), = state.branches
+    fresh.flags.writeable = True  # built here and seen by no caller: the first step owns it
     live = iter(_live_keys([layer for circ in module.rounds for layer in circ.layers]))
     for j, circ in enumerate(module.rounds):
         erase = region if erased is not None and erased[1] == j else set()
@@ -975,6 +1124,7 @@ def simulate_module(
             keys = next(live)
             if gates:
                 state = apply_layer(state, Layer(gates), keys)
+    fresh.flags.writeable = False  # a module that runs no step returns its initial state
     return state
 
 

@@ -276,8 +276,12 @@ class ClassicalQuantumState:
 
 
 def partial_trace(rho: DensityMatrix, drop: Iterable[str]) -> DensityMatrix:
-    """Trace out the ``drop`` registers, preserving the remaining order."""
+    """Trace out the ``drop`` registers, preserving the remaining order.
+    A label listed twice raises ValueError."""
     drop = list(drop)
+    if len(set(drop)) != len(drop):
+        label = next(lab for i, lab in enumerate(drop) if lab in drop[:i])
+        raise ValueError(f"register {label!r} listed twice in {drop}")
     positions = sorted(rho.layout.positions(drop), reverse=True)
     dims = list(rho.layout.dims)
     t = rho.matrix.reshape(tuple(dims) + tuple(dims))

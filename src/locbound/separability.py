@@ -15,14 +15,12 @@ thread (_one_blas_thread), which the products' small size favours.
 
 from __future__ import annotations
 
-import contextlib
-import functools
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
+from .circuit import _one_blas_thread
 from .entropy import _check_partition, relative_entropy, vn_entropy
 from .qstate import DensityMatrix
 from .rand import DEFAULT_SEED, rng_from
@@ -34,11 +32,6 @@ MAX_REE_DIM = 64  # total dimension the ensemble search accepts
 
 _LN2 = np.log(2.0)
 _EIG_FLOOR = 1e-18
-
-# The OpenBLAS copies that numpy and scipy ship: (package, library glob
-# next to the package, symbol suffix of its thread-count functions)
-_OPENBLAS = (("numpy", "numpy.libs/libscipy_openblas64_-*.so", "64_"),
-             ("scipy", "scipy.libs/libscipy_openblas-*.so", ""))
 
 
 @dataclass
@@ -214,50 +207,6 @@ def _run_restart(restart, seed, rho_mat, terms, da, db, tr_rho_log_rho, iteratio
     )
     p, ah, bh, _, _ = _decode(res.x, terms, da, db)
     return SeparableEnsemble(p, ah, bh), int(res.nit), bool(res.success)
-
-
-@functools.lru_cache(maxsize=1)
-def _openblas_thread_counts() -> tuple:
-    """(get, set) of the thread count of each OpenBLAS copy in _OPENBLAS,
-    found on first use; a missing library or symbol is skipped."""
-    import ctypes
-    import glob
-    import importlib.util
-
-    out = []
-    for package, pattern, suffix in _OPENBLAS:
-        spec = importlib.util.find_spec(package)
-        if spec is None or not spec.submodule_search_locations:
-            continue
-        site = os.path.dirname(list(spec.submodule_search_locations)[0])
-        for path in sorted(glob.glob(os.path.join(site, pattern))):
-            try:
-                lib = ctypes.CDLL(path)
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-            except (OSError, AttributeError):
-                continue
-            get.restype, get.argtypes = ctypes.c_int, []
-            put.restype, put.argtypes = None, [ctypes.c_int]
-            out.append((get, put))
-    return tuple(out)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread, then restore each copy's old
-    count. The search's products are small (at most 64 x 64, and scipy's
-    L-BFGS-B vectors), so a second thread only adds hand-off cost: the
-    search ran 3-10x slower on two threads than on one."""
-    counts = _openblas_thread_counts()
-    before = [get() for get, _ in counts]
-    for _, put in counts:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), n in zip(counts, before):
-            put(n)
 
 
 def ree_upper(

@@ -1040,6 +1040,51 @@ def test_mirror_module_matches_closed_form(p):
                - (1.0 - (keep ** 5 + 15 * keep * (p / 4) ** 4))) < 1e-12
 
 
+def test_first_channel_step_owns_the_fresh_initial_matrix(monkeypatch):
+    # no caller sees the initial matrix, so the first step updates it in
+    # place: noise on a module without gates, the first pass of a layer
+    # otherwise; every branch the run returns is read-only
+    made, passes = [], []
+    initial, inner = circuit._initial_cq_state, circuit.apply_channel
+
+    def made_here(*args):
+        made.append(initial(*args))
+        return made[-1]
+
+    def spy(mat, dims, positions, superop, out=None):
+        passes.append(out is mat)
+        return inner(mat, dims, positions, superop, out=out)
+
+    monkeypatch.setattr(circuit, "_initial_cq_state", made_here)
+    monkeypatch.setattr(circuit, "apply_channel", spy)
+    state = simulate_module(trivial_module(0.1))
+    (_, fresh), = made[0].branches
+    (_, final), = state.branches
+    assert final is fresh and not final.flags.writeable and not passes
+    state = simulate_module(_mirror_module(0.05))
+    assert passes[0] and not any(mat.flags.writeable for _, mat in state.branches)
+
+
+def test_module_that_runs_no_step_returns_read_only_branches():
+    # its initial state is its final state
+    g = ConnectivityGraph(["0"], [])
+    for module in (trivial_module(0.0), EcModule(g, rounds=[], data_qubits=("0",),
+                                                 encoder=np.eye(2, dtype=complex), p=0.1)):
+        state = simulate_module(module)
+        assert not any(mat.flags.writeable for _, mat in state.branches)
+
+
+def test_apply_layer_reads_the_weight_before_an_owned_branch_is_written():
+    # a writable branch belongs to the running step, and a measurement's
+    # last outcome goes into it in place: the trace check must still
+    # compare with the weight the step started from
+    st = cq_pure(RegisterLayout.qubits("0"), H @ [1, 0])
+    (_, mat), = st.branches
+    mat.flags.writeable = True
+    out = apply_layer(st, Layer([measure_gate("0", "s")]))
+    assert sorted(round(m.trace().real, 10) for _, m in out.branches) == [0.5, 0.5]
+
+
 @pytest.mark.parametrize("module, input_state, erased", _hermitian_cases())
 def test_simulated_states_are_hermitian_without_help(module, input_state, erased):
     _assert_hermitian(simulate_module(module, input_state, erased=erased))

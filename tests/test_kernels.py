@@ -7,19 +7,23 @@ oracles), on matrices of several slices. Every gate on a density matrix
 is one superoperator pass, which must agree to 1e-12 with
 sum_i K_i rho K_i^dag formed by np.kron embeddings. Each gate builds one gather plan per
 support, each channel step stays near one state of memory above its
-input, and importing the package builds no gather plan or superoperator.
+input, and importing the package builds no gather plan, superoperator or
+BLAS handle and starts no thread. A pass shared among threads gives the
+serial pass's bytes.
 """
 
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from locbound import circuit
 from locbound.circuit import (
     _SLICE,
     KrausGate,
@@ -231,18 +235,21 @@ def watch(frame, event, arg):
 sys.setprofile(watch)
 import locbound
 sys.setprofile(None)
-from locbound.circuit import _gather_plan
-print(sorted(ran), _gather_plan.cache_info().currsize)
+import threading
+from locbound.circuit import _gather_plan, _openblas_thread_counts
+print(sorted(ran), _gather_plan.cache_info().currsize, threading.active_count(),
+      _openblas_thread_counts.cache_info().currsize)
 """
 
 
 def test_import_builds_no_plan_or_superoperator():
-    # plans and superoperators are built on first use, so `import locbound`
-    # (and so every process start) pays for none of them
+    # plans, superoperators and BLAS handles are made on first use, and no
+    # thread is started, so `import locbound` (and so every process start)
+    # pays for none of them
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.split() == ["[]", "0"]
+    assert proc.stdout.split() == ["[]", "0", "1", "0"]
 
 
 def test_apply_operator_refuses_an_operator_off_its_support():
@@ -276,3 +283,130 @@ def test_in_place_kernels_refuse_non_c_contiguous_targets():
         apply_channel(rho, dims, [0], np.eye(4), out=f_buf)
     with pytest.raises(ValueError, match="C-contiguous"):
         _depolarize_matrix(f_buf, dims, 0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# Dense passes shared among threads
+
+
+def _force_workers(monkeypatch, workers):
+    """Share every pass among ``workers`` threads (1: keep it serial), and
+    record the worker count of each shared pass."""
+    monkeypatch.setattr(circuit, "_SHARED_PASS", 1 if workers > 1 else math.inf)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
+    used = []
+    share = circuit._share
+
+    def counted(work, items, n_workers):
+        used.append(n_workers)
+        return share(work, items, n_workers)
+
+    monkeypatch.setattr(circuit, "_share", counted)
+    return used
+
+
+@pytest.mark.parametrize("n", (10, 11))
+def test_shared_pass_matches_serial_bytes(n, monkeypatch):
+    # a Unitary, an unkeyed KrausGate and a fused noisy gate, on a support
+    # whose slice rows are consecutive and on one whose rows are spread,
+    # into a new array and in place: three workers on a host of fewer
+    # cores, switching often, give the serial pass's bytes
+    rng = np.random.default_rng(30 + n)
+    dims = (2,) * n
+    d = 2 ** n
+    mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for positions, spread in (((n - 2, n - 1), False), ((n - 1, 1), True)):
+            assert (_gather_plan(dims, positions, 2)[3] is not None) == spread
+            qubits = tuple(map(str, positions))
+            u = random_unitary(rng, 4)
+            iso = random_unitary(rng, 12)[:, :4]  # three Kraus operators of a channel
+            (fused,), = circuit._fuse_round([Layer([Unitary(qubits, u)])],
+                                            dict(zip(qubits, (0.1, 0.2))))[0]
+            assert isinstance(fused, circuit._FusedGate)
+            for gate in (Unitary(qubits, u), KrausGate(qubits, iso.reshape(3, 4, 4)), fused):
+                serial = None
+                for workers in (1, 3):
+                    used = _force_workers(monkeypatch, workers)
+                    for where in ("new", "in place"):
+                        arr = mat.copy()
+                        out = arr if where == "in place" else None
+                        got = apply_channel(arr, dims, positions, gate.superoperator,
+                                            out=out).tobytes()
+                        serial = serial or got
+                        assert got == serial, (positions, type(gate).__name__, workers, where)
+                    assert used == ([3, 3] if workers > 1 else [])
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_shared_pass_leaves_no_thread_and_raises_a_failed_write(monkeypatch):
+    # the helpers of a pass are joined before it returns; a pass whose
+    # every worker fails (a read-only out) raises instead of returning
+    n = 10
+    dims = (2,) * n
+    mat = _density(n, 11).copy()
+    s = _pair_product(random_unitary(np.random.default_rng(11), 4))
+    used = _force_workers(monkeypatch, 2)
+    before = threading.active_count()
+    for positions in ([n - 1, n - 2], [n - 1, 1]):
+        apply_channel(mat, dims, positions, s, out=mat)
+        assert threading.active_count() == before
+        read_only = np.zeros_like(mat)
+        read_only.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            apply_channel(mat, dims, positions, s, out=read_only)
+        assert threading.active_count() == before
+        assert not read_only.any()
+    assert used == [2] * 4
+
+
+def test_share_hands_each_item_to_one_worker():
+    # more workers than cores over one shared iterator, switching often:
+    # every item is done exactly once, and a failure is raised in the
+    # caller once every helper is joined
+    before = threading.active_count()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        done = []
+        circuit._share(lambda todo: done.extend(todo), range(5000), 6)
+        assert sorted(done) == list(range(5000))
+        done.clear()
+
+        def work(todo):
+            for item in todo:
+                if item == 100:
+                    raise KeyError(item)
+                done.append(item)
+
+        with pytest.raises(KeyError):
+            circuit._share(work, range(5000), 6)
+        assert 100 not in done and len(done) == len(set(done))
+    finally:
+        sys.setswitchinterval(old)
+    assert threading.active_count() == before
+
+
+def test_share_joins_the_started_helpers_when_a_start_fails(monkeypatch):
+    # a helper that cannot start fails the call, once the one that did
+    # start has done every item and been joined
+    started = []
+    start = threading.Thread.start
+
+    def start_once(self):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    before = threading.active_count()
+    done = []
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        circuit._share(lambda todo: done.extend(todo), range(1000), 4)
+    assert sorted(done) == list(range(1000))
+    assert not started[0].is_alive() and threading.active_count() == before

@@ -124,6 +124,15 @@ def test_partial_trace_examples():
         partial_trace(bell, ["nope"])
 
 
+def test_partial_trace_refuses_a_repeated_label():
+    # the second "a" would trace out the register that moved into its place
+    rho = random_density(np.random.default_rng(4), RegisterLayout.qubits("a", "b", "c"))
+    with pytest.raises(ValueError, match="register 'a' listed twice"):
+        partial_trace(rho, ["a", "a"])
+    with pytest.raises(ValueError, match="register 'c' listed twice"):
+        partial_trace(rho, ["c", "b", "c"])
+
+
 def test_partial_trace_order_preserved():
     rng = np.random.default_rng(2)
     rho = random_density(rng, RegisterLayout.qubits("a", "b", "c"))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from locbound import separability
+from locbound import circuit, separability
 from locbound.entropy import relative_entropy, vn_entropy
 from locbound.qstate import (
     DensityMatrix,
@@ -216,7 +216,7 @@ def test_gradient_matches_finite_differences(da, db, uniform):
 def test_search_runs_on_one_blas_thread_and_restores_counts(monkeypatch):
     # small products run faster on one OpenBLAS thread; the caller's
     # counts come back once the bracket is done
-    counts = separability._openblas_thread_counts()
+    counts = circuit._openblas_thread_counts()
     if not counts:
         pytest.skip("no OpenBLAS copy of numpy or scipy found")
     old = [get() for get, _ in counts]
@@ -242,14 +242,14 @@ def test_search_runs_on_one_blas_thread_and_restores_counts(monkeypatch):
 
 def test_missing_blas_library_or_symbol_is_skipped(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(separability, "_OPENBLAS", (
+        m.setattr(circuit, "_OPENBLAS", (
             ("numpy", "numpy.libs/libscipy_openblas64_-*.so", "_no_such_suffix"),
             ("numpy", "no_such_dir/*.so", ""),
             ("no_such_package_for_locbound", "*.so", ""),
         ))
-        separability._openblas_thread_counts.cache_clear()
+        circuit._openblas_thread_counts.cache_clear()
         try:
-            assert separability._openblas_thread_counts() == ()
+            assert circuit._openblas_thread_counts() == ()
             assert ree_upper(bell_state(), ["a"], restarts=1, iterations=5)[0] >= 0.0
         finally:
-            separability._openblas_thread_counts.cache_clear()
+            circuit._openblas_thread_counts.cache_clear()
