@@ -29,9 +29,11 @@ is kept. Every channel keeps a matrix Hermitian to rounding, so nothing
 re-symmetrizes: average_state sums the branches and normalizes, where a
 state leaves as a DensityMatrix.
 
-simulate_module fuses each round's noise and small unkeyed gates into
-fewer superoperator passes by the rule in _fuse_round; noise_apply and
-apply_layer stay the unfused path.
+simulate_module runs each round's noise as a layer of one-qubit noise
+blocks before the round's layers, and fuses the module's layers once,
+across rounds, into fewer superoperator passes by the rule in _fuse;
+noise_apply runs the noise blocks no gate took in, and with apply_layer
+it is the unfused path.
 
 Dense passes go one slice at a time. An operator or a noise channel
 mixes no row factor outside its support, so a matrix is processed one
@@ -733,7 +735,7 @@ def _branch_apply_gate(record, mat, dims, positions, gate):
         final = len(gate.operators) - 1
         for i, k in enumerate(gate.operators):
             yield record + ((gate.key, i),), apply(_pair_product(k), in_place=i == final)
-    elif isinstance(gate, (Unitary, KrausGate, _FusedGate)):
+    elif isinstance(gate, (Unitary, KrausGate, _Block)):
         yield record, apply(gate.superoperator)
     else:
         raise CircuitError(f"unknown gate type {type(gate).__name__}")
@@ -823,7 +825,8 @@ def noise_apply(state: ClassicalQuantumState, rates: Mapping[str, float]) -> Cla
     qubit by the maximally mixed state. The channels act on different
     factors, so their order does not matter, and the X record is
     untouched. Each noisy branch is copied once, unless the running step
-    owns it (see _owned), and then updated in place.
+    owns it (see _owned), and then updated in place. simulate_module runs
+    here the noise blocks of a layer that no gate took in (see _fuse).
     A label the layout lacks raises its KeyError, as in apply_layer.
     """
     for q, rate in rates.items():
@@ -846,16 +849,13 @@ def noise_apply(state: ClassicalQuantumState, rates: Mapping[str, float]) -> Cla
 
 
 @functools.lru_cache(maxsize=256)
-def _noise_superoperator(rates: tuple) -> np.ndarray:
-    """The superoperator of depolarizing noise at rate rates[i] on the i-th
-    qubit of a support, in KrausGate.superoperator's index order: rows
-    (i, j), columns (a, b), each a multi-index over the support. One qubit
-    at rate r: S_(ij),(ab) = (1 - r) [i=a][j=b] + r/2 [i=j][a=b]. Built on
-    first use; read-only, as every caller shares it."""
+def _noise_superoperator(rate: float) -> np.ndarray:
+    """The superoperator of depolarizing noise at ``rate`` on one qubit, in
+    KrausGate.superoperator's index order: S_(ij),(ab) = (1 - r) [i=a][j=b]
+    + r/2 [i=j][a=b]. Built on first use; read-only, as every caller
+    shares it."""
     vec_eye = np.eye(2).ravel()
-    parts = [((1.0 - r) * np.eye(4) + r / 2 * np.outer(vec_eye, vec_eye), (q,))
-             for q, r in enumerate(rates)]
-    out = _on_support(parts, tuple(range(len(rates)))).astype(complex)
+    out = ((1.0 - rate) * np.eye(4) + rate / 2 * np.outer(vec_eye, vec_eye)).astype(complex)
     out.flags.writeable = False
     return out
 
@@ -878,71 +878,60 @@ def _on_support(parts: Sequence[tuple], support: tuple) -> np.ndarray:
     return t.transpose(order).reshape(4 ** len(support), 4 ** len(support))
 
 
-class _FusedGate:
-    """Gates and noise of one round fused into one channel: the
-    superoperator that runs in one pass (see _fuse_round). A plain class,
-    as a dataclass adds about 0.5 ms to every import."""
+class _Block:
+    """A fixed keyless channel run as one superoperator pass: depolarizing
+    noise at ``rate`` on one qubit (a round's noise is a layer of these),
+    or blocks fused into one (see _fuse), whose ``rate`` is None. A plain
+    class, as a dataclass adds about 0.5 ms to every import."""
 
-    __slots__ = ("qubits", "superoperator")
+    __slots__ = ("qubits", "superoperator", "rate")
 
-    def __init__(self, qubits: tuple, superoperator: np.ndarray):
-        self.qubits, self.superoperator = qubits, superoperator
+    def __init__(self, qubits: tuple, superoperator: np.ndarray, rate: float | None = None):
+        self.qubits, self.superoperator, self.rate = qubits, superoperator, rate
 
 
 def _fusable(gate) -> bool:
-    """A Unitary or an unkeyed KrausGate on at most two qubits: a fixed
-    channel that reads and writes no key. Every other gate is a barrier on
-    its qubits."""
-    return (isinstance(gate, Unitary) or isinstance(gate, KrausGate) and gate.key is None) \
-        and len(gate.qubits) <= 2
+    """A Unitary, an unkeyed KrausGate or a _Block on at most two qubits:
+    a fixed channel that reads and writes no key. Every other gate is a
+    barrier on its qubits."""
+    return (isinstance(gate, (Unitary, _Block))
+            or isinstance(gate, KrausGate) and gate.key is None) and len(gate.qubits) <= 2
 
 
-def _fuse_round(layers: Sequence[Layer], rates: dict) -> tuple:
-    """Fuse a round's noise, ``rates`` (qubit -> rate), and its small
-    unkeyed gates into as few channel passes as the rule below allows.
-    Returns (gate lists, one per layer, some maybe empty; the qubit -> rate
-    map of the noise no gate took in, which noise_apply runs at the
-    round's start).
+def _fuse(layers: Sequence[Sequence]) -> list:
+    """Fuse the gate lists ``layers`` into as few channel passes as the
+    rule below allows; returns one gate list per layer, some maybe empty.
 
-    Each qubit at a rate above 0 starts with a pending one-qubit noise
-    block; each gate, in order, becomes the latest block on its qubits. A
+    Each gate, in order, becomes the latest block on its qubits. A
     fusable gate g (see _fusable) takes in each latest block B on its
     qubits whose support lies inside g's and that is still the latest block
     on all of B's qubits, so no gate between B and g touches B's qubits and
-    moving B to g is exact. g then runs as one superoperator, S_g . S_B...
-    (the B's act on disjoint qubits), at its own position, and each B
-    leaves its layer. A gate that takes in nothing is kept as it is. A gate
-    that is not fusable (a keyed KrausGate, a Conditional, a gate on three
-    or more qubits) is a barrier: no gate after it takes in a block before
-    it on its qubits."""
-    # noise not yet taken in; a qubit's is pending while no gate touched it
-    noise = {q: r for q, r in rates.items() if r > 0.0}
+    moving B to g is exact. g then runs as one superoperator, S_g times
+    the taken blocks' product on g's support (they act on disjoint
+    qubits), at its own position, and each B leaves its layer. A gate that
+    takes in nothing is kept as it is. A gate that is not fusable (a keyed
+    KrausGate, a Conditional, a gate on three or more qubits) is a barrier:
+    no gate after it takes in a block before it on its qubits."""
     latest: dict = {}  # qubit -> (layer, slot) of its latest block, None after a barrier
-    out = [list(layer.gates) for layer in layers]
+    out = [list(gates) for gates in layers]
     for i, gates in enumerate(out):
         for slot, gate in enumerate(gates):
             qubits = gate.qubits
             if not _fusable(gate):
                 latest.update(dict.fromkeys(qubits))
                 continue
-            taken = []
+            parts = []
             for at in dict.fromkeys(latest.get(q) for q in qubits):
                 if at is not None:
-                    inner = out[at[0]][at[1]].qubits
-                    if set(inner) <= set(qubits) and all(latest[x] == at for x in inner):
-                        taken.append(at)
-            here = tuple(noise.pop(q) if q in noise and q not in latest else 0.0
-                         for q in qubits)
-            if taken or any(here):
-                s = gate.superoperator
-                if any(here):
-                    s = s @ _noise_superoperator(here)
-                for at in taken:
-                    inner, out[at[0]][at[1]] = out[at[0]][at[1]], None
-                    s = s @ _on_support([(inner.superoperator, inner.qubits)], qubits)
-                gates[slot] = _FusedGate(qubits, s)
+                    inner = out[at[0]][at[1]]
+                    if set(inner.qubits) <= set(qubits) \
+                            and all(latest[x] == at for x in inner.qubits):
+                        out[at[0]][at[1]] = None
+                        parts.append((inner.superoperator, inner.qubits))
+            if parts:
+                gates[slot] = _Block(qubits, gate.superoperator @ _on_support(parts, qubits))
             latest.update(dict.fromkeys(qubits, (i, slot)))
-    return [[g for g in gates if g is not None] for gates in out], noise
+    return [[g for g in gates if g is not None] for gates in out]
 
 
 # ---------------------------------------------------------------------------
@@ -1055,16 +1044,16 @@ def _initial_cq_state(module: EcModule, input_state) -> ClassicalQuantumState:
     return ClassicalQuantumState.from_density(full.to_density())
 
 
-def _live_keys(layers: Sequence[Layer]) -> list:
-    """For each layer, the keys whose last outcome after it some later
-    Conditional reads: read before a keyed KrausGate writes them again.
-    One walk back over the gates of every round; each tuple in a fixed
+def _live_keys(layers: Sequence[Sequence]) -> list:
+    """For each of the gate lists ``layers``, the keys whose last outcome
+    after it some later Conditional reads: read before a keyed KrausGate
+    writes them again. One walk back over the gates; each tuple in a fixed
     order."""
     live: dict = {}  # an ordered set
     out = []
-    for layer in reversed(layers):
+    for gates in reversed(layers):
         out.append(tuple(live))
-        for gate in reversed(layer.gates):
+        for gate in reversed(gates):
             if isinstance(gate, Conditional):
                 live.update(dict.fromkeys(gate.keys))
             elif isinstance(gate, KrausGate) and gate.key is not None:
@@ -1085,9 +1074,12 @@ def simulate_module(
     0..J-1.
     Output lives on R + A.
 
-    Each round is fused first, by the rule in _fuse_round, the erased
-    rate 1 included. A layer that fusion empties is skipped: it held only
-    keyless channels, so its live keys equal the previous layer's.
+    Each round's noise is a layer of one-qubit noise blocks, one per qubit
+    at a rate above 0 (the erased rate 1 included), before the round's
+    layers, and the whole run is fused once by the rule in _fuse. A noise
+    block that no gate took in runs through noise_apply at its layer. A
+    layer that fusion empties is skipped: it held only keyless channels,
+    so its live keys equal the previous layer's.
 
     The initial state's matrix is fresh, so the first channel step
     updates it in place instead of copying it.
@@ -1113,17 +1105,19 @@ def simulate_module(
     state = _initial_cq_state(module, input_state)
     (_, fresh), = state.branches
     fresh.flags.writeable = True  # built here and seen by no caller: the first step owns it
-    live = iter(_live_keys([layer for circ in module.rounds for layer in circ.layers]))
+    layers = []
     for j, circ in enumerate(module.rounds):
         erase = region if erased is not None and erased[1] == j else set()
-        rates = {q: 1.0 if q in erase else module.p for q in module.graph.vertices}
-        layers, left = _fuse_round(circ.layers, rates)
-        if left:
-            state = noise_apply(state, left)
-        for gates in layers:
-            keys = next(live)
-            if gates:
-                state = apply_layer(state, Layer(gates), keys)
+        rates = ((q, 1.0 if q in erase else module.p) for q in module.graph.vertices)
+        layers.append([_Block((q,), _noise_superoperator(r), r) for q, r in rates if r > 0.0])
+        layers.extend(layer.gates for layer in circ.layers)
+    layers = _fuse(layers)
+    for gates, keys in zip(layers, _live_keys(layers)):
+        noise = [g for g in gates if isinstance(g, _Block) and g.rate is not None]
+        if noise:
+            state = noise_apply(state, {g.qubits[0]: g.rate for g in noise})
+        if len(noise) < len(gates):
+            state = apply_layer(state, Layer(g for g in gates if g not in noise), keys)
     fresh.flags.writeable = False  # a module that runs no step returns its initial state
     return state
 

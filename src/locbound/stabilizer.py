@@ -126,8 +126,10 @@ class StabilizerCode:
             [np.isin(letters, ("X", "Y")), np.isin(letters, ("Y", "Z"))]
         ).astype(np.uint8)
         self._projector: np.ndarray | None = None
-        x, z = mat[:, :n].astype(np.int64), mat[:, n:].astype(np.int64)
-        # symplectic form; argwhere walks the pairs i < j in combinations order
+        # symplectic form in float64, which numpy sends to BLAS (int64 it
+        # does not): exact, as every entry is at most 2n < 2^53; argwhere
+        # walks the pairs i < j in combinations order
+        x, z = mat[:, :n].astype(np.float64), mat[:, n:].astype(np.float64)
         clash = np.argwhere(np.triu(x @ z.T + z @ x.T, 1) % 2)
         if clash.size:
             i, j = clash[0]
@@ -147,8 +149,8 @@ class StabilizerCode:
             for subset in subsets:
                 acc, phase = np.zeros(n, dtype=np.int64), 0
                 for i in subset:
-                    phase += e[i] + 2 * int(acc @ x[i])
-                    acc ^= z[i]
+                    phase += e[i] + 2 * int(acc @ mat[i, :n])
+                    acc ^= mat[i, n:]
                 if phase % 4 == 2:
                     raise CodeValidationError("-I is in the generated group", subset)
             raise CodeValidationError(

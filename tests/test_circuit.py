@@ -662,11 +662,11 @@ def _mixed_first_layer_module(p):
 @pytest.mark.parametrize("erased", [None, (("a", "d1", "m", "i"), 1)], ids=["plain", "erased"])
 @pytest.mark.parametrize("p", [0.0, 0.1, 1.0])
 def test_folded_noise_matches_unfused_run(p, erased):
-    # simulate_module fuses each round's noise and small keyless gates
-    # across its layers (_fuse_round); noise_apply then apply_layer is the
-    # oracle. In the erased region (a, d1, m, i), gates take in the noise
-    # of a and d1 (first layer) and of i (second layer); the measured m
-    # keeps its noise for noise_apply.
+    # simulate_module fuses the noise blocks and small keyless gates of
+    # the whole run (_fuse); noise_apply then apply_layer is the oracle.
+    # In the erased region (a, d1, m, i), gates take in the noise of a and
+    # d1 (first layer) and of i (second layer); the measured m keeps its
+    # noise for noise_apply.
     module = _mixed_first_layer_module(p)
     state = simulate_module(module, erased=erased)
     oracle = _full_record_run(module, erased)
@@ -751,6 +751,21 @@ def _small_modules(draw):
     return module, erased
 
 
+def _cross_round_module():
+    """Two rounds on a triangle: a round ends with an unkeyed Kraus
+    channel on 2 and a unitary on 0 after a gate on (0, 1), and the next
+    round's first gate on (2, 0) takes both in through the noise blocks
+    of 2 and 0."""
+    g = ConnectivityGraph(["0", "1", "2"], [("0", "1"), ("1", "2"), ("0", "2")])
+    rng = np.random.default_rng(9)
+    first = Circuit(g, [Layer([Unitary(("0", "1"), random_unitary(rng, 4))]),
+                        Layer([KrausGate(("2",), random_kraus_channel(rng, 2, n_kraus=2)),
+                               Unitary(("0",), random_unitary(rng, 2))])])
+    second = Circuit(g, [Layer([Unitary(("2", "0"), random_unitary(rng, 4))])])
+    return EcModule(g, rounds=[first, second], data_qubits=("1", "0"),
+                    encoder=random_unitary(rng, 4)[:, :2], p=0.05)
+
+
 def _overlap_module():
     """B on (0, 1), then C on 1, then g on (0, 1): g may take in C but not
     B, which C follows on qubit 1."""
@@ -766,6 +781,7 @@ def _overlap_module():
 @settings(max_examples=100, deadline=None)
 @given(_small_modules())
 @example((_overlap_module(), None))
+@example((_cross_round_module(), None))
 def test_fused_rounds_match_full_record_run_on_random_modules(case):
     # fusion moves only fixed keyless channels, each past gates that touch
     # none of its qubits; noise_apply then apply_layer is the oracle
@@ -878,6 +894,7 @@ def _kron_record_run(module, erased=None):
 @settings(max_examples=100, deadline=None)
 @given(_small_modules())
 @example((_overlap_module(), None))
+@example((_cross_round_module(), None))
 def test_simulate_module_matches_kron_oracle_on_random_modules(case):
     # the whole path, superoperator kernel and gather plans included,
     # against an oracle built from np.kron, a Pauli sum and full records
@@ -892,11 +909,24 @@ def test_simulate_module_matches_kron_oracle_on_random_modules(case):
 _TRIANGLE = ConnectivityGraph(list("abc"), [("a", "b"), ("b", "c"), ("a", "c")])
 
 
-def _fuse(layers, p=0.0):
-    """_fuse_round on ``layers`` (gate lists on _TRIANGLE) at rate p on every
-    qubit."""
+def _noise_layer(p, qubits):
+    """A round's noise as simulate_module lays it out: one block per qubit
+    at rate p, none at p = 0."""
+    return [circuit._Block((q,), circuit._noise_superoperator(p), p) for q in qubits if p > 0.0]
+
+
+def _fused(layers, p=0.0):
+    """_fuse on a noise layer at rate p on every qubit of _TRIANGLE, then
+    ``layers`` (gate lists on _TRIANGLE); the noise layer's list comes
+    first."""
     circ = Circuit(_TRIANGLE, [Layer(gates) for gates in layers])
-    return circuit._fuse_round(circ.layers, dict.fromkeys(_TRIANGLE.vertices, p))
+    return circuit._fuse([_noise_layer(p, _TRIANGLE.vertices), *(l.gates for l in circ.layers)])
+
+
+def _plain_noise(gates):
+    """(qubit, rate) of each noise block in ``gates`` that took in nothing."""
+    return [(g.qubits[0], g.rate) for g in gates
+            if isinstance(g, circuit._Block) and g.rate is not None]
 
 
 def _haar(seed, dim):
@@ -904,13 +934,12 @@ def _haar(seed, dim):
 
 
 def _fused_matches_unfused(layers, p):
-    # the fused round, noise_apply on what is left first, is the round run
+    # the fused layers, each block by its superoperator, are the round run
     # by noise_apply and apply_layer, on a random state of a, b, c
     layout = RegisterLayout.qubits(*"abc")
     state = ClassicalQuantumState.from_density(random_density(np.random.default_rng(3), layout))
-    fused, left = _fuse(layers, p)
-    ours = noise_apply(state, left)
-    for gates in fused:
+    ours = state
+    for gates in _fused(layers, p):
         ours = apply_layer(ours, Layer(gates))
     oracle = noise_apply(state, dict.fromkeys(_TRIANGLE.vertices, p))
     for gates in layers:
@@ -925,10 +954,10 @@ def test_same_support_chain_fuses_into_one_block(p):
     chain = [[Unitary(("a", "b"), _haar(1, 4))],
              [KrausGate(("b", "a"), random_kraus_channel(np.random.default_rng(2), 4))],
              [Unitary(("a", "b"), _haar(3, 4))]]
-    layers, left = _fuse(chain, p)
-    assert layers[:2] == [[], []] and left == ({"c": p} if p else {})
+    noise, *layers = _fused(chain, p)
+    assert layers[:2] == [[], []] and _plain_noise(noise) == ([("c", p)] if p else [])
     (fused,) = layers[2]
-    assert isinstance(fused, circuit._FusedGate) and fused.qubits == ("a", "b")
+    assert isinstance(fused, circuit._Block) and fused.qubits == ("a", "b")
     _fused_matches_unfused(chain, p)
 
 
@@ -937,9 +966,9 @@ def test_block_moved_past_an_overlapping_gate_is_not_taken():
     # latest block on b, so g takes in C but not B
     b, c = Unitary(("a", "b"), _haar(1, 4)), Unitary(("b",), H)
     g = Unitary(("a", "b"), _haar(2, 4))
-    layers, _ = _fuse([[b], [c], [g]])
+    _, *layers = _fused([[b], [c], [g]])
     assert layers[0] == [b] and layers[1] == []
-    assert isinstance(layers[2][0], circuit._FusedGate)
+    assert isinstance(layers[2][0], circuit._Block)
     _fused_matches_unfused([[b], [c], [g]], 0.0)
     _fused_matches_unfused([[b], [c], [g]], 0.3)
 
@@ -949,7 +978,7 @@ def test_block_moved_past_an_overlapping_gate_is_not_taken():
                          ids=["first", "second"])
 def test_one_qubit_unitary_lifts_into_a_two_qubit_gate(qubit, lifted):
     one, two = _haar(1, 2), _haar(2, 4)
-    layers, _ = _fuse([[Unitary((qubit,), one)], [Unitary(("a", "b"), two)]])
+    _, *layers = _fused([[Unitary((qubit,), one)], [Unitary(("a", "b"), two)]])
     assert layers[0] == []
     (fused,) = layers[1]
     expected = circuit._pair_product(two @ lifted(one))
@@ -960,13 +989,13 @@ def test_one_qubit_unitary_lifts_into_a_two_qubit_gate(qubit, lifted):
                                      Conditional(("a",), ("s",), {(1,): X})],
                          ids=["measurement", "conditional"])
 def test_keyed_and_conditional_gates_block_fusion_on_their_qubit(barrier):
-    # nothing crosses the barrier on a; the noise on a stays at the round's
-    # start, while g takes in the noise on b
+    # nothing crosses the barrier on a; the noise on a stays in its layer,
+    # while g takes in the noise on b
     first, g = Unitary(("a",), H), Unitary(("a", "b"), CNOT)
-    layers, left = _fuse([[first], [barrier], [g]])
+    _, *layers = _fused([[first], [barrier], [g]])
     assert layers[:2] == [[first], [barrier]] and layers[2][0] is g
-    layers, left = _fuse([[barrier], [g]], 0.1)
-    assert layers[0] == [barrier] and left == {"a": 0.1, "c": 0.1}
+    noise, *layers = _fused([[barrier], [g]], 0.1)
+    assert layers[0] == [barrier] and _plain_noise(noise) == [("a", 0.1), ("c", 0.1)]
     assert layers[1][0].qubits == ("a", "b") and layers[1][0] is not g
     _fused_matches_unfused([[barrier], [g]], 0.1)
 
@@ -976,22 +1005,64 @@ def test_three_qubit_gate_is_kept_as_a_barrier():
     # in a block from before it
     one, big = Unitary(("a",), H), Unitary(("a", "b", "c"), _haar(1, 8))
     after = Unitary(("b", "c"), CNOT)
-    layers, left = _fuse([[one], [big], [after]], 0.1)
-    assert isinstance(layers[0][0], circuit._FusedGate)  # took in the noise on a
+    noise, *layers = _fused([[one], [big], [after]], 0.1)
+    assert isinstance(layers[0][0], circuit._Block)  # took in the noise on a
     assert layers[1] == [big] and layers[2] == [after]
-    assert left == {"b": 0.1, "c": 0.1}
+    assert _plain_noise(noise) == [("b", 0.1), ("c", 0.1)]
     _fused_matches_unfused([[one], [big], [after]], 0.1)
+
+
+def _reset_memory(p):
+    """Two rounds on the edge d - a: CNOT (d, a), measure a, flip d on
+    outcome 1 and reset a. The first round's reset is the last gate on a
+    before the second round's noise."""
+    g = ConnectivityGraph(["d", "a"], [("d", "a")])
+    circ = Circuit(g, [Layer([Unitary(("d", "a"), CNOT)]), Layer([measure_gate("a", "s")]),
+                       Layer([Conditional(("d",), ("s",), {(1,): X}), reset_gate("a")])])
+    return EcModule(g, rounds=[circ, circ], data_qubits=("d",),
+                    encoder=np.eye(2, dtype=complex), p=p, name="reset-memory")
+
+
+@pytest.mark.parametrize("erased", [None, (("a",), 1)], ids=["plain", "erased"])
+def test_reset_is_taken_into_the_next_rounds_noise_and_first_gate(erased, monkeypatch):
+    # rounds are no fusion boundary: the second round's noise block on a
+    # takes in the first round's reset, and its CNOT takes in that block
+    # and the noise on d, so the reset runs once on the merged branch
+    fused, inner = [], circuit._fuse
+
+    def spy(layers):
+        fused.append(inner(layers))
+        return fused[-1]
+
+    monkeypatch.setattr(circuit, "_fuse", spy)
+    module = _reset_memory(0.05)
+    rho = simulate_module(module, erased=erased).average_state().matrix
+    (layers,) = fused
+    # noise, CNOT, measure, decode (+ reset), noise, CNOT, measure, decode + reset
+    assert [len(gates) for gates in layers] == [0, 1, 1, 1, 0, 1, 1, 2]
+    assert isinstance(layers[5][0], circuit._Block) and layers[5][0].qubits == ("d", "a")
+    assert not any(isinstance(g, KrausGate) and g.key is None for g in layers[3])
+    assert np.abs(rho - _full_record_run(module, erased).average_state().matrix).max() < 1e-12
+    oracle, delta = _kron_record_run(module, erased)
+    assert np.abs(rho - oracle).max() < 1e-12
+    assert abs(1.0 - module_fidelity(module, erased=erased) - delta) < 1e-12
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the circuit functions ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, inner=getattr(circuit, name), name=name, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(circuit, name, counted)
+    return calls
 
 
 def test_mirror_module_runs_one_channel_pass_per_pair(monkeypatch):
     # Haar gates on the five rungs of a 2 x 5 grid, then their inverses:
     # each pair's noise, gate and inverse run as one superoperator pass
-    calls = {"apply_channel": 0, "apply_operator": 0}
-    for name in calls:
-        def counted(*args, inner=getattr(circuit, name), name=name, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(circuit, name, counted)
+    calls = _count_calls(monkeypatch, "apply_channel", "apply_operator")
     rng = np.random.default_rng(5)
     g, _ = grid_graph((2, 5))
     gates = [Unitary((str(c), str(c + 5)), random_unitary(rng, 4)) for c in range(5)]
@@ -1002,6 +1073,16 @@ def test_mirror_module_runs_one_channel_pass_per_pair(monkeypatch):
     # with probability 1 - p/2
     assert abs(logical_error_rate(module) - 0.05) < 1e-12
     assert calls == {"apply_channel": 5, "apply_operator": 0}
+
+
+def test_repetition_memories_run_180_channel_passes(monkeypatch):
+    # a round's trailing resets are taken into the next round's noise
+    # blocks and first CNOTs, so each runs once on the merged branch, not
+    # once per syndrome branch (252 passes while rounds bounded fusion)
+    calls = _count_calls(monkeypatch, "apply_channel")
+    for rounds in (3, 4, 5):
+        simulate_module(repetition_module(0.05, rounds))
+    assert calls == {"apply_channel": 180}
 
 
 def test_noiseless_round_folds_nothing(monkeypatch):
@@ -1093,7 +1174,7 @@ def test_simulated_states_are_hermitian_without_help(module, input_state, erased
 def test_lost_trace_in_a_folded_gate_is_an_invariant_failure(monkeypatch):
     # the folded channel passes the same finish-step check as noise_apply
     noise = circuit._noise_superoperator
-    monkeypatch.setattr(circuit, "_noise_superoperator", lambda rates: 0.5 * noise(rates))
+    monkeypatch.setattr(circuit, "_noise_superoperator", lambda rate: 0.5 * noise(rate))
     with pytest.raises(circuit.InvariantError, match="trace not preserved"):
         simulate_module(repetition_module(0.1, rounds=1))
 

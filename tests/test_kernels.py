@@ -324,9 +324,10 @@ def test_shared_pass_matches_serial_bytes(n, monkeypatch):
             qubits = tuple(map(str, positions))
             u = random_unitary(rng, 4)
             iso = random_unitary(rng, 12)[:, :4]  # three Kraus operators of a channel
-            (fused,), = circuit._fuse_round([Layer([Unitary(qubits, u)])],
-                                            dict(zip(qubits, (0.1, 0.2))))[0]
-            assert isinstance(fused, circuit._FusedGate)
+            noise = [circuit._Block((q,), circuit._noise_superoperator(r), r)
+                     for q, r in zip(qubits, (0.1, 0.2))]
+            left, (fused,) = circuit._fuse([noise, [Unitary(qubits, u)]])
+            assert left == [] and isinstance(fused, circuit._Block)
             for gate in (Unitary(qubits, u), KrausGate(qubits, iso.reshape(3, 4, 4)), fused):
                 serial = None
                 for workers in (1, 3):

@@ -16,12 +16,12 @@ from locbound.cli import dispatch
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# argv -> (exit code, sha256 of stdout) at the commit that added this file
+# argv -> (exit code, sha256 of stdout); CHANGES.md names every pin a change moved
 _PINS = {
     "verify overhead":
-        (0, "72d5076013bbe60eb4f12c1b05415eedce59033a257a4a0c63eead7f32c77ff4"),
+        (0, "b52d0f325c72485a8554b141c7348193fa3820318aca76b0d8bf0ba2bd207212"),
     "verify overhead --c2 2":
-        (0, "e408411ece85495a113e45987e65a1722b18321ae0fc20c190ef11abc903de68"),
+        (0, "5016b071927208a26cfc26895b2d88cc06f26747e3fd328adabad6a57bcc627b"),
     "verify depth-bound":
         (0, "8dfe2786ed4b29a9ce6db3803aab9214d629a6e8d0723f19004a369fa2caa733"),
     "verify sie":

@@ -197,6 +197,41 @@ def test_validate_code_matches_dense_oracle(strings):
     assert code.generators == tuple(s.lstrip("+") for s in strings)
 
 
+def _int64_first_clash(bits, n):
+    """The first pair i < j of rows (x | z) of ``bits`` that anticommute,
+    by the int64 symplectic product, or None."""
+    x, z = bits[:, :n].astype(np.int64), bits[:, n:].astype(np.int64)
+    clash = np.argwhere(np.triu(x @ z.T + z @ x.T, 1) % 2)
+    return tuple(map(int, clash[0])) if clash.size else None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_commutation_check_matches_the_int64_product(seed):
+    # CSS rows on n = 300 qubits: X rows [I | A], Z rows in their kernel,
+    # so all commute; an odd seed inserts one random row at a random place.
+    # The constructor's float64 product must name the int64 product's
+    # first clash pair, with the same text.
+    rng = np.random.default_rng(seed)
+    n, r = 300, 40
+    a = rng.integers(0, 2, (r, n - r))
+    xs = np.hstack([np.eye(r, dtype=np.int64), a])
+    zs = rng.integers(0, 2, (r, n - r)) @ np.hstack([a.T, np.eye(n - r, dtype=np.int64)]) % 2
+    bits = np.vstack([np.hstack([xs, 0 * xs]), np.hstack([0 * zs, zs])])
+    if seed % 2:
+        bits = np.insert(bits, rng.integers(0, 2 * r), rng.integers(0, 2, 2 * n), axis=0)
+    gens = ["".join("IXZY"[u + 2 * v] for u, v in zip(row[:n], row[n:])) for row in bits]
+    clash = _int64_first_clash(bits, n)
+    assert (clash is None) == (seed % 2 == 0)
+    if clash is None:
+        assert StabilizerCode(gens).n == n
+        return
+    i, j = clash
+    with pytest.raises(CodeValidationError) as exc:
+        StabilizerCode(gens)
+    assert exc.value.rows == clash
+    assert str(exc.value) == f"generators {gens[i]} and {gens[j]} do not commute"
+
+
 def test_min_distance():
     assert min_distance(five_qubit_code()).distance == 3
     assert min_distance(four_two_two_code()).distance == 2
