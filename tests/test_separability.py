@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg.lapack import zheevd
 
 from locbound import circuit, separability
 from locbound.entropy import relative_entropy, vn_entropy
@@ -12,6 +15,7 @@ from locbound.qstate import (
 )
 from locbound.rand import random_density, random_pure, random_unitary
 from locbound.separability import (
+    SeparableEnsemble,
     _assemble,
     _decode,
     _objective_and_grad,
@@ -184,6 +188,162 @@ def _uniform_product_theta(terms, da, db):
     return _pack(np.zeros(terms), a, b)
 
 
+def _reference_objective_and_grad(theta, rho_mat, terms, da, db, tr_rho_log_rho):
+    """The objective as first written, on the block layout
+    [w | Re a | Im a | Re b | Im b]: numpy's eigh, einsums, one
+    concatenate. The fast objective must reproduce it."""
+    t, na = terms, terms * da
+    xa = theta[t : t + 2 * na].reshape(2, t, da)
+    xb = theta[t + 2 * na :].reshape(2, t, db)
+    ra = np.sqrt((xa * xa).sum(axis=(0, 2)))
+    rb = np.sqrt((xb * xb).sum(axis=(0, 2)))
+    ra += ra < 1e-30
+    rb += rb < 1e-30
+    ew = np.exp(theta[:t] - theta[:t].max())
+    p = ew / ew.sum()
+    ah = (xa[0] + 1j * xa[1]) / ra[:, None]
+    bh = (xb[0] + 1j * xb[1]) / rb[:, None]
+    c = (ah[:, :, None] * bh[:, None, :]).reshape(terms, -1)
+    sigma = (c.T * p) @ c.conj()
+    sigma = (sigma + sigma.conj().T) / 2
+
+    lam, v = np.linalg.eigh(sigma)
+    lam_c = np.maximum(lam, 1e-18)
+    log_l = np.log(lam_c)
+    rho_t = v.conj().T @ rho_mat @ v
+    f = tr_rho_log_rho - float(rho_t.diagonal().real @ log_l) / math.log(2)
+    dl = lam_c[:, None] - lam_c[None, :]
+    inv = 1.0 / lam_c
+    phi = (inv[:, None] + inv[None, :]) / 2
+    np.divide(log_l[:, None] - log_l[None, :], dl, out=phi, where=np.abs(dl) > 1e-14)
+    m = v @ (rho_t * phi) @ v.conj().T
+
+    mc = (c @ m.T).reshape(terms, da, db)
+    qa = np.einsum("tj,tij->ti", bh.conj(), mc)
+    rb_v = np.einsum("ti,tij->tj", ah.conj(), mc)
+    cmc = np.einsum("ti,ti->t", ah.conj(), qa).real
+    gamma = cmc / -math.log(2)
+    grad_w = p * (gamma - p @ gamma)
+    coef = -2.0 * p / math.log(2)
+    ga = (coef / ra)[:, None] * (qa - cmc[:, None] * ah)
+    gb = (coef / rb)[:, None] * (rb_v - cmc[:, None] * bh)
+    return f, np.concatenate(
+        [grad_w, ga.real.ravel(), ga.imag.ravel(), gb.real.ravel(), gb.imag.ravel()])
+
+
+def _from_block_layout(theta, terms, da, db):
+    """[w | Re a | Im a | Re b | Im b] -> [w | rows (a_t | b_t) as
+    interleaved complex], the layout of the search."""
+    xa = theta[terms : terms * (1 + 2 * da)].reshape(2, terms, da)
+    xb = theta[terms * (1 + 2 * da) :].reshape(2, terms, db)
+    return _pack(theta[:terms], xa[0] + 1j * xa[1], xb[0] + 1j * xb[1])
+
+
+def _problem(da, db, seed=7):
+    """A random full-rank rho on a da x db layout and tr(rho log2 rho)."""
+    lay = RegisterLayout.of(("a", da), ("b", db))
+    rho = random_density(np.random.default_rng(seed), lay)
+    return lay, rho, -vn_entropy(rho)
+
+
+def _objective(theta, rho, terms, da, db, tr_log):
+    return _objective_and_grad(theta, rho.matrix, terms, da, db, tr_log, zheevd)
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 4), (4, 2)], ids=["2x2", "2x4", "4x2"])
+@pytest.mark.parametrize("case", ["random", "uniform", "zero_row"])
+def test_objective_matches_the_reference(da, db, case):
+    lay, rho, tr_log = _problem(da, db)
+    terms = (da * db) ** 2
+    if case == "uniform":
+        theta = _uniform_product_theta(terms, da, db)
+        re_im = theta[terms:].reshape(terms, da + db, 2)
+        old = np.concatenate([theta[:terms], re_im[:, :da, 0].ravel(), re_im[:, :da, 1].ravel(),
+                              re_im[:, da:, 0].ravel(), re_im[:, da:, 1].ravel()])
+    else:
+        old = np.random.default_rng(11).standard_normal(terms * (1 + 2 * da + 2 * db))
+        if case == "zero_row":  # a_3 = 0 takes the norm guard
+            old[terms + 3 * da : terms + 4 * da] = 0.0
+            old[terms + (terms + 3) * da : terms + (terms + 4) * da] = 0.0
+        theta = _from_block_layout(old, terms, da, db)
+    assert np.array_equal(_from_block_layout(old, terms, da, db), theta)
+
+    f_ref, g_ref = _reference_objective_and_grad(old, rho.matrix, terms, da, db, tr_log)
+    f, grad = _objective(theta, rho, terms, da, db, tr_log)
+    assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
+    g_ref = _from_block_layout(g_ref, terms, da, db)
+    np.testing.assert_allclose(grad, g_ref, rtol=1e-12, atol=1e-12 * np.abs(g_ref).max())
+    if case == "zero_row":
+        assert not grad[terms + 3 * 2 * (da + db) :][: 2 * da].any()
+
+    # the witness path reads the same ensemble off theta
+    witness = SeparableEnsemble(*_decode(theta, terms, da)).assemble(lay)
+    assert abs(f - relative_entropy(rho, witness)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 4), (4, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+    row=st.integers(0, 15),
+    side=st.sampled_from(["a", "b"]),
+    log_c=st.floats(-12.0, 150.0),
+)
+def test_objective_is_invariant_under_factor_scale(dims, seed, row, side, log_c):
+    # f reads factor rows only through their directions: scaling one row by
+    # c keeps f and scales that row's gradient by 1/c, up to norms of 1e150
+    da, db = dims
+    lay, rho, tr_log = _problem(da, db)
+    terms = (da * db) ** 2
+    theta = np.random.default_rng(seed).standard_normal(terms * (1 + 2 * da + 2 * db))
+    lo = terms + 2 * row * (da + db) + (0 if side == "a" else 2 * da)
+    block = slice(lo, lo + 2 * (da if side == "a" else db))
+    c = 10.0 ** log_c
+    scaled = theta.copy()
+    scaled[block] *= c
+    f, grad = _objective(theta, rho, terms, da, db, tr_log)
+    f_c, grad_c = _objective(scaled, rho, terms, da, db, tr_log)
+    assert abs(f_c - f) <= 1e-12 * abs(f)
+    scale = np.ones_like(grad)
+    scale[block] = c
+    np.testing.assert_allclose(grad_c * scale, grad, rtol=1e-12,
+                               atol=1e-12 * np.abs(grad).max())
+
+
+@pytest.mark.parametrize("entry", ["weight", "a", "b"])
+def test_nan_parameter_raises_linalg_error(entry):
+    # as numpy's eigh did: LAPACK may return NaN eigenvalues with info 0
+    da, db = 2, 2
+    lay, rho, tr_log = _problem(da, db)
+    terms = (da * db) ** 2
+    theta = np.random.default_rng(1).standard_normal(terms * (1 + 2 * da + 2 * db))
+    theta[{"weight": 5, "a": terms + 1, "b": terms + 2 * da + 1}[entry]] = np.nan
+    with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+        _objective(theta, rho, terms, da, db, tr_log)
+
+
+def test_nan_spectrum_with_info_zero_raises_linalg_error():
+    # zheevd reports info 0 for a diagonal input (here sigma = I/d) with one
+    # NaN on the diagonal, and returns a NaN eigenvalue; the objective must
+    # not pass the NaN value on as a number
+    da, db = 2, 2
+    lay, rho, tr_log = _problem(da, db)
+    terms = (da * db) ** 2
+    seen = []
+
+    def nan_corner(sigma, lower):
+        sigma = sigma.copy()
+        sigma[0, 0] = np.nan
+        out = zheevd(sigma, lower=lower)
+        seen.append((out[2], np.isnan(out[0]).any()))
+        return out
+
+    theta = _uniform_product_theta(terms, da, db)
+    with pytest.raises(np.linalg.LinAlgError):
+        _objective_and_grad(theta, rho.matrix, terms, da, db, tr_log, nan_corner)
+    assert seen == [(0, True)]
+
+
 @pytest.mark.parametrize("da, db", [(2, 2), (2, 4), (4, 2)], ids=["2x2", "2x4", "4x2"])
 @pytest.mark.parametrize("uniform", [False, True], ids=["random", "uniform"])
 def test_gradient_matches_finite_differences(da, db, uniform):
@@ -192,23 +352,25 @@ def test_gradient_matches_finite_differences(da, db, uniform):
     terms = (da * db) ** 2  # as in the search
     if uniform:
         theta = _uniform_product_theta(terms, da, db)
-        p, ah, bh, _, _ = _decode(theta, terms, da, db)
+        p, ah, bh = _decode(theta, terms, da)
         assert np.array_equal(_assemble(p, ah, bh)[0], np.eye(da * db) / (da * db))
     else:
         theta = rng.standard_normal(terms * (1 + 2 * da + 2 * db))
     evals = np.clip(np.linalg.eigvalsh(rho), 0, None)
     pos = evals[evals > 1e-12]
     tr_log = float((pos * np.log2(pos)).sum())
-    f0, grad = _objective_and_grad(theta, rho, terms, da, db, tr_log)
-    # three coordinates from each block of theta: weights, Re a, Im a, Re b, Im b
-    starts = np.cumsum([0, terms, terms * da, terms * da, terms * db, terms * db])
-    picks = [rng.choice(np.arange(lo, hi), size=3, replace=False)
-             for lo, hi in zip(starts[:-1], starts[1:])]
+    f0, grad = _objective_and_grad(theta, rho, terms, da, db, tr_log, zheevd)
+    # three coordinates from each kind of entry of theta: the weights, then
+    # Re and Im of the a and the b factors, read off the layout's rows
+    re_im = np.arange(theta.size)[terms:].reshape(terms, da + db, 2)
+    kinds = [np.arange(terms), re_im[:, :da, 0], re_im[:, :da, 1], re_im[:, da:, 0],
+             re_im[:, da:, 1]]
+    picks = [rng.choice(k.ravel(), size=3, replace=False) for k in kinds]
     h = 1e-6
     for idx in np.concatenate(picks):
         bump = theta.copy()
         bump[idx] += h
-        f1, _ = _objective_and_grad(bump, rho, terms, da, db, tr_log)
+        f1, _ = _objective_and_grad(bump, rho, terms, da, db, tr_log, zheevd)
         fd = (f1 - f0) / h
         assert abs(fd - grad[idx]) < 5e-5 * max(1.0, abs(fd)), (idx, fd, grad[idx])
 
