@@ -33,6 +33,8 @@ def vn_entropy(rho: DensityMatrix, subset: Iterable[str] | None = None) -> float
     if subset is not None:
         subset = list(subset)
         rho = rho.reduced(subset)
+    if not np.isfinite(rho.matrix).all():  # NaN eigenvalues would drop out of the sum
+        raise ValueError("entropy of a state with a non-finite entry")
     evals = np.linalg.eigvalsh(rho.matrix)
     return _spectrum_entropy(np.clip(evals, 0.0, None))
 

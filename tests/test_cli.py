@@ -648,6 +648,42 @@ def test_internal_invariant_failure_exits_three(monkeypatch, capsys):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_failed_eigensolver_in_the_ree_search_exits_three(monkeypatch, capsys):
+    # LinAlgError is a ValueError, but a failed eigh of the search's own
+    # sigma is a fault of the package: exit 3, not the input error 2
+    import scipy.linalg.lapack as lapack
+
+    zheevd = lapack.zheevd
+    monkeypatch.setattr(lapack, "zheevd", lambda a, lower=0: (*zheevd(a, lower=lower)[:2], 7))
+    assert dispatch(["ree", "--code", FOUR_TWO_TWO, "--region", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: REE restart 0: eigh of sigma failed: info 7")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_nan_state_in_ree_exits_two_before_any_restart(monkeypatch, capsys):
+    from locbound import separability
+    from locbound.qstate import DensityMatrix
+    from locbound.stabilizer import StabilizerCode
+
+    mixed = StabilizerCode.encoded_maximally_mixed
+
+    def nan_state(code):
+        rho = mixed(code)
+        mat = rho.matrix.copy()
+        mat[1, 0] = float("nan")
+        return DensityMatrix(rho.layout, mat, validate=False)
+
+    def no_restart(*args):
+        raise AssertionError("a restart ran on a NaN state")
+
+    monkeypatch.setattr(StabilizerCode, "encoded_maximally_mixed", nan_state)
+    monkeypatch.setattr(separability, "_run_restart", no_restart)
+    assert dispatch(["ree", "--code", FOUR_TWO_TWO, "--region", "0"]) == 2
+    assert capsys.readouterr().err == "error: entropy of a state with a non-finite entry\n"
+
+
 # ---------------------------------------------------------------------------
 # CLI contract over argv: exit 0 or 1 with strict JSON on stdout, or exit 2
 # with a message on stderr; dispatch never raises.

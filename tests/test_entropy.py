@@ -51,6 +51,17 @@ def test_vn_entropy_examples():
         vn_entropy(rho, ["zz"])
 
 
+@pytest.mark.parametrize("where, bad", [((1, 0), math.nan), ((0, 1), math.nan),
+                                        ((0, 1), math.inf)])
+def test_vn_entropy_refuses_a_non_finite_state(where, bad):
+    # a NaN eigenvalue fails the cutoff test and the upper triangle is never
+    # read, so each of these gave a finite entropy before the check
+    mat = np.eye(4, dtype=complex) / 4
+    mat[where] = bad
+    with pytest.raises(ValueError, match="non-finite entry"):
+        vn_entropy(DensityMatrix(Q2, mat, validate=False))
+
+
 def test_relative_entropy_examples():
     rng = np.random.default_rng(1)
     rho = random_density(rng, Q1)

@@ -36,6 +36,10 @@ _PINS = {
         (0, "77ff5282fb23a41385e7a534e04dd0d273a3fc0e096d542d64a7acae34da4a5c"),
     "verify corr-max --code data/four_two_two.code --states 4":
         (0, "0526ab1eff599fef926bc7f47b13f8e9125cdc994b344d9f58a2652d5dc479e7"),
+    "ree --code data/four_two_two.code --region 0":
+        (0, "8f084684083deea168a977801b24d4ea5e7c7e21df96f3610a2aa52465b6dc1e"),
+    "ree --code data/five_qubit.code --region 0,1 --restarts 2 --iterations 10":
+        (0, "77d7da59d3da92a1817669a9263650840da7997589b51d2d807aeb302e4596de"),
 }
 
 

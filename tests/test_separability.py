@@ -13,7 +13,7 @@ from locbound.qstate import (
     RegisterLayout,
     max_entangled_state,
 )
-from locbound.rand import random_density, random_pure, random_unitary
+from locbound.rand import random_density, random_pure, random_unitary, rng_from
 from locbound.separability import (
     SeparableEnsemble,
     _assemble,
@@ -415,3 +415,53 @@ def test_missing_blas_library_or_symbol_is_skipped(monkeypatch):
             assert ree_upper(bell_state(), ["a"], restarts=1, iterations=5)[0] >= 0.0
         finally:
             circuit._openblas_thread_counts.cache_clear()
+
+
+# name -> (layout, rank or None for a pure state, state seed); pure-2x4's
+# third restart ends in an abnormal line search after 57 iterations
+_ORACLE_STATES = {
+    "pure-2x2": (Q2, None, 33),
+    "rank2-2x2": (Q2, 2, 33),
+    "rank3-2x2": (Q2, 3, 33),
+    "rank4-2x2": (Q2, 4, 33),
+    "pure-2x4": (RegisterLayout.of(("a", 2), ("b", 4)), None, 100),
+    "rank3-2x4": (RegisterLayout.of(("a", 2), ("b", 4)), 3, 33),
+    "rank5-4x4": (RegisterLayout.of(("a", 4), ("b", 4)), 5, 33),
+}
+
+
+@pytest.mark.parametrize("state", list(_ORACLE_STATES))
+def test_restart_matches_scipy_minimize_bit_for_bit(state):
+    # scipy's minimize(method="L-BFGS-B") is the oracle of the search
+    # driver: same start, same factors to the bit, same nit and success
+    from scipy.optimize import minimize
+
+    lay, rank, state_seed = _ORACLE_STATES[state]
+    rng = np.random.default_rng(state_seed)
+    if rank is None:
+        rho = random_pure(rng, lay).to_density()
+    else:
+        rho = random_density(rng, lay, rank=rank)
+    da, db = lay.subset(["a"]).dim, lay.subset(["b"]).dim
+    terms = (da * db) ** 2
+    tr_log = -vn_entropy(rho)
+    seeds = np.random.SeedSequence(8).spawn(3)
+    with circuit._one_blas_thread():
+        for restart in range(3):
+            for iterations in (1, 30, 200):
+                ens, nit, ok = separability._run_restart(
+                    restart, seeds[restart], rho.matrix, terms, da, db, tr_log, iterations)
+                theta0 = separability._initial_theta(
+                    restart, rng_from(seeds[restart]), rho.matrix, terms, da, db)
+                res = minimize(
+                    _objective_and_grad, theta0,
+                    args=(rho.matrix, terms, da, db, tr_log, zheevd), jac=True,
+                    method="L-BFGS-B",
+                    options={"maxiter": iterations, "ftol": 1e-14, "gtol": 1e-12},
+                )
+                p, ah, bh = _decode(res.x, terms, da)
+                where = (restart, iterations)
+                assert np.array_equal(ens.weights, p), where
+                assert np.array_equal(ens.a_factors, ah), where
+                assert np.array_equal(ens.b_factors, bh), where
+                assert (nit, ok) == (res.nit, res.success), where
