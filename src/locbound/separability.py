@@ -5,16 +5,27 @@ explicitly separable ensembles.
 The upper-bound search runs L-BFGS restarts over theta = [w | rows (a_t | b_t)
 as interleaved complex]: softmax weights and explicitly normalized product
 factors. The objective reads theta through views, writes one gradient array
-and calls LAPACK's zheevd from scipy, imported on first use like `setulb`;
-a call takes 23 % (2x2) and 14 % (2x4) less time than with numpy's eigh and
-einsums (median of alternating runs, 2-core Xeon VM). Each restart drives
-scipy's L-BFGS-B routine `setulb` directly, with `minimize`'s settings and
-without its per-evaluation wrappers (about 35 % more `ree-search` tasks/s,
-same brackets to the bit); the tests keep `minimize` as the oracle that pins
-the driver bit for bit. The reported value does not rest on it: one decode and one assembly give a separable witness sigma,
+and calls LAPACK's zheevd from scipy, imported on first use like `setulb`,
+once per row. Each restart drives scipy's L-BFGS-B routine `setulb`
+directly, with `minimize`'s settings and without its per-evaluation
+wrappers; the tests keep `minimize` as the oracle that pins the driver bit
+for bit. The restarts of a bracket run in lockstep: each keeps its own
+`setulb` state, and each round every live restart advances until `setulb`
+asks for f and g, and all asks go to one stacked objective call, so the
+per-call cost of its ~45 numpy calls on at most 64 x 64 arrays is paid once
+per round. Results fold in restart order and the stop is checked after each
+fold, so the bracket is the one-after-another search's to the bit. A pure
+cut state's restart 0 runs alone when a stop is set: its Schmidt start is
+the exact minimizer, so the bracket ends there. Stacking pays on 2x2 and
+2x4 cuts only: W restarts took 0.35-0.78 (2x2, W = 2..25) and 0.61-0.78
+(2x4, W = 2..12) of the time one at a time, 0.95-1.01 on 4x4 and 1.12 on
+4x8 (BENCH_34.json), so a call carries at most _LOCKSTEP_TERMS ensemble
+terms: one restart of 4x4 and larger cuts. The reported value does not rest
+on any of this: one decode and one assembly give a separable witness sigma,
 and the value is D(rho || sigma) from `relative_entropy`, a sound upper bound
-at any convergence. Restart seeds derive from the master seed, so results are
-deterministic for a given budget; restarts run on one OpenBLAS thread.
+at any convergence. Restart seeds are the children of the master seed in
+restart order, spawned as restarts start, so results are deterministic for
+a given budget; restarts run on one OpenBLAS thread.
 """
 
 from __future__ import annotations
@@ -33,6 +44,9 @@ DEFAULT_RESTARTS = 20
 DEFAULT_ITERATIONS = 2000
 STOP_MARGIN = 5e-4  # ree_bracket stops restarting once upper <= lower + this
 MAX_REE_DIM = 64  # total dimension the ensemble search accepts
+# ensemble terms per stacked objective call, and at least one restart: 25
+# restarts of a 2x2 cut, 6 of 2x4, one of 4x4 and larger cuts
+_LOCKSTEP_TERMS = 400
 
 _LN2 = np.log(2.0)
 _EIG_FLOOR = 1e-18
@@ -92,28 +106,31 @@ def _ree_lower(rho: DensityMatrix, a: tuple, b: tuple) -> float:
 
 
 def _rows(theta, terms, da):
-    """theta = [w | rows (a_t | b_t) as interleaved complex] -> (softmax
-    weights p, unit rows u_t = (a_t/|a_t| | b_t/|b_t|), and the norm r of
-    each entry's factor, which the tangential gradient divides by)."""
-    y = theta[terms:].reshape(terms, -1)
-    r = np.sqrt(np.add.reduceat(y * y, [0, 2 * da], axis=1))
+    """theta (N, n), one row [w | rows (a_t | b_t) as interleaved complex]
+    per restart -> (softmax weights p (N, terms), unit rows u_t = (a_t/|a_t|
+    | b_t/|b_t|), and the norm r of each entry's factor, which the
+    tangential gradient divides by)."""
+    y = theta[:, terms:].reshape(len(theta), terms, -1)
+    r = np.sqrt(np.add.reduceat(y * y, [0, 2 * da], axis=2))
     r += r < 1e-30  # a zero factor is divided by 1
-    r = np.repeat(r, [da, y.shape[1] // 2 - da], axis=1)
-    ew = np.exp(theta[:terms] - theta[:terms].max())
-    return ew / ew.sum(), y.view(complex) / r, r
+    r = r.repeat([da, y.shape[2] // 2 - da], axis=2)
+    w = theta[:, :terms]
+    ew = np.exp(w - np.maximum.reduce(w, axis=1, keepdims=True))
+    return ew / np.add.reduce(ew, axis=1, keepdims=True), y.view(complex) / r, r
 
 
 def _decode(theta, terms, da):
-    """Parameters -> (softmax weights, unit factors a_hat, b_hat)."""
-    p, u, _ = _rows(theta, terms, da)
-    return p, u[:, :da], u[:, da:]
+    """One parameter row -> (softmax weights, unit factors a_hat, b_hat)."""
+    p, u, _ = _rows(theta[None], terms, da)
+    return p[0], u[0, :, :da], u[0, :, da:]
 
 
 def _assemble(p, ah, bh):
     """sigma = sum_t p_t |a_t b_t><a_t b_t|, Hermitian up to rounding, and
-    the product vectors a_t (x) b_t as rows."""
-    c = (ah[:, :, None] * bh[:, None, :]).reshape(len(p), -1)
-    return (c.T * p) @ c.conj(), c
+    the product vectors a_t (x) b_t as rows; p (..., terms) and factors
+    (..., terms, dim) stack over leading axes."""
+    c = (ah[..., :, None] * bh[..., None, :]).reshape(*p.shape, -1)
+    return (c.swapaxes(-1, -2) * p[..., None, :]) @ c.conj(), c
 
 
 def _pack(w, a, b):
@@ -121,39 +138,49 @@ def _pack(w, a, b):
 
 
 def _objective_and_grad(theta, rho_mat, terms, da, db, tr_rho_log_rho, zheevd):
+    """D(rho || sigma) in bits and its gradient for a stack of parameter
+    rows: theta (N, n) -> (f, a list of N floats; grad (N, n)). Each row is
+    what a one-row call gives to the bit, with one zheevd call per row. The
+    first row whose eigensolve fails raises LinAlgError(message, row)."""
+    n = len(theta)
     p, u, r = _rows(theta, terms, da)
-    sigma, c = _assemble(p, u[:, :da], u[:, da:])
-    lam, v, info = zheevd(sigma, lower=1)  # reads the lower triangle only
+    sigma, c = _assemble(p, u[..., :da], u[..., da:])
+    lam, v, info = np.empty((n, da * db)), np.empty_like(sigma), [0] * n
+    for i, s in enumerate(sigma):  # one call per row; zheevd reads the lower triangle only
+        lam[i], v[i], info[i] = zheevd(s, lower=1)
     np.maximum(lam, _EIG_FLOOR, out=lam)
     log_l = np.log(lam)
-    vh = v.conj().T
+    vh = v.conj().swapaxes(1, 2)
     rho_t = vh @ rho_mat @ v
-    f = tr_rho_log_rho - float(rho_t.diagonal().real @ log_l) / _LN2
-    if info or f != f:
-        raise np.linalg.LinAlgError(f"eigh of sigma failed: info {info}, f {f}")
+    dots = (rho_t.diagonal(axis1=1, axis2=2).real[:, None] @ log_l[..., None]).ravel().tolist()
+    f = [tr_rho_log_rho - dot / _LN2 for dot in dots]
+    for i, (bad, fi) in enumerate(zip(info, f)):
+        if bad or fi != fi:
+            raise np.linalg.LinAlgError(f"eigh of sigma failed: info {bad}, f {fi}", i)
 
     # Daleckii-Krein divided differences of ln on sigma's spectrum; a pair
     # closer than 1e-14 keeps the mean of 1/lambda, the derivative's limit
     inv = 0.5 / lam
-    phi = np.add.outer(inv, inv)
-    dl = np.subtract.outer(lam, lam)
-    np.divide(np.subtract.outer(log_l, log_l), dl, out=phi, where=np.abs(dl) > 1e-14)
+    phi = inv[:, :, None] + inv[:, None, :]
+    dl = lam[:, :, None] - lam[:, None, :]
+    np.divide(log_l[:, :, None] - log_l[:, None, :], dl, out=phi, where=np.abs(dl) > 1e-14)
     rho_t *= phi
     m = v @ rho_t @ vh  # d tr(rho ln sigma)[dsigma] = tr(M dsigma)
 
     # row t of mc is M |a_t b_t>; grad holds <b_t|M|a_t b_t> on A and
     # <a_t|M|a_t b_t> on B, then the tangential part through normalization
-    mc = (c @ m.T).reshape(terms, da, db)
+    mc = (c @ m.swapaxes(1, 2)).reshape(n, terms, da, db)
     uc = u.conj()
     grad = np.empty_like(theta)
-    gz = grad[terms:].view(complex).reshape(terms, -1)
-    np.matmul(mc, uc[:, da:, None], out=gz[:, :da, None])
-    np.matmul(uc[:, None, :da], mc, out=gz[:, None, da:])
-    cmc = (uc[:, None, :da] @ gz[:, :da, None]).real.ravel()  # <a_t b_t| M |a_t b_t>
-    gz -= cmc[:, None] * u
+    gz = grad[:, terms:].view(complex).reshape(n, terms, -1)
+    np.matmul(mc, uc[..., da:, None], out=gz[..., :da, None])
+    np.matmul(uc[..., None, :da], mc, out=gz[..., None, da:])
+    # <a_t b_t| M |a_t b_t>, contiguous: a strided one moves the last bit of p @ cmc
+    cmc = (uc[..., None, :da] @ gz[..., :da, None]).real.reshape(n, terms).copy()
+    gz -= cmc[..., None] * u
     k = p / -_LN2
-    gz *= (2 * k)[:, None] / r
-    grad[:terms] = k * (cmc - p @ cmc)  # weights (softmax chain rule)
+    gz *= (2 * k)[..., None] / r
+    np.multiply(k, cmc - (p[:, None] @ cmc[..., None])[:, 0], out=grad[:, :terms])  # weights
     return f, grad
 
 
@@ -195,15 +222,13 @@ def _initial_theta(restart, rng, rho_mat, terms, da, db):
     return _pack(w, a, b)
 
 
-def _run_restart(restart, seed, rho_mat, terms, da, db, tr_rho_log_rho, iterations):
-    """One L-BFGS-B run, unbounded, through scipy's reverse-communication
+def _lbfgsb(x, iterations, setulb):
+    """One L-BFGS-B run from x, unbounded, through scipy's reverse-communication
     routine with minimize's settings: maxcor 10, maxls 20, ftol 1e-14,
     gtol 1e-12, maxfun 15000. setulb asks for f and g at x (task 3),
-    reports an iteration (task 1) or stops; success is convergence (task 4)."""
-    from scipy.linalg.lapack import zheevd  # on first use: scipy triples `import locbound`
-    from scipy.optimize._lbfgsb import setulb
-
-    x = _initial_theta(restart, rng_from(seed), rho_mat, terms, da, db)
+    reports an iteration (task 1) or stops; success is convergence (task 4).
+    A generator: it yields x whenever setulb asks, takes (f, g) by send and
+    returns (x, iterations run, success)."""
     n, m = x.size, 10
     f, g, bound, nbd = 0.0, np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
     wa, iwa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, np.int32)
@@ -215,18 +240,63 @@ def _run_restart(restart, seed, rho_mat, terms, da, db, tr_rho_log_rho, iteratio
         setulb(m, x, bound, bound, nbd, f, g, factr, 1e-12, wa, iwa, task, lsave, isave,
                dsave, 20, ln_task)
         if task[0] == 3:
-            try:
-                f, g = _objective_and_grad(x, rho_mat, terms, da, db, tr_rho_log_rho, zheevd)
-            except np.linalg.LinAlgError as exc:  # a fault of the search, not of rho
-                raise InvariantError(f"REE restart {restart}: {exc}") from exc
+            f, g = yield x
             nfev += 1
         elif task[0] == 1:
             nit += 1
             if nit >= iterations or nfev > 15000:
                 task[:] = 5, 504 if nit >= iterations else 502
         else:
-            break
-    return SeparableEnsemble(*_decode(x, terms, da)), nit, bool(task[0] == 4)
+            return x, nit, bool(task[0] == 4)
+
+
+def _lockstep(restarts, seed, rho_mat, terms, da, db, tr_rho_log_rho, iterations,
+              alone_first=False):
+    """The L-BFGS-B runs of restarts 0 .. restarts-1 in lockstep. Each round,
+    every live run advances until setulb asks for f and g or stops, and all
+    asks go to one stacked objective call. Yields (ensemble, iterations,
+    success) per restart, in restart order, as soon as it and every earlier
+    restart are done; the caller may stop at any yield and drop the rest.
+
+    A run starts, and its seed is spawned, once it lies within the window of
+    max(1, _LOCKSTEP_TERMS // terms) restarts after the last one yielded, or
+    of one restart while restart 0 runs if ``alone_first``. Each restart's
+    start, run and result do not depend on the window: the seeds are the
+    children of SeedSequence(seed) in restart order, and each row of a
+    stacked call is what a one-row call gives to the bit."""
+    from scipy.linalg.lapack import zheevd  # on first use: scipy triples `import locbound`
+    from scipy.optimize._lbfgsb import setulb
+
+    seeds = np.random.SeedSequence(seed)
+    cap = max(1, _LOCKSTEP_TERMS // terms)
+    live, done, started, folded = [], {}, 0, 0
+    while folded < restarts:
+        end = min(restarts, folded + (1 if alone_first and folded == 0 else cap))
+        if started < end:
+            for r, s in zip(range(started, end), seeds.spawn(end - started)):
+                x = _initial_theta(r, rng_from(s), rho_mat, terms, da, db)
+                live.append((r, _lbfgsb(x, iterations, setulb), None))
+            started = end
+        asks = []
+        for r, run, fg in live:
+            try:
+                asks.append((r, run, run.send(fg)))
+            except StopIteration as stop:
+                x, nit, ok = stop.value
+                done[r] = SeparableEnsemble(*_decode(x, terms, da)), nit, ok
+        if asks:
+            try:
+                f, g = _objective_and_grad(np.array([x for _, _, x in asks]), rho_mat, terms,
+                                           da, db, tr_rho_log_rho, zheevd)
+            except np.linalg.LinAlgError as exc:  # a fault of the search, not of rho
+                msg, row = exc.args
+                raise InvariantError(f"REE restart {asks[row][0]}: {msg}") from exc
+            live = [(r, run, fg) for (r, run, _), fg in zip(asks, zip(f, g))]
+        else:
+            live = []
+        while folded in done:
+            yield done.pop(folded)
+            folded += 1
 
 
 def ree_upper(
@@ -267,8 +337,9 @@ def _ree_upper_bracket(rho, a_labels, b_labels, restarts, iterations, seed,
     rho_mat = rho_p.matrix
     tr_rho_log_rho = -vn_entropy(rho_p)
 
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-
+    # a pure cut state's restart 0 starts at the exact minimizer, so with a
+    # stop set it runs alone: the bracket most often ends there
+    pure = np.count_nonzero(np.linalg.eigvalsh(rho_mat) > 1e-12) == 1
     best_val = np.inf
     best_ens = None
     total_iters = 0
@@ -276,10 +347,8 @@ def _ree_upper_bracket(rho, a_labels, b_labels, restarts, iterations, seed,
     any_success = False
 
     with _one_blas_thread():
-        for r in range(restarts):
-            ens, nit, ok = _run_restart(
-                r, seeds[r], rho_mat, terms, da, db, tr_rho_log_rho, iterations
-            )
+        for ens, nit, ok in _lockstep(restarts, seed, rho_mat, terms, da, db, tr_rho_log_rho,
+                                      iterations, alone_first=pure and stop_at is not None):
             v = max(relative_entropy(rho_p, ens.assemble(rho_p.layout)), 0.0)
             total_iters += nit
             restarts_run += 1

@@ -679,7 +679,7 @@ def test_nan_state_in_ree_exits_two_before_any_restart(monkeypatch, capsys):
         raise AssertionError("a restart ran on a NaN state")
 
     monkeypatch.setattr(StabilizerCode, "encoded_maximally_mixed", nan_state)
-    monkeypatch.setattr(separability, "_run_restart", no_restart)
+    monkeypatch.setattr(separability, "_lockstep", no_restart)
     assert dispatch(["ree", "--code", FOUR_TWO_TWO, "--region", "0"]) == 2
     assert capsys.readouterr().err == "error: entropy of a state with a non-finite entry\n"
 

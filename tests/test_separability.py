@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import zheevd
 
 from locbound import circuit, separability
+from locbound.circuit import InvariantError
 from locbound.entropy import relative_entropy, vn_entropy
 from locbound.qstate import (
     DensityMatrix,
@@ -15,11 +16,15 @@ from locbound.qstate import (
 )
 from locbound.rand import random_density, random_pure, random_unitary, rng_from
 from locbound.separability import (
+    STOP_MARGIN,
+    ReeBracket,
     SeparableEnsemble,
     _assemble,
     _decode,
+    _initial_theta,
     _objective_and_grad,
     _pack,
+    _ree_upper_bracket,
     ree_bracket,
     ree_lower,
     ree_upper,
@@ -246,8 +251,14 @@ def _problem(da, db, seed=7):
     return lay, rho, -vn_entropy(rho)
 
 
+def _one_row(theta, rho_mat, terms, da, db, tr_log, eig=zheevd):
+    """f and grad of one parameter row through the stacked objective."""
+    f, grad = _objective_and_grad(theta[None], rho_mat, terms, da, db, tr_log, eig)
+    return f[0], grad[0]
+
+
 def _objective(theta, rho, terms, da, db, tr_log):
-    return _objective_and_grad(theta, rho.matrix, terms, da, db, tr_log, zheevd)
+    return _one_row(theta, rho.matrix, terms, da, db, tr_log)
 
 
 @pytest.mark.parametrize("da, db", [(2, 2), (2, 4), (4, 2)], ids=["2x2", "2x4", "4x2"])
@@ -340,7 +351,7 @@ def test_nan_spectrum_with_info_zero_raises_linalg_error():
 
     theta = _uniform_product_theta(terms, da, db)
     with pytest.raises(np.linalg.LinAlgError):
-        _objective_and_grad(theta, rho.matrix, terms, da, db, tr_log, nan_corner)
+        _one_row(theta, rho.matrix, terms, da, db, tr_log, nan_corner)
     assert seen == [(0, True)]
 
 
@@ -359,7 +370,7 @@ def test_gradient_matches_finite_differences(da, db, uniform):
     evals = np.clip(np.linalg.eigvalsh(rho), 0, None)
     pos = evals[evals > 1e-12]
     tr_log = float((pos * np.log2(pos)).sum())
-    f0, grad = _objective_and_grad(theta, rho, terms, da, db, tr_log, zheevd)
+    f0, grad = _one_row(theta, rho, terms, da, db, tr_log)
     # three coordinates from each kind of entry of theta: the weights, then
     # Re and Im of the a and the b factors, read off the layout's rows
     re_im = np.arange(theta.size)[terms:].reshape(terms, da + db, 2)
@@ -370,7 +381,7 @@ def test_gradient_matches_finite_differences(da, db, uniform):
     for idx in np.concatenate(picks):
         bump = theta.copy()
         bump[idx] += h
-        f1, _ = _objective_and_grad(bump, rho, terms, da, db, tr_log, zheevd)
+        f1, _ = _one_row(bump, rho, terms, da, db, tr_log)
         fd = (f1 - f0) / h
         assert abs(fd - grad[idx]) < 5e-5 * max(1.0, abs(fd)), (idx, fd, grad[idx])
 
@@ -383,19 +394,20 @@ def test_search_runs_on_one_blas_thread_and_restores_counts(monkeypatch):
         pytest.skip("no OpenBLAS copy of numpy or scipy found")
     old = [get() for get, _ in counts]
     seen = []
-    restart = separability._run_restart
+    objective = separability._objective_and_grad
 
-    def watched(*args):
-        seen.append([get() for get, _ in counts])
-        return restart(*args)
+    def watched(theta, *args):
+        seen.append((len(theta), [get() for get, _ in counts]))
+        return objective(theta, *args)
 
-    monkeypatch.setattr(separability, "_run_restart", watched)
+    monkeypatch.setattr(separability, "_objective_and_grad", watched)
     try:
         for _, put in counts:
             put(2)
         ree_bracket(random_density(np.random.default_rng(3), Q2, rank=2), ["a"],
                     restarts=2, iterations=20)
-        assert seen == [[1] * len(counts)] * 2
+        assert seen[0][0] == 2  # the two restarts share each call of the driver
+        assert all(threads == [1] * len(counts) for _, threads in seen)
         assert [get() for get, _ in counts] == [2] * len(counts)
     finally:
         for (_, put), n in zip(counts, old):
@@ -430,12 +442,22 @@ _ORACLE_STATES = {
 }
 
 
-@pytest.mark.parametrize("state", list(_ORACLE_STATES))
-def test_restart_matches_scipy_minimize_bit_for_bit(state):
-    # scipy's minimize(method="L-BFGS-B") is the oracle of the search
-    # driver: same start, same factors to the bit, same nit and success
+def _minimize(restart, seed, rho, terms, da, db, tr_log, iterations):
+    """One restart by scipy's minimize(method="L-BFGS-B"), the oracle of the
+    search driver, from the driver's own start."""
     from scipy.optimize import minimize
 
+    theta0 = _initial_theta(restart, rng_from(seed), rho.matrix, terms, da, db)
+    return minimize(
+        _one_row, theta0, args=(rho.matrix, terms, da, db, tr_log), jac=True,
+        method="L-BFGS-B", options={"maxiter": iterations, "ftol": 1e-14, "gtol": 1e-12},
+    )
+
+
+@pytest.mark.parametrize("state", list(_ORACLE_STATES))
+def test_restart_matches_scipy_minimize_bit_for_bit(state, monkeypatch):
+    # the three restarts run as one lockstep batch; each must give what its
+    # own minimize run gives: same factors to the bit, same nit and success
     lay, rank, state_seed = _ORACLE_STATES[state]
     rng = np.random.default_rng(state_seed)
     if rank is None:
@@ -445,23 +467,129 @@ def test_restart_matches_scipy_minimize_bit_for_bit(state):
     da, db = lay.subset(["a"]).dim, lay.subset(["b"]).dim
     terms = (da * db) ** 2
     tr_log = -vn_entropy(rho)
+    monkeypatch.setattr(separability, "_LOCKSTEP_TERMS", 3 * terms)
+    rows = []
+    objective = separability._objective_and_grad
+
+    def counted(theta, *args):
+        rows.append(len(theta))
+        return objective(theta, *args)
+
+    monkeypatch.setattr(separability, "_objective_and_grad", counted)
     seeds = np.random.SeedSequence(8).spawn(3)
     with circuit._one_blas_thread():
-        for restart in range(3):
-            for iterations in (1, 30, 200):
-                ens, nit, ok = separability._run_restart(
-                    restart, seeds[restart], rho.matrix, terms, da, db, tr_log, iterations)
-                theta0 = separability._initial_theta(
-                    restart, rng_from(seeds[restart]), rho.matrix, terms, da, db)
-                res = minimize(
-                    _objective_and_grad, theta0,
-                    args=(rho.matrix, terms, da, db, tr_log, zheevd), jac=True,
-                    method="L-BFGS-B",
-                    options={"maxiter": iterations, "ftol": 1e-14, "gtol": 1e-12},
-                )
+        for iterations in (1, 30, 200):
+            rows.clear()
+            runs = list(separability._lockstep(3, 8, rho.matrix, terms, da, db, tr_log,
+                                               iterations))
+            assert rows[0] == 3 and len(runs) == 3
+            for restart, (ens, nit, ok) in enumerate(runs):
+                res = _minimize(restart, seeds[restart], rho, terms, da, db, tr_log, iterations)
                 p, ah, bh = _decode(res.x, terms, da)
                 where = (restart, iterations)
                 assert np.array_equal(ens.weights, p), where
                 assert np.array_equal(ens.a_factors, ah), where
                 assert np.array_equal(ens.b_factors, bh), where
                 assert (nit, ok) == (res.nit, res.success), where
+    if state == "pure-2x4":  # restart 2 stops early: the batch shrinks to two rows
+        assert 2 in rows
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 4), (4, 2), (4, 4)],
+                         ids=["2x2", "2x4", "4x2", "4x4"])
+def test_stacked_objective_rows_equal_one_row_calls(da, db):
+    lay, rho, tr_log = _problem(da, db)
+    terms = (da * db) ** 2
+    theta = np.random.default_rng(12).standard_normal((4, terms * (1 + 2 * da + 2 * db)))
+    theta[1] = _uniform_product_theta(terms, da, db)  # a degenerate spectrum among random ones
+    theta[2, terms : terms + 2 * da] = 0.0  # a zero factor takes the norm guard
+    f, grad = _objective_and_grad(theta, rho.matrix, terms, da, db, tr_log, zheevd)
+    assert len(f) == len(grad) == 4
+    for i, row in enumerate(theta):
+        f1, g1 = _one_row(row.copy(), rho.matrix, terms, da, db, tr_log)
+        assert f[i] == f1 and np.array_equal(grad[i], g1), i
+
+
+def test_nan_spectrum_on_one_row_names_its_restart(monkeypatch):
+    # zheevd returns NaN eigenvalues with info 0 in the 15th call: row 2 of
+    # the fifth stacked call, while all three restarts are still live
+    import scipy.linalg.lapack as lapack
+
+    eig, calls = lapack.zheevd, []
+
+    def nan_on_call_15(a, lower=0):
+        calls.append(len(calls))
+        lam, v, info = eig(a, lower=lower)
+        if len(calls) == 15:
+            lam = np.full_like(lam, np.nan)
+        return lam, v, info
+
+    monkeypatch.setattr(lapack, "zheevd", nan_on_call_15)
+    rho = random_density(np.random.default_rng(4), Q2, rank=3)
+    failure = r"^REE restart 2: eigh of sigma failed: info 0, f nan$"
+    with pytest.raises(InvariantError, match=failure):
+        ree_upper(rho, ["a"], restarts=3, iterations=200, seed=1)
+
+
+def _sequential_bracket(rho, restarts, iterations, seed, stop_at, lower):
+    """The search as one restart after another, each by minimize, folded in
+    restart order until the best value reaches stop_at."""
+    da, db = 2, 2
+    terms, tr_log = (da * db) ** 2, -vn_entropy(rho)
+    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    best, best_ens, total, run, success = math.inf, None, 0, 0, False
+    for r in range(restarts):
+        res = _minimize(r, seeds[r], rho, terms, da, db, tr_log, iterations)
+        ens = SeparableEnsemble(*_decode(res.x, terms, da))
+        v = max(relative_entropy(rho, ens.assemble(rho.layout)), 0.0)
+        total, run, success = total + res.nit, run + 1, success or res.success
+        if v < best:
+            best, best_ens = v, ens
+        if best <= stop_at + 1e-12:
+            break
+    return ReeBracket(lower, best, best_ens, run, total, bool(success and math.isfinite(best)))
+
+
+def _assert_same_bracket(got, want):
+    assert (got.lower, got.upper, got.restarts_run, got.iterations_run, got.converged) == (
+        want.lower, want.upper, want.restarts_run, want.iterations_run, want.converged)
+    for field in ("weights", "a_factors", "b_factors"):
+        assert np.array_equal(getattr(got.ensemble, field), getattr(want.ensemble, field))
+
+
+def test_stop_inside_a_batch_matches_the_sequential_loop():
+    # a separable state near I/4: restart 2 of a batch of six reaches the
+    # stop, restarts 3-5 are dropped
+    rng = np.random.default_rng(2)
+    q = rng.uniform(0.02, 0.3)
+    mix = random_density(rng, Q2, rank=int(rng.integers(1, 5))).matrix
+    rho = DensityMatrix(Q2, (1 - q) * np.eye(4) / 4 + q * mix, validate=False)
+    got = ree_bracket(rho, ["a"], restarts=6, iterations=10, seed=2)
+    assert got.restarts_run == 3
+    lower = ree_lower(rho, ["a"])
+    _assert_same_bracket(got, _sequential_bracket(rho, 6, 10, 2, lower + STOP_MARGIN, lower))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_lockstep_width_does_not_change_the_bracket(width, monkeypatch):
+    # seeds are spawned per batch, so any width gives the same restarts
+    rho = random_density(np.random.default_rng(9), Q2, rank=3)
+    want = _ree_upper_bracket(rho, ("a",), ("b",), 7, 40, 3, None)
+    monkeypatch.setattr(separability, "_LOCKSTEP_TERMS", width * 16)
+    _assert_same_bracket(_ree_upper_bracket(rho, ("a",), ("b",), 7, 40, 3, None), want)
+
+
+def test_a_stopped_bracket_spawns_only_the_seeds_it_runs(monkeypatch):
+    # a pure state's restart 0 runs alone and ends the bracket, so a budget
+    # of 10^4 restarts spawns one seed, not 10^4 before the first restart
+    spawned = []
+
+    class Recording(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    rho = random_pure(np.random.default_rng(5), Q2).to_density()
+    br = ree_bracket(rho, ["a"], restarts=10 ** 4, seed=1)
+    assert (br.restarts_run, spawned) == (1, [1])
