@@ -14,18 +14,25 @@ for bit. The restarts of a bracket run in lockstep: each keeps its own
 asks for f and g, and all asks go to one stacked objective call, so the
 per-call cost of its ~45 numpy calls on at most 64 x 64 arrays is paid once
 per round. Results fold in restart order and the stop is checked after each
-fold, so the bracket is the one-after-another search's to the bit. A pure
-cut state's restart 0 runs alone when a stop is set: its Schmidt start is
-the exact minimizer, so the bracket ends there. Stacking pays on 2x2 and
-2x4 cuts only: W restarts took 0.35-0.78 (2x2, W = 2..25) and 0.61-0.78
-(2x4, W = 2..12) of the time one at a time, 0.95-1.01 on 4x4 and 1.12 on
-4x8 (BENCH_34.json), so a call carries at most _LOCKSTEP_TERMS ensemble
-terms: one restart of 4x4 and larger cuts. The reported value does not rest
-on any of this: one decode and one assembly give a separable witness sigma,
-and the value is D(rho || sigma) from `relative_entropy`, a sound upper bound
-at any convergence. Restart seeds are the children of the master seed in
-restart order, spawned as restarts start, so results are deterministic for
-a given budget; restarts run on one OpenBLAS thread.
+fold, so the bracket is the one-after-another search's to the bit. Stopped
+brackets on 2x2 and 2x4 cuts either end at restart 0 or run every restart,
+and the first are those whose cut state is pure or has a positive partial
+transpose (117 of 117 brackets, BENCH_34.json); on such a state, with a
+stop set, restart 0 runs alone, since its partners would only ride along.
+Stacking pays on 2x2 and 2x4 cuts only: W restarts took 0.35-0.78 (2x2,
+W = 2..25) and 0.61-0.78 (2x4, W = 2..12) of the time one at a time,
+0.95-1.01 on 4x4 and 1.12 on 4x8, so a call carries at most
+_LOCKSTEP_TERMS ensemble terms: up to 25 restarts of a 2x2 cut (the rest
+of a default budget), 6 of a 2x4 cut (full-budget 2x4 brackets took about
+as long at 6 to 19) and one of 4x4 and larger cuts. Whole brackets were
+timed at windows up to 19, the rest of a default budget; 20 to 25, reached
+with larger budgets, rest on a fixed-iteration sweep alone. The reported
+value does not rest on any of this: one decode and one assembly give a
+separable witness sigma, and the value is D(rho || sigma) from
+`relative_entropy`, a sound upper bound at any convergence. Restart seeds
+are the children of the master seed in restart order, spawned as restarts
+start, so results are deterministic for a given budget; restarts run on one
+OpenBLAS thread.
 """
 
 from __future__ import annotations
@@ -45,7 +52,8 @@ DEFAULT_ITERATIONS = 2000
 STOP_MARGIN = 5e-4  # ree_bracket stops restarting once upper <= lower + this
 MAX_REE_DIM = 64  # total dimension the ensemble search accepts
 # ensemble terms per stacked objective call, and at least one restart: 25
-# restarts of a 2x2 cut, 6 of 2x4, one of 4x4 and larger cuts
+# restarts of a 2x2 cut, 6 of 2x4, one of 4x4 and larger cuts (the module
+# docstring gives the measurements)
 _LOCKSTEP_TERMS = 400
 
 _LN2 = np.log(2.0)
@@ -250,6 +258,17 @@ def _lbfgsb(x, iterations, setulb):
             return x, nit, bool(task[0] == 4)
 
 
+def _ends_at_restart_0(rho_mat, da, db):
+    """Whether a stopped search most likely ends at restart 0: the cut state
+    is pure (tr rho^2 = 1), so the Schmidt start is the exact minimizer, or
+    has a positive partial transpose, so it is separable on 2x2 and 2x3 cuts
+    and the REE is 0. It schedules restarts only; no result depends on it."""
+    if np.vdot(rho_mat, rho_mat).real > 1 - 1e-9:
+        return True
+    pt = rho_mat.reshape(da, db, da, db).swapaxes(1, 3).reshape(da * db, da * db)
+    return np.linalg.eigvalsh(pt)[0] > -1e-12
+
+
 def _lockstep(restarts, seed, rho_mat, terms, da, db, tr_rho_log_rho, iterations,
               alone_first=False):
     """The L-BFGS-B runs of restarts 0 .. restarts-1 in lockstep. Each round,
@@ -259,11 +278,11 @@ def _lockstep(restarts, seed, rho_mat, terms, da, db, tr_rho_log_rho, iterations
     restart are done; the caller may stop at any yield and drop the rest.
 
     A run starts, and its seed is spawned, once it lies within the window of
-    max(1, _LOCKSTEP_TERMS // terms) restarts after the last one yielded, or
-    of one restart while restart 0 runs if ``alone_first``. Each restart's
-    start, run and result do not depend on the window: the seeds are the
-    children of SeedSequence(seed) in restart order, and each row of a
-    stacked call is what a one-row call gives to the bit."""
+    max(1, _LOCKSTEP_TERMS // terms) restarts after the last one yielded;
+    with ``alone_first``, restart 0 runs alone. Each restart's start, run
+    and result do not depend on the window: the seeds are the children of
+    SeedSequence(seed) in restart order, and each row of a stacked call is
+    what a one-row call gives to the bit."""
     from scipy.linalg.lapack import zheevd  # on first use: scipy triples `import locbound`
     from scipy.optimize._lbfgsb import setulb
 
@@ -337,18 +356,16 @@ def _ree_upper_bracket(rho, a_labels, b_labels, restarts, iterations, seed,
     rho_mat = rho_p.matrix
     tr_rho_log_rho = -vn_entropy(rho_p)
 
-    # a pure cut state's restart 0 starts at the exact minimizer, so with a
-    # stop set it runs alone: the bracket most often ends there
-    pure = np.count_nonzero(np.linalg.eigvalsh(rho_mat) > 1e-12) == 1
     best_val = np.inf
     best_ens = None
     total_iters = 0
     restarts_run = 0
     any_success = False
+    alone_first = stop_at is not None and _ends_at_restart_0(rho_mat, da, db)
 
     with _one_blas_thread():
         for ens, nit, ok in _lockstep(restarts, seed, rho_mat, terms, da, db, tr_rho_log_rho,
-                                      iterations, alone_first=pure and stop_at is not None):
+                                      iterations, alone_first):
             v = max(relative_entropy(rho_p, ens.assemble(rho_p.layout)), 0.0)
             total_iters += nit
             restarts_run += 1

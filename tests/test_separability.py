@@ -558,8 +558,8 @@ def _assert_same_bracket(got, want):
 
 
 def test_stop_inside_a_batch_matches_the_sequential_loop():
-    # a separable state near I/4: restart 2 of a batch of six reaches the
-    # stop, restarts 3-5 are dropped
+    # a separable state near I/4: restart 0 runs alone, then restarts 1-5
+    # as one batch, whose restart 2 reaches the stop; 3-5 are dropped
     rng = np.random.default_rng(2)
     q = rng.uniform(0.02, 0.3)
     mix = random_density(rng, Q2, rank=int(rng.integers(1, 5))).matrix
@@ -579,9 +579,16 @@ def test_lockstep_width_does_not_change_the_bracket(width, monkeypatch):
     _assert_same_bracket(_ree_upper_bracket(rho, ("a",), ("b",), 7, 40, 3, None), want)
 
 
-def test_a_stopped_bracket_spawns_only_the_seeds_it_runs(monkeypatch):
-    # a pure state's restart 0 runs alone and ends the bracket, so a budget
-    # of 10^4 restarts spawns one seed, not 10^4 before the first restart
+def _werner(p):
+    singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
+    return DensityMatrix(Q2, p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("state", ["pure", "separable"])
+def test_a_stopped_bracket_spawns_only_the_seeds_it_runs(state, monkeypatch):
+    # with a stop set, restart 0 runs alone; on a pure state and on a
+    # separable one it ends the bracket, so a budget of 10^4 restarts
+    # spawns one seed, not 10^4 before the first restart
     spawned = []
 
     class Recording(np.random.SeedSequence):
@@ -590,6 +597,27 @@ def test_a_stopped_bracket_spawns_only_the_seeds_it_runs(monkeypatch):
             return super().spawn(n_children)
 
     monkeypatch.setattr(np.random, "SeedSequence", Recording)
-    rho = random_pure(np.random.default_rng(5), Q2).to_density()
+    rho = random_pure(np.random.default_rng(5), Q2).to_density() if state == "pure" else _werner(0.2)
     br = ree_bracket(rho, ["a"], restarts=10 ** 4, seed=1)
     assert (br.restarts_run, spawned) == (1, [1])
+
+
+@pytest.mark.parametrize("p, stop, first_rows", [(0.2, True, 1), (0.8, True, 4), (0.2, False, 4)],
+                         ids=["separable-stopped", "entangled-stopped", "separable-unstopped"])
+def test_restart_0_runs_alone_on_a_pure_or_ppt_state_with_a_stop_set(p, stop, first_rows,
+                                                                     monkeypatch):
+    # one iteration keeps the bracket from ending at restart 0, so the rest
+    # runs: on a PPT state with a stop set restart 0 runs alone and the other
+    # three share each call; otherwise all four do from the start
+    rows = []
+    objective = separability._objective_and_grad
+
+    def counted(theta, *args):
+        rows.append(len(theta))
+        return objective(theta, *args)
+
+    monkeypatch.setattr(separability, "_objective_and_grad", counted)
+    run = ree_bracket if stop else ree_upper
+    run(_werner(p), ["a"], restarts=4, iterations=1, seed=1)
+    assert rows[0] == first_rows
+    assert next(n for n in rows if n != 1) == (3 if first_rows == 1 else 4)
