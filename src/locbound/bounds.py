@@ -3,7 +3,8 @@
 Asymptotic statements are exposed only through their explicit-constant
 proof forms; the geometry constants c1, c2 are inputs (defaulting to 1)
 because the underlying theorems fix none. Floors that go negative are
-clamped at 0: a vacuous lower bound is not an error. For an arbitrary
+clamped at 0: a vacuous lower bound is not an error. Every input check
+is written so that NaN fails it, and names the argument. For an arbitrary
 connectivity graph the same machinery gives the shape
 m/k >= log(1/delta) / (const * |boundary|) by partitioning A into about
 log(1/delta) sets; that remark is documentation only, the evaluators
@@ -66,11 +67,11 @@ def encoding_depth_floor(k: int, boundary_sizes: Sequence[float]) -> float:
     Returns +inf when the boundary sum vanishes with k > 0 (the bound is
     then infinite: no finite-depth circuit works).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    if not k >= 0:
+        raise ValueError(f"k must be >= 0, got {k!r}")
     sizes = [float(b) for b in boundary_sizes]
-    if any(b < 0 for b in sizes):
-        raise ValueError("boundary sizes must be >= 0")
+    if not all(b >= 0 for b in sizes):
+        raise ValueError(f"boundary sizes must be >= 0, got {sizes!r}")
     if k == 0:
         return 0.0
     total = sum(sizes)
@@ -83,14 +84,14 @@ def encoding_depth_floor_geometric(k: int, d: int, m: int, dim: int,
                                    c1: float = 1.0, c2: float = 1.0) -> float:
     """Explicit-constant form k (d-1)^(1/D) / (3 c1 c2 m) of the encoding
     depth bound, from the partition choice lambda = d - 1."""
-    if d < 2:
-        raise ValueError("geometric encoding floor requires d >= 2")
-    if m < 1 or k < 0:
-        raise ValueError("require m >= 1 and k >= 0")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError("c1, c2 must be positive")
+    if not d >= 2:
+        raise ValueError(f"geometric encoding floor requires d >= 2, got {d!r}")
+    if not (m >= 1 and k >= 0):
+        raise ValueError(f"require m >= 1 and k >= 0, got m={m!r}, k={k!r}")
+    if not dim >= 1:
+        raise ValueError(f"dim must be >= 1, got {dim!r}")
+    if not (c1 > 0 and c2 > 0):
+        raise ValueError(f"c1, c2 must be positive, got c1={c1!r}, c2={c2!r}")
     lam = d - 1
     return k * lam ** (1.0 / dim) / (3.0 * c1 * c2 * m)
 
@@ -110,10 +111,14 @@ def depth_bound_rhs(ree_lower_xi: float, delta: float, p: float,
     Nontrivial only when delta <= p^|Gamma|; beyond that the returned value
     is <= 0 and the inequality is vacuous.
     """
+    if not math.isfinite(ree_lower_xi):
+        raise ValueError(f"ree_lower_xi must be finite, got {ree_lower_xi!r}")
     if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    if delta < 0.0 or gamma_size < 0 or lam_size < 0:
-        raise ValueError("bad arguments")
+        raise ValueError(f"p must lie in (0, 1], got {p!r}")
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be >= 0, got {delta!r}")
+    if not (gamma_size >= 0 and lam_size >= 0):
+        raise ValueError(f"gamma_size, lam_size must be >= 0, got {gamma_size!r}, {lam_size!r}")
     eps = delta / p ** gamma_size
     root = math.sqrt(eps)
     return ree_lower_xi - root * lam_size - g_slack(root)

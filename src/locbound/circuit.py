@@ -52,15 +52,16 @@ then updates it in place. The one exception is simulate_module's fresh
 initial matrix, which no caller sees: its first step owns it.
 
 A pass of at least _SHARED_PASS = 64 slices (a matrix of 2^20 entries,
-10 qubits, or more) is shared: the calling thread and one helper per
-further usable CPU pull slice offsets from one iterator, each with its
-own scratch, on one OpenBLAS thread (_one_blas_thread), since BLAS
-threads would only contend with the workers. The helpers are joined
-before the pass returns. Slices read and write disjoint rows and each is
-computed by the same code, so the bytes do not depend on the worker
-count. Below the cutoff, a second worker's scratch would push a 9-qubit
-step past 1.25 states of memory, and at 8 qubits (4 slices) the thread
-start costs more than it saves.
+10 qubits, or more) is shared (_share) by the calling thread and a pool
+thread per further usable CPU, each pulling slice offsets from one
+lock-guarded iterator into its own scratch, on one OpenBLAS thread
+(_one_blas_thread), since BLAS threads would only contend with them. The
+pool is joined before the pass returns, and a worker's exception is then
+raised, after the others have done the remaining slices. Each slice
+reads and writes its own rows by the same code, so the bytes do not
+depend on the worker count. Below the cutoff, a second worker's scratch
+would push a 9-qubit step past 1.25 states of memory, and at 8 qubits
+(4 slices) the thread start costs more than it saves.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def boundary(graph: ConnectivityGraph, region: Iterable[str]) -> set:
     return {graph.vertices[i] for i in np.union1d(graph.eu[cross], graph.ev[cross])}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
     """Positions eta: vertex -> R^D with locality constant c; row i of the
     (m, D) array ``points`` is the position of ``graph.vertices[i]``.
@@ -409,43 +410,32 @@ def _pass_workers(slices: int) -> int:
 
 
 def _share(work, items: Sequence, workers: int) -> None:
-    """``work(todo)`` on the calling thread and on ``workers - 1`` helper
-    threads, where every ``todo`` pulls from one shared iterator over
-    ``items``, so that each item goes to exactly one worker and a slow
-    worker holds the others back by at most one item. The helpers are
-    joined before this returns; then the first exception any worker raised
-    is raised here, and after it the other workers pull nothing more."""
+    """``work(todo)`` on the calling thread and on ``workers - 1`` pool
+    threads, every ``todo`` pulling from one lock-guarded iterator over
+    ``items``: each item goes to one worker, and a slow worker holds the
+    others back by one item at most. The pool is joined before this
+    returns; then a worker's exception is raised here, once the others
+    have done the remaining items (a failed pass is discarded anyway)."""
+    if workers < 2:  # ThreadPoolExecutor(max_workers=0) raises
+        return work(items)
+    from concurrent.futures import ThreadPoolExecutor  # on first use: 4-8 ms at import
     shared = iter(items)
     lock = threading.Lock()
-    errors = []
-    done = object()
 
     def todo():
-        while not errors:
+        while True:
             with lock:
-                item = next(shared, done)
-            if item is done:
-                return
+                try:
+                    item = next(shared)
+                except StopIteration:
+                    return
             yield item
 
-    def run():
-        try:
-            work(todo())
-        except BaseException as exc:  # raised again below, once every helper is joined
-            errors.append(exc)
-
-    helpers = []
-    try:
-        for _ in range(workers - 1):
-            helper = threading.Thread(target=run)
-            helper.start()
-            helpers.append(helper)
-        run()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work, todo()) for _ in range(workers - 1)]
+        work(todo())
+    for helper in helpers:
+        helper.result()
 
 
 def _sliced_products(arr: np.ndarray, dims: Sequence[int], positions: Sequence[int],
@@ -541,7 +531,7 @@ class InvariantError(RuntimeError):
     in its input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Unitary:
     qubits: tuple
     matrix: np.ndarray
@@ -556,7 +546,7 @@ class Unitary:
         return _pair_product(self.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Conditional:
     """Unitary on fixed support chosen by recorded outcomes: ``table`` maps
     the tuple of the last outcomes of ``keys`` to a unitary; an outcome
@@ -574,7 +564,7 @@ class Conditional:
         })
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausGate:
     qubits: tuple
     operators: tuple
@@ -938,7 +928,7 @@ def _fuse(layers: Sequence[Sequence]) -> list:
 # Error-correction modules
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EcModule:
     """J rounds of (depolarizing noise on A, then a separable local circuit).
 

@@ -118,8 +118,8 @@ def g_slack(x: float) -> float:
     This is the continuity slack term; arguments above 1 only occur in
     saturated bound evaluations, where the formula remains well defined.
     """
-    if x < 0.0:
-        raise ValueError("g argument must be nonnegative")
+    if not x >= 0.0:  # NaN fails it too
+        raise ValueError(f"g argument x must be nonnegative, got {x!r}")
     if x == 0.0:
         return 0.0
     return float((1.0 + x) * binary_entropy(x / (1.0 + x)))

@@ -60,7 +60,7 @@ _LN2 = np.log(2.0)
 _EIG_FLOOR = 1e-18
 
 
-@dataclass
+@dataclass(eq=False)
 class SeparableEnsemble:
     """Convex mixture of pure product states across a fixed cut.
 

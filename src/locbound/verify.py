@@ -12,7 +12,7 @@ quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -24,6 +24,7 @@ from .circuit import (
     Conditional,
     ConnectivityGraph,
     EcModule,
+    InvariantError,
     Layer,
     Unitary,
     apply_operator,
@@ -79,21 +80,16 @@ class VerificationReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "pass": self.passed,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")  # the last field, so the key order holds
+        return out
 
 
 class _Checker:
     """Accumulates margins = (value - bound); margin > slack is a violation.
 
-    A report with no trials fails: it would otherwise pass vacuously.
+    A report with no trials fails: it would otherwise pass vacuously. A
+    NaN margin is neither a pass nor a violation: it raises InvariantError.
     """
 
     def __init__(self, slack: float):
@@ -104,6 +100,8 @@ class _Checker:
 
     def check(self, value: float, bound: float):
         margin = value - bound
+        if np.isnan(margin):
+            raise InvariantError(f"NaN margin: value {value!r} against bound {bound!r}")
         self.trials += 1
         if margin > self.worst:
             self.worst = margin

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from locbound.bounds import (
     overhead_floor,
     syndrome_depth_floor,
 )
+from locbound.entropy import g_slack
 
 
 def h2(x):
@@ -143,6 +145,34 @@ def test_bound_inputs_refuse_nan(field):
     fields = dict(m=2, k=1, depth=1.0, p=0.25, delta=0.25 ** 3, dim=2, c1=1.0, c2=1.0)
     with pytest.raises(ValueError, match=_REFUSALS[field]):
         BoundInputs(**{**fields, field: math.nan})
+
+
+_NAN = math.nan
+_NAN_REFUSALS = {
+    "floor-k": (encoding_depth_floor, (_NAN, [1.0]), "k must be >= 0, got nan"),
+    "floor-sizes": (encoding_depth_floor, (1, [_NAN]), "boundary sizes must be >= 0, got [nan]"),
+    "geometric-d": (encoding_depth_floor_geometric, (1, _NAN, 5, 2), "requires d >= 2, got nan"),
+    "geometric-m": (encoding_depth_floor_geometric, (1, 3, _NAN, 2),
+                    "require m >= 1 and k >= 0, got m=nan, k=1"),
+    "geometric-dim": (encoding_depth_floor_geometric, (1, 3, 5, _NAN), "dim must be >= 1, got nan"),
+    "geometric-c2": (encoding_depth_floor_geometric, (1, 3, 5, 2, 1.0, _NAN),
+                     "c1, c2 must be positive, got c1=1.0, c2=nan"),
+    "rhs-ree": (depth_bound_rhs, (_NAN, 0.01, 0.5, 1, 1), "ree_lower_xi must be finite, got nan"),
+    "rhs-delta": (depth_bound_rhs, (1.0, _NAN, 0.5, 1, 1), "delta must be >= 0, got nan"),
+    "rhs-p": (depth_bound_rhs, (1.0, 0.01, _NAN, 1, 1), "p must lie in (0, 1], got nan"),
+    "rhs-gamma": (depth_bound_rhs, (1.0, 0.01, 0.5, _NAN, 1),
+                  "gamma_size, lam_size must be >= 0, got nan, 1"),
+    "g-slack": (g_slack, (_NAN,), "g argument x must be nonnegative, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", _NAN_REFUSALS)
+def test_bound_evaluators_refuse_nan(case):
+    # each check is written so that NaN fails it and names the argument,
+    # instead of a nan result or an error deep in binary_entropy
+    func, args, message = _NAN_REFUSALS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        func(*args)
 
 
 _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)

@@ -45,6 +45,7 @@ from locbound.qstate import (
 )
 from locbound.files import ParseError, parse_circuit_lines, read_circuit_file
 from locbound.rand import random_density, random_kraus_channel, random_unitary
+from locbound.separability import ReeBracket, SeparableEnsemble
 from locbound.verify import (
     VerificationReport,
     default_depth_bound_scenarios,
@@ -247,6 +248,38 @@ def test_reset_and_measure_gates_share_read_only_operators():
     a, b = reset_gate("0"), reset_gate("1")
     assert a.superoperator is b.superoperator and not a.superoperator.flags.writeable
     assert np.array_equal(a.superoperator, KrausGate(("0",), a.operators[::-1]).superoperator)
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    # a generated __eq__ would compare arrays (ValueError) and a generated
+    # __hash__ would hash them (TypeError): two records that look equal
+    # compare False without raising, each can be a dict key, and the
+    # records built from them compare without raising
+    i4 = np.eye(4)
+
+    def ensemble():
+        return SeparableEnsemble(np.ones(1), np.ones((1, 2)), np.ones((1, 2)))
+
+    makers = [
+        lambda: Embedding(np.zeros((2, 1))),
+        lambda: Unitary(("0", "1"), i4),
+        lambda: Conditional(("0",), ("k",), {(1,): X}),
+        lambda: measure_gate("0", "k"),
+        lambda: repetition_module(0.1, 1),
+        ensemble,
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and not a == b and a != b
+        assert {a: "a", b: "b"}[b] == "b"
+    gate = Unitary(("0", "1"), i4)
+    assert Layer([gate]) == Layer([gate]) != Layer([Unitary(("0", "1"), i4)])
+    graph = ConnectivityGraph(["0", "1"], [("0", "1")])
+    assert Circuit(graph, [Layer([gate])]) == Circuit(graph, [Layer([gate])])
+    assert Circuit(graph, [Layer([gate])]) != Circuit(graph, [Layer([Unitary(("0", "1"), i4)])])
+    shared = ensemble()
+    assert ReeBracket(0.0, 1.0, shared) == ReeBracket(0.0, 1.0, shared) != ReeBracket(0.0, 1.0, ensemble())
+    assert len({ReeBracket(0.0, 1.0, shared), ReeBracket(0.0, 1.0, shared)}) == 1
 
 
 def test_validate_layer_conditional_table():

@@ -648,6 +648,18 @@ def test_internal_invariant_failure_exits_three(monkeypatch, capsys):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_nan_margin_in_a_verifier_exits_three(monkeypatch, capsys):
+    # a NaN margin is neither a pass nor a violation of the inequality
+    import locbound.verify as verify
+
+    monkeypatch.setattr(verify, "depth_bound_rhs", lambda *args: float("nan"))
+    assert dispatch(["verify", "depth-bound"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: NaN margin: value nan")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_failed_eigensolver_in_the_ree_search_exits_three(monkeypatch, capsys):
     # LinAlgError is a ValueError, but a failed eigh of the search's own
     # sigma is a fault of the package: exit 3, not the input error 2

@@ -8,8 +8,8 @@ is one superoperator pass, which must agree to 1e-12 with
 sum_i K_i rho K_i^dag formed by np.kron embeddings. Each gate builds one gather plan per
 support, each channel step stays near one state of memory above its
 input, and importing the package builds no gather plan, superoperator or
-BLAS handle and starts no thread. A pass shared among threads gives the
-serial pass's bytes.
+BLAS handle, starts no thread and imports no thread pool. A pass shared
+among threads gives the serial pass's bytes.
 """
 
 import math
@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locbound import circuit
 from locbound.circuit import (
@@ -235,21 +237,23 @@ def watch(frame, event, arg):
 sys.setprofile(watch)
 import locbound
 sys.setprofile(None)
+futures = "concurrent.futures" in sys.modules
 import threading
 from locbound.circuit import _gather_plan, _openblas_thread_counts
 print(sorted(ran), _gather_plan.cache_info().currsize, threading.active_count(),
-      _openblas_thread_counts.cache_info().currsize)
+      _openblas_thread_counts.cache_info().currsize, futures)
 """
 
 
 def test_import_builds_no_plan_or_superoperator():
-    # plans, superoperators and BLAS handles are made on first use, and no
-    # thread is started, so `import locbound` (and so every process start)
-    # pays for none of them
+    # plans, superoperators and BLAS handles are made on first use, no
+    # thread is started and the thread pool's module (4-8 ms) is not
+    # imported, so `import locbound` (and so every process start) pays for
+    # none of them
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.split() == ["[]", "0", "1", "0"]
+    assert proc.stdout.split() == ["[]", "0", "1", "0", "False"]
 
 
 def test_apply_operator_refuses_an_operator_off_its_support():
@@ -394,20 +398,66 @@ def test_share_hands_each_item_to_one_worker():
 
 def test_share_joins_the_started_helpers_when_a_start_fails(monkeypatch):
     # a helper that cannot start fails the call, once the one that did
-    # start has done every item and been joined
+    # start has done every item and been joined; the started helper waits
+    # for the refusal, so that it is still busy when the next one is asked
+    # for and the pool cannot hand it the next task instead
     started = []
+    refused = threading.Event()
     start = threading.Thread.start
 
     def start_once(self):
         if started:
+            refused.set()
             raise RuntimeError("can't start new thread")
         started.append(self)
         start(self)
+
+    def work(todo):
+        refused.wait(60)
+        done.extend(todo)
 
     monkeypatch.setattr(threading.Thread, "start", start_once)
     before = threading.active_count()
     done = []
     with pytest.raises(RuntimeError, match="can't start new thread"):
-        circuit._share(lambda todo: done.extend(todo), range(1000), 4)
-    assert sorted(done) == list(range(1000))
+        circuit._share(work, range(1000), 4)
+    assert refused.is_set() and sorted(done) == list(range(1000))
     assert not started[0].is_alive() and threading.active_count() == before
+
+
+@settings(deadline=None)
+@given(st.integers(1, 8), st.integers(0, 300), st.none() | st.integers(0, 299))
+def test_share_does_each_item_once_and_raises_a_failure(workers, n_items, fail):
+    # one worker (no pool) or up to 8 on a host of fewer cores, switching
+    # often: no item is done twice; a failing worker stops while the others
+    # finish the remaining items, and then the failure is raised; no
+    # thread outlives the call
+    fails = fail is not None and fail < n_items
+    done, threads = [], set()
+
+    def work(todo):
+        threads.add(threading.get_ident())
+        for item in todo:
+            if item == fail:
+                raise KeyError(item)
+            done.append(item)
+
+    before = threading.active_count()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        if fails:
+            with pytest.raises(KeyError):
+                circuit._share(work, range(n_items), workers)
+        else:
+            circuit._share(work, range(n_items), workers)
+    finally:
+        sys.setswitchinterval(old)
+    assert threading.active_count() == before
+    assert len(done) == len(set(done))
+    if workers == 1:
+        assert threads == {threading.get_ident()}
+    if fails and workers == 1:
+        assert done == list(range(fail))
+    else:
+        assert sorted(done) == [i for i in range(n_items) if i != fail]

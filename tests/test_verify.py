@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from locbound.circuit import Circuit, ConnectivityGraph, Layer, measure_gate, validate_layer
+from locbound.circuit import (
+    Circuit,
+    ConnectivityGraph,
+    InvariantError,
+    Layer,
+    measure_gate,
+    validate_layer,
+)
 from locbound.stabilizer import (
     five_qubit_code,
     four_two_two_code,
@@ -11,7 +18,9 @@ from locbound.stabilizer import (
     validate_code,
 )
 from locbound.verify import (
+    SLACK_EXACT,
     DepthBoundScenario,
+    _Checker,
     default_module_corpus,
     default_depth_bound_scenarios,
     isolated_pair_module,
@@ -240,3 +249,18 @@ def test_zero_trial_report_fails():
     for report in (verify_depth_bound(scenarios=[]), verify_overhead_consistency(modules=[])):
         assert report.trials == 0
         assert not report.passed
+
+
+def test_a_nan_margin_raises_and_a_finite_excess_is_a_violation():
+    # NaN > slack is False, so a NaN margin would count as a passing trial;
+    # it is a fault of the package instead, and counts as no trial
+    checker = _Checker(SLACK_EXACT)
+    for value, bound in ((np.nan, 0.0), (1.0, np.nan), (np.inf, np.inf)):
+        with pytest.raises(InvariantError, match="NaN margin"):
+            checker.check(value, bound)
+    assert checker.trials == 0
+    checker.check(2 * SLACK_EXACT, 0.0)
+    checker.check(SLACK_EXACT / 2, 0.0)
+    report = checker.report("margins", {}, 0)
+    assert (report.trials, report.violations, report.passed) == (2, 1, False)
+    assert report.worst_margin == 2 * SLACK_EXACT
